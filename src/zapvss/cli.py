@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -10,13 +11,17 @@ import sys
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .channel import ChannelFormatError, generate_dispersive, generate_sparse, save_channel
+from .channel import generate_dispersive, generate_sparse, save_channel
 from .filtercore import DivergenceError
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
-                      RunTrace, ScenarioConfig, aggregate, run_all)
+                      ConfigError, RunTrace, ScenarioConfig, aggregate,
+                      run_all)
 from .stepsize import CONTROLLER_KINDS, PARAM_SPECS, make_controller
 
 CSV_HEADER = "scenario,algorithm,seed,n,e,kappa,misalignment_db,sign_agreement,smoothed_mse"
+# the RunTrace fields behind the CSV columns from n on
+CSV_FIELDS = ("n", "error", "kappa", "misalignment_db", "sign_agreement",
+              "smoothed_mse")
 AGGREGATE_HEADER = "scenario,algorithm,n,mean_misalignment_db"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -33,10 +38,6 @@ _CHANNEL_KEYS = {
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                 "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
-
-
-class ConfigError(ValueError):
-    """A scenario config failed to parse or validate."""
 
 
 def _collect_sections(text: str):
@@ -226,9 +227,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 def parse_config(source) -> ScenarioConfig:
     """Parse a config file given as a path or an open text file."""
-    if hasattr(source, "read"):
-        return parse_config_text(source.read())
-    return parse_config_text(Path(source).read_text())
+    try:
+        text = (source.read() if hasattr(source, "read")
+                else Path(source).read_text())
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not text: {err}") from None
+    return parse_config_text(text)
 
 
 def _fmt(v) -> str:
@@ -270,26 +274,33 @@ def canonical_config_text(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(destination, text: str) -> None:
+def _write_chunks(destination, chunks) -> None:
     if hasattr(destination, "write"):
-        destination.write(text)
+        for chunk in chunks:
+            destination.write(chunk)
     else:
-        Path(destination).write_text(text)
+        with open(destination, "w") as f:
+            for chunk in chunks:
+                f.write(chunk)
+
+
+def _trace_rows(trace: RunTrace, scenario: str) -> str:
+    # tolist() yields Python floats, so the text is their shortest repr
+    prefix = f"{scenario},{trace.algorithm},{trace.seed},"
+    columns = [trace.column(name).tolist() for name in CSV_FIELDS]
+    return "".join(f"{prefix}{n},{e!r},{k!r},{m!r},{a!r},{q!r}\n"
+                   for n, e, k, m, a, q in zip(*columns))
 
 
 def emit_csv(traces: list[RunTrace], destination, scenario: str) -> None:
     """Per-sample trace CSV, rows sorted by (algorithm, seed, n), full
-    decimal precision; byte-identical for identical inputs."""
+    decimal precision; byte-identical for identical inputs. Written one run
+    at a time."""
     if "," in scenario:
-        raise ValueError("scenario label must not contain a comma")
-    rows = []
-    for t in sorted(traces, key=lambda t: (t.algorithm, t.seed)):
-        prefix = f"{scenario},{t.algorithm},{t.seed},"
-        for s in t.samples:
-            rows.append(prefix + f"{s.n},{s.error!r},{s.kappa!r},"
-                        f"{s.misalignment_db!r},{s.sign_agreement!r},"
-                        f"{s.smoothed_mse!r}")
-    _write_text(destination, "\n".join([CSV_HEADER] + rows) + "\n")
+        raise ConfigError("scenario label must not contain a comma")
+    ordered = sorted(traces, key=lambda t: (t.algorithm, t.seed))
+    _write_chunks(destination, itertools.chain(
+        [CSV_HEADER + "\n"], (_trace_rows(t, scenario) for t in ordered)))
 
 
 def emit_aggregate_csv(aggregates: list[AlgorithmAggregate], destination,
@@ -299,7 +310,7 @@ def emit_aggregate_csv(aggregates: list[AlgorithmAggregate], destination,
     for agg in aggregates:
         for n, v in zip(agg.n, agg.mean_misalignment_db):
             rows.append(f"{scenario},{agg.name},{n},{float(v)!r}")
-    _write_text(destination, "\n".join([AGGREGATE_HEADER] + rows) + "\n")
+    _write_chunks(destination, ["\n".join([AGGREGATE_HEADER] + rows) + "\n"])
 
 
 def emit_svg(aggregates: list[AlgorithmAggregate], destination,
@@ -375,10 +386,12 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
                      f'font-family="sans-serif" font-size="11">'
                      f'{escape(agg.name)}</text>')
     parts.append("</svg>")
-    _write_text(destination, "\n".join(parts) + "\n")
+    _write_chunks(destination, ["\n".join(parts) + "\n"])
 
 
 def _cmd_run(args) -> int:
+    if not args.margin_db > 0.0:
+        raise ConfigError(f"--margin-db must be > 0, got {args.margin_db}")
     cfg = parse_config(args.config)
     scenario = Path(args.config).stem
     outdir = Path(args.out)
@@ -420,12 +433,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_channel(args) -> int:
-    if args.type == "sparse":
-        if args.active is None:
-            raise ConfigError("--active is required for --type sparse")
-        ch = generate_sparse(args.L, args.active, args.seed)
-    else:
-        ch = generate_dispersive(args.L, args.seed, args.decay)
+    if args.type == "sparse" and args.active is None:
+        raise ConfigError("--active is required for --type sparse")
+    try:
+        if args.type == "sparse":
+            ch = generate_sparse(args.L, args.active, args.seed)
+        else:
+            ch = generate_dispersive(args.L, args.seed, args.decay)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     save_channel(ch, args.out)
     print(f"wrote {args.type} channel L={args.L} seed={args.seed} to {args.out}")
     return 0
@@ -459,7 +475,7 @@ def main(argv=None) -> int:
         if args.command in ("run", "compare"):
             return _cmd_run(args)
         return _cmd_gen_channel(args)
-    except (ConfigError, ChannelFormatError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except DivergenceError as err:
@@ -468,9 +484,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+    except Exception as err:  # a fault of the program, not of its input
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -56,13 +56,15 @@ def step(state: FilterState, x, d: float, mu: float, controller):
     """Advance one sample: error, controller kappa, then the weight update.
 
     All three stages see the pre-update weights. The controller is advanced
-    in place; returns (e, kappa, new FilterState).
+    in place; returns (e, kappa, new FilterState). Overflow on the way to a
+    divergence is silent: the update reports it as a DivergenceError.
     """
-    e = predict_error(state.w, x, d)
-    kappa = controller.update(e, x, state.w)
-    try:
-        w = apply_update(state.w, x, e, mu, kappa)
-    except DivergenceError as err:
-        err.sample_index = state.n
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = predict_error(state.w, x, d)
+        kappa = controller.update(e, x, state.w)
+        try:
+            w = apply_update(state.w, x, e, mu, kappa)
+        except DivergenceError as err:
+            err.sample_index = state.n
+            raise
     return e, kappa, FilterState(w, state.n + 1)

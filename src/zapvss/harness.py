@@ -1,5 +1,6 @@
-"""Scenario runner: full seeded runs, multi-seed aggregation, recovery-time
-measurement, and the ground-truth oracles used by the test suite."""
+"""Scenario runner: the batched grid engine, the scalar single-run
+reference, multi-seed aggregation, recovery-time measurement, and the
+ground-truth oracles used by the test suite."""
 
 from __future__ import annotations
 
@@ -12,13 +13,17 @@ import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
 from .filtercore import DivergenceError, FilterState, step
-from .metrics import (ACTIVE_TAPS, MetricSample, misalignment_db,
-                      sign_agreement, smoothed_mse)
+from .metrics import (ACTIVE_TAPS, SAMPLE_DTYPE, MetricSample,
+                      misalignment_db, sign_agreement, smoothed_mse)
 from .signal import ChannelSchedule, generate_input, synthesize_desired
-from .stepsize import make_controller
+from .stepsize import batch_controller, make_controller
 
 MSE_BETA = 0.01      # smoothing constant for the recorded error power
 RECOVERY_HOLD = 100  # recorded samples the recovery margin must hold
+
+
+class ConfigError(ValueError):
+    """A scenario config, a channel spec or an environment setting is invalid."""
 
 
 @dataclass
@@ -45,13 +50,20 @@ class ChannelSpec:
             raise ValueError(f"unknown channel kind {self.kind!r}")
 
     def realize(self, L: int) -> Channel:
-        if self.kind == "sparse":
-            return generate_sparse(L, self.active_count, self.seed)
-        if self.kind == "dispersive":
-            return generate_dispersive(L, self.seed, self.decay)
-        ch = load_channel(self.path)
+        """The channel for filter length L. Generator arguments it cannot
+        use, an unreadable channel file or one of another length raise
+        ConfigError."""
+        try:
+            if self.kind == "sparse":
+                ch = generate_sparse(L, self.active_count, self.seed)
+            elif self.kind == "dispersive":
+                ch = generate_dispersive(L, self.seed, self.decay)
+            else:
+                ch = load_channel(self.path)
+        except ValueError as err:
+            raise ConfigError(f"{self.kind} channel: {err}") from None
         if ch.L != L:
-            raise ValueError(
+            raise ConfigError(
                 f"channel file {self.path} has L={ch.L}, scenario expects L={L}")
         return ch
 
@@ -104,6 +116,8 @@ class ScenarioConfig:
             raise ValueError("channel_after requires change_at")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         names = [a.name for a in self.algorithms]
@@ -115,22 +129,33 @@ class ScenarioConfig:
 
 @dataclass
 class RunTrace:
-    """Recorded time series for one (algorithm, seed) run."""
+    """Recorded time series for one (algorithm, seed) run.
+
+    ``samples`` is a record array of SAMPLE_DTYPE (what ``run_all``
+    returns) or any sequence of rows with MetricSample's attributes (what
+    ``run_scenario`` returns, or a hand-built trace).
+    """
 
     algorithm: str
     seed: int
-    samples: list
+    samples: np.ndarray | list
     final_misalignment_db: float
     diverged_at: int | None = None
 
+    def column(self, name: str) -> np.ndarray:
+        """One recorded field over the run, e.g. ``column("kappa")``."""
+        if isinstance(self.samples, np.ndarray):
+            return self.samples[name]
+        return np.array([getattr(s, name) for s in self.samples])
+
     def sample_indices(self) -> np.ndarray:
-        return np.array([s.n for s in self.samples], dtype=np.int64)
+        return self.column("n").astype(np.int64, copy=False)
 
     def misalignment_curve(self) -> np.ndarray:
-        return np.array([s.misalignment_db for s in self.samples])
+        return self.column("misalignment_db")
 
     def kappa_curve(self) -> np.ndarray:
-        return np.array([s.kappa for s in self.samples])
+        return self.column("kappa")
 
 
 @dataclass
@@ -167,7 +192,8 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
     Per sample: regressor, a-priori error, controller kappa, weight update,
     then metrics of the updated weights against the channel active at that
     sample, recorded every ``record_every`` samples. Weights start at zero.
-    A divergence stops the run and is recorded in ``diverged_at``.
+    A divergence stops the run and is recorded in ``diverged_at``. This is
+    the plain reference that the batched ``run_seeds`` is tested against.
     """
     alg = next((a for a in cfg.algorithms if a.name == algorithm), None)
     if alg is None:
@@ -279,20 +305,121 @@ def recovery_time(trace: RunTrace, change_at: int | None,
     return int(post_ns[hits[0]] - change_at)
 
 
-def _run_pair(task):
-    cfg, name, seed = task
-    return run_scenario(cfg, name, seed)
+def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
+    """Every algorithm of the grid on ``seeds`` in one batched per-sample
+    loop over (algorithm, seed, tap) arrays; returns ``traces[a][i]`` for
+    algorithm ``a`` and ``seeds[i]``.
+
+    Each row computes what ``run_scenario`` computes, with the same
+    floating-point operations in the same order except for the sums of the
+    dot products and norms, so its curves match the scalar path to rounding.
+    Rows never interact: a row's trace does not depend on which other rows
+    share the batch. Metrics are computed only at the recorded samples.
+    """
+    schedule = build_schedule(cfg)
+    L, N, mu, every = cfg.L, cfg.N, cfg.mu, cfg.record_every
+    A, S = len(cfg.algorithms), len(seeds)
+    # each seed's input, reversed and zero-padded: the regressor
+    # [x(n), ..., x(n-L+1)] of sample n is the slice xrev[:, N-1-n:N-1-n+L]
+    xrev = np.zeros((S, N + L - 1))
+    d = np.empty((N, S))
+    for i, seed in enumerate(seeds):
+        input_seed, noise_seed = derive_stream_seeds(seed)
+        x = generate_input(N, input_seed, cfg.sigma_x)
+        d[:, i] = synthesize_desired(x, schedule, cfg.snr_db, noise_seed).d
+        xrev[i, :N] = x[::-1]
+
+    w = np.zeros((A, S, L))
+    sgn = np.zeros((A, S, L))  # sign(w): read by the next update and the metrics
+    tmp = np.empty((A, S, L))
+    kappa = np.empty((A, S))
+    controllers = []
+    for a, alg in enumerate(cfg.algorithms):
+        ctl = batch_controller(make_controller(alg.kind, alg.params, mu),
+                               kappa[a], L)
+        if ctl is not None:
+            controllers.append((a, ctl))
+    need_xx = any(ctl.uses_xx for _, ctl in controllers)
+    mse = np.zeros((A, S))
+    live = np.ones((A, S), dtype=bool)
+    stop_at = np.full((A, S), N)
+    rec = np.zeros((-(-N // every), A, S), dtype=SAMPLE_DTYPE)
+    rec["n"] = np.arange(0, N, every)[:, None, None]
+
+    # a diverged row runs on as inf/nan, harmlessly: rows never mix
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start, stop, ch in schedule.spans(N):
+            # h on every row: a same-shape subtraction beats a broadcast one
+            h_rows = np.broadcast_to(ch.taps, w.shape).copy()
+            hn = float(np.linalg.norm(ch.taps))
+            active = np.flatnonzero(ch.taps)
+            h_sign = np.sign(ch.taps[active])
+            for n in range(start, stop):
+                X = xrev[:, N - 1 - n:N - 1 - n + L]
+                e = d[n] - np.einsum("asl,sl->as", w, X)
+                if not np.isfinite(e).all():
+                    _stop_diverged(w, live & ~np.isfinite(e), live, stop_at, n - 1)
+                xx = np.einsum("sl,sl->s", X, X) if need_xx else None
+                for a, ctl in controllers:
+                    ctl.update(e[a], X, w[a], sgn[a], xx)
+                # (w + (mu*e)*x) - kappa*sign(w), rounded as apply_update
+                # rounds it; einsum broadcasts these products faster
+                w += np.einsum("as,sl->asl", mu * e, X, out=tmp)
+                w -= np.einsum("as,asl->asl", kappa, sgn, out=tmp)
+                np.sign(w, out=sgn)
+                mse = (1.0 - MSE_BETA) * mse + MSE_BETA * e * e
+                if n % every == 0:
+                    row = rec[n // every]
+                    np.subtract(w, h_rows, out=tmp)
+                    dn = np.sqrt(np.einsum("asl,asl->as", tmp, tmp))
+                    row["misalignment_db"] = 20.0 * np.log10(dn / hn)
+                    row["kappa"] = kappa
+                    row["error"] = e
+                    agree = (sgn == h_sign if active.size == L
+                             else sgn[:, :, active] == h_sign)
+                    row["sign_agreement"] = agree.sum(axis=-1) / active.size
+                    row["smoothed_mse"] = mse
+        _stop_diverged(w, live, live, stop_at, N - 1)
+
+    traces = []
+    for a, alg in enumerate(cfg.algorithms):
+        runs = []
+        for i, seed in enumerate(seeds):
+            samples = rec[:-(-stop_at[a, i] // every), a, i].copy()
+            samples = samples.view(np.recarray)
+            final = float(samples.misalignment_db[-1]) if samples.size else math.nan
+            runs.append(RunTrace(
+                algorithm=alg.name, seed=seed, samples=samples,
+                final_misalignment_db=final,
+                diverged_at=None if live[a, i] else int(stop_at[a, i])))
+        traces.append(runs)
+    return traces
+
+
+def _stop_diverged(w, suspect, live, stop_at, n) -> None:
+    """Stop the ``suspect`` rows whose weights are non-finite after the
+    update of sample n, as ``run_scenario`` stops at its DivergenceError.
+
+    A non-finite error only makes a row suspect: a finite w whose dot
+    product overflowed gives one too, and diverges one update later.
+    """
+    rows = np.nonzero(suspect)
+    bad = ~np.isfinite(w[rows]).all(axis=-1)
+    rows = tuple(r[bad] for r in rows)
+    stop_at[rows] = n
+    live[rows] = False
 
 
 def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
-    """Worker count for a grid; the ZAPVSS_THREADS env var caps it."""
+    """Worker count (and so seed-chunk count) for ``n_tasks`` seeds; the
+    ZAPVSS_THREADS env var caps it, else the CPU count does."""
     if max_workers is None:
         env = os.environ.get("ZAPVSS_THREADS")
         if env is not None:
             try:
                 max_workers = int(env)
             except ValueError:
-                raise ValueError(
+                raise ConfigError(
                     f"ZAPVSS_THREADS must be an integer, got {env!r}") from None
         else:
             max_workers = os.cpu_count() or 1
@@ -302,15 +429,22 @@ def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
 def run_all(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunTrace]:
     """Every (algorithm, seed) run of the grid, in config order.
 
-    Runs are independent; they execute on a process pool when more than one
-    worker is available. The returned order never depends on scheduling.
+    The seed list is split into one contiguous chunk per worker; each chunk
+    runs every algorithm in one batched loop (``run_seeds``), on a process
+    pool when there is more than one chunk. No trace depends on the
+    chunking or on scheduling.
     """
-    tasks = [(cfg, alg.name, seed) for alg in cfg.algorithms for seed in cfg.seeds]
-    workers = resolve_workers(len(tasks), max_workers)
-    if workers == 1:
-        return [_run_pair(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_pair, tasks, chunksize=1))
+    seeds = cfg.seeds
+    k = resolve_workers(len(seeds), max_workers)
+    chunks = [seeds[i * len(seeds) // k:(i + 1) * len(seeds) // k]
+              for i in range(k)]
+    if k == 1:
+        results = [run_seeds(cfg, seeds)]
+    else:
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            results = list(pool.map(run_seeds, [cfg] * k, chunks))
+    return [t for a in range(len(cfg.algorithms))
+            for chunk in results for t in chunk[a]]
 
 
 def aggregate(cfg: ScenarioConfig, traces: list[RunTrace],

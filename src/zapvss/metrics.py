@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,12 @@ class MetricSample:
     smoothed_mse: float
 
 
+# MetricSample's fields as one numpy record; the batched engine stores a
+# run's trace as an array of these
+SAMPLE_DTYPE = np.dtype([(f.name, np.int64 if f.name == "n" else np.float64)
+                         for f in fields(MetricSample)])
+
+
 def norms(w) -> tuple[float, float]:
     """l1 and l2 norms of a tap vector."""
     w = np.asarray(w, dtype=np.float64)
@@ -32,7 +38,8 @@ def norms(w) -> tuple[float, float]:
 def misalignment_db(h, w) -> float:
     """Normalized misalignment 20*log10(||h - w|| / ||h||) in dB.
 
-    Returns -inf when w equals h exactly.
+    Returns -inf when w equals h exactly, and +inf when ||h - w|| is
+    beyond the float range (a diverging filter).
     """
     h = np.asarray(h, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -41,7 +48,8 @@ def misalignment_db(h, w) -> float:
     hn = float(np.linalg.norm(h))
     if hn == 0.0:
         raise ValueError("misalignment undefined for an all-zero reference")
-    dn = float(np.linalg.norm(h - w))
+    with np.errstate(over="ignore"):
+        dn = float(np.linalg.norm(h - w))
     if dn == 0.0:
         return float("-inf")
     return 20.0 * math.log10(dn / hn)

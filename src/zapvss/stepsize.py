@@ -13,6 +13,9 @@ is the pre-update weight vector:
                      distance between the filter and the unknown response
 * ``ProposedNormVss`` same estimate divided by (sqrt(L)-1)*||w||, which keeps
                      the attraction safe on dispersive responses
+
+``batch_controller`` turns a fresh controller into its vectorized form over
+many runs at once, for the batched grid engine.
 """
 
 from __future__ import annotations
@@ -341,3 +344,110 @@ def make_controller(kind: str, params: dict, mu: float):
         kappa0=params.get("kappa0", 0.0),
         kappa_max=params.get("kappa_max", mu),
     )
+
+
+class _BatchYou:
+    """YouVss over the seed rows of one algorithm; the detector's history
+    deque becomes a (window, rows) ring buffer."""
+
+    uses_xx = False
+
+    def __init__(self, ctl: YouVss, kappa: np.ndarray):
+        det = ctl.detector
+        self.kappa = kappa
+        self.eta = ctl.eta
+        self.kappa_min = ctl.kappa_min
+        self.beta = det.beta
+        self.window = det.window
+        self.tolerance = det.tolerance
+        self.cooldown = det.cooldown
+        self.mse = np.full(kappa.shape, det.smoothed_mse)
+        self.history = np.zeros((det.window,) + kappa.shape)
+        self.cooldown_left = np.zeros(kappa.shape, dtype=np.int64)
+        self.t = 0
+
+    def update(self, e, X, W, sgn, xx) -> None:
+        slot = self.history[self.t % self.window]  # written window samples ago
+        self.mse = (1.0 - self.beta) * self.mse + self.beta * e * e
+        cooling = self.cooldown_left > 0
+        self.cooldown_left -= cooling
+        if self.t >= self.window:
+            event = np.abs(self.mse - slot) / slot < self.tolerance
+            event &= slot > 0.0
+            event &= ~cooling
+            if event.any():
+                self.cooldown_left[event] = self.cooldown
+                self.kappa[event & (self.kappa > self.kappa_min)] *= self.eta
+        slot[...] = self.mse
+        self.t += 1
+
+
+class _BatchSmoothed:
+    """LiuVss, ProposedL1Vss and ProposedNormVss over the seed rows of one
+    algorithm: a per-row drive ``delta`` smoothed into kappa exactly as
+    ``kappa_smooth`` does, then clamped at ``kappa_max``."""
+
+    def __init__(self, ctl, kappa: np.ndarray, L: int):
+        self.kappa = kappa
+        self.L = L
+        self.decay = 1.0 - ctl.alpha
+        self.gain = ctl.alpha * ctl.gamma
+        self.kappa_max = math.inf if ctl.kappa_max is None else ctl.kappa_max
+        self.liu = ctl if isinstance(ctl, LiuVss) else None
+        self.uses_xx = self.liu is None
+        self.w2_floor = getattr(ctl, "w2_floor", None)  # ProposedNormVss only
+        if self.liu is not None:
+            self.phi = np.full(kappa.shape, ctl.phi)
+
+    def _liu_delta(self, W) -> np.ndarray:
+        liu, L = self.liu, self.L
+        j = np.abs(W).sum(axis=-1)
+        if liu.measure == MEASURE_XI:
+            root = math.sqrt(L)
+            l2 = np.sqrt(np.einsum("sl,sl->s", W, W))
+            xi = L / (L - root) * (1.0 - j / (root * l2))
+            # the zero vector has no sparsity; it drives nothing
+            j = np.where(j == 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, xi)))
+        delta = j - self.phi
+        self.phi = (1.0 - liu.lam) * self.phi + liu.lam * j
+        return delta
+
+    def _proposed_delta(self, e, X, W, sgn, xx) -> np.ndarray:
+        delta = np.abs(e * np.einsum("sl,sl->s", X, sgn))
+        delta /= xx
+        if not xx.all():  # a zero regressor carries no information
+            delta[xx == 0.0] = 0.0
+        if self.w2_floor is not None:
+            scale = np.sqrt(np.einsum("sl,sl->s", W, W))
+            np.maximum(scale, self.w2_floor, out=scale)
+            scale *= math.sqrt(self.L) - 1.0
+            delta /= scale
+        return delta
+
+    def update(self, e, X, W, sgn, xx) -> None:
+        delta = (self._liu_delta(W) if self.liu is not None
+                 else self._proposed_delta(e, X, W, sgn, xx))
+        delta *= self.gain
+        kappa = self.decay * self.kappa
+        kappa += delta
+        np.minimum(np.maximum(0.0, kappa), self.kappa_max, out=self.kappa)
+
+
+def batch_controller(ctl, kappa: np.ndarray, L: int):
+    """Vectorized form of a fresh controller from ``make_controller`` over
+    the seed rows of one algorithm.
+
+    ``kappa`` is the algorithm's row of the engine's kappa array; it is set
+    to the starting kappa here and rewritten in place by each
+    ``update(e, X, W, sgn, xx)`` call, which sees the rows' a-priori errors,
+    regressors, pre-update weights, their signs and the regressor energies
+    x.x (None unless ``uses_xx``). Returns None for a constant kappa.
+    Row for row, the floating-point operations are those of the scalar
+    ``update``; only the dot products sum in a different order.
+    """
+    kappa[...] = ctl.kappa
+    if isinstance(ctl, FixedKappa):
+        return None
+    if isinstance(ctl, YouVss):
+        return _BatchYou(ctl, kappa)
+    return _BatchSmoothed(ctl, kappa, L)

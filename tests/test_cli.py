@@ -149,6 +149,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config_text(MINIMAL.replace("seeds=1,2", "seeds=1,,2"))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seeds must be >= 0"):
+            parse_config_text(MINIMAL.replace("seeds=1,2", "seeds=1,-2"))
+
     def test_canonical_round_trip(self):
         cfg = parse_config_text(FULL)
         assert parse_config_text(canonical_config_text(cfg)) == cfg
@@ -341,6 +345,38 @@ class TestMain:
         assert main(["gen-channel", "--L", "16", "--type", "sparse",
                      "--seed", "3", "--out", str(tmp_path / "h.txt")]) == 1
         assert "--active" in capsys.readouterr().err
+
+    def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):
+        assert main(["gen-channel", "--L", "16", "--type", "sparse",
+                     "--active", "17", "--out", str(tmp_path / "h.txt")]) == 1
+        assert "config error" in capsys.readouterr().err
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("active_count=4",
+                                            "active_count=99"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_margin_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FULL)
+        assert main(["run", "--config", str(cfg_path), "--margin-db", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "--margin-db" in capsys.readouterr().err
+
+    def test_program_fault_is_internal_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        def broken(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("zapvss.cli.run_all", broken)
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: ValueError: boom" in err
+        assert "config error" not in err
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "grid.cfg"

@@ -308,14 +308,21 @@ class TestAggregation:
 
 class TestParallelism:
     def test_env_capped_workers_match_serial(self, monkeypatch):
-        cfg = small_config(seeds=[1, 2], N=100)
+        # two chunks of three seeds: a chunk boundary falls mid-grid
+        cfg = small_config(
+            seeds=[1, 2, 3, 4, 5, 6], N=100,
+            algorithms=[AlgorithmConfig("lms", "lms"),
+                        AlgorithmConfig("pn", "proposed_norm",
+                                        {"alpha": 0.05, "gamma": 0.5})])
         serial = run_all(cfg, max_workers=1)
         monkeypatch.setenv("ZAPVSS_THREADS", "2")
         pooled = run_all(cfg)
-        assert [t.seed for t in pooled] == [t.seed for t in serial]
+        assert [(t.algorithm, t.seed) for t in pooled] == \
+            [(a.name, s) for a in cfg.algorithms for s in cfg.seeds]
+        assert [(t.algorithm, t.seed) for t in pooled] == \
+            [(t.algorithm, t.seed) for t in serial]
         for a, b in zip(serial, pooled):
-            assert np.array_equal(a.misalignment_curve(),
-                                  b.misalignment_curve())
+            assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_bad_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv("ZAPVSS_THREADS", "lots")
