@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Pilot calibration for the shipped scenario configs.
 
-Runs a candidate parameter set on the sparse and dispersive comparison
-grids and reports, per algorithm: first-phase steady-state misalignment
-(mean over the last 10% of pre-change samples), per-seed recovery times at
-the 3 dB margin, final misalignment, and the post-convergence
-sign-agreement over active taps.
+Runs configs/sparse.cfg and configs/dispersive.cfg, with any parameter
+overridden by ``--set``, and reports per algorithm: first-phase
+steady-state misalignment (mean over the last 10% of pre-change samples),
+per-seed recovery times at the 3 dB margin, final misalignment, and the
+post-convergence sign-agreement over active taps.
+
+    python3 scripts/pilot.py --kind sparse --seeds 3 \\
+        --set proposed_norm.gamma=0.2 --set mu=0.0025
 
 Calibration procedure (documented for reproducibility):
  1. Fix mu so the first adaptation settles well before the path change.
@@ -21,49 +24,39 @@ Calibration procedure (documented for reproducibility):
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
-                            recovery_time, run_all)
-
-
-def algorithms(params):
-    return [
-        AlgorithmConfig("lms", "lms"),
-        AlgorithmConfig("fixed_zap", "fixed_zap",
-                        {"kappa0": params["zap_kappa0"]}),
-        AlgorithmConfig("you", "you", {
-            "kappa0": params["you_kappa0"], "eta": params["you_eta"],
-            "kappa_min": params["you_kappa_min"]}),
-        AlgorithmConfig("liu", "liu", {
-            "lambda": params["liu_lambda"], "alpha": params["alpha"],
-            "gamma": params["liu_gamma"]}),
-        AlgorithmConfig("proposed_l1", "proposed_l1", {
-            "alpha": params["alpha"], "gamma": params["pl1_gamma"]}),
-        AlgorithmConfig("proposed_norm", "proposed_norm", {
-            "alpha": params["alpha"], "gamma": params["pnorm_gamma"]}),
-    ]
+from zapvss.cli import parse_config
+from zapvss.harness import AlgorithmConfig, recovery_time, run_all
+from zapvss.stepsize import PARAMS
 
 
-def scenario(kind, params, seeds):
-    # channel seed pairs picked for matched l2 gain, so the two phases share
-    # one noise floor and "steady state + margin" is reachable after the change
-    if kind == "sparse":
-        before = ChannelSpec(kind="sparse", active_count=16, seed=297)
-        after = ChannelSpec(kind="sparse", active_count=16, seed=310)
-    else:
-        before = ChannelSpec(kind="dispersive", seed=303)
-        after = ChannelSpec(kind="dispersive", seed=304)
-    return ScenarioConfig(
-        L=512, N=10000, snr_db=30.0, mu=params["mu"],
-        channel_before=before, channel_after=after, change_at=5000,
-        algorithms=algorithms(params), seeds=list(seeds))
+def override(cfg, assignment):
+    """``cfg`` with one ``name.key=value`` (a key of algorithm ``name``,
+    typed as the controller table types it) or ``mu=value`` applied."""
+    target, sep, raw = assignment.partition("=")
+    name, dot, key = target.rpartition(".")
+    if not sep or not (dot or target == "mu"):
+        raise ValueError(f"expected name.key=value or mu=value, got {assignment!r}")
+    if not dot:
+        return dataclasses.replace(cfg, mu=float(raw))
+    if name not in [a.name for a in cfg.algorithms]:
+        raise ValueError(f"no algorithm named {name!r}")
+    if key not in PARAMS:
+        raise ValueError(f"unknown controller key {key!r}")
+    algorithms = [
+        AlgorithmConfig(a.name, a.kind, {**a.params, key: PARAMS[key][0](raw)})
+        if a.name == name else a
+        for a in cfg.algorithms]
+    return dataclasses.replace(cfg, algorithms=algorithms)
 
 
 def steady_db(trace, change_at):
@@ -76,7 +69,7 @@ def steady_db(trace, change_at):
 
 def sign_tail(trace, change_at):
     ns = trace.sample_indices()
-    sig = np.array([s.sign_agreement for s in trace.samples])
+    sig = trace.column("sign_agreement")
     pre = sig[ns < change_at]
     tail = max(1, math.ceil(0.1 * pre.size))
     return float(np.mean(pre[-tail:]))
@@ -111,30 +104,23 @@ def report(kind, cfg, traces):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--mu", type=float, default=0.002)
-    ap.add_argument("--zap-kappa0", type=float, default=1e-5)
-    ap.add_argument("--you-kappa0", type=float, default=2.5e-4)
-    ap.add_argument("--you-eta", type=float, default=0.45)
-    ap.add_argument("--you-kappa-min", type=float, default=5e-6)
-    ap.add_argument("--liu-lambda", type=float, default=0.01)
-    ap.add_argument("--alpha", type=float, default=0.05)
-    ap.add_argument("--liu-gamma", type=float, default=6e-3)
-    ap.add_argument("--pl1-gamma", type=float, default=3e-3)
-    ap.add_argument("--pnorm-gamma", type=float, default=0.15)
+    ap.add_argument("--seeds", type=int, default=10,
+                    help="run seeds 1..SEEDS")
+    ap.add_argument("--set", action="append", default=[],
+                    metavar="NAME.KEY=VALUE",
+                    help="override a controller key or mu; repeatable")
     ap.add_argument("--kind", choices=("sparse", "dispersive", "both"),
                     default="both")
     args = ap.parse_args()
-    params = {
-        "mu": args.mu, "zap_kappa0": args.zap_kappa0,
-        "you_kappa0": args.you_kappa0, "you_eta": args.you_eta,
-        "you_kappa_min": args.you_kappa_min, "liu_lambda": args.liu_lambda,
-        "alpha": args.alpha, "liu_gamma": args.liu_gamma,
-        "pl1_gamma": args.pl1_gamma, "pnorm_gamma": args.pnorm_gamma,
-    }
     kinds = ("sparse", "dispersive") if args.kind == "both" else (args.kind,)
     for kind in kinds:
-        cfg = scenario(kind, params, range(1, args.seeds + 1))
+        cfg = parse_config(ROOT / "configs" / f"{kind}.cfg")
+        cfg = dataclasses.replace(cfg, seeds=list(range(1, args.seeds + 1)))
+        try:
+            for assignment in args.set:
+                cfg = override(cfg, assignment)
+        except ValueError as err:
+            ap.error(str(err))
         traces = run_all(cfg, max_workers=1)
         report(kind, cfg, traces)
 

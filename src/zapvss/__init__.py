@@ -1,7 +1,7 @@
 """Sparse adaptive filtering with zero-attractor step-size control.
 
-A sign-attracted LMS filter plus five interchangeable controllers for the
-attractor step-size, and a seeded echo-cancellation simulation harness with
+A sign-attracted LMS filter plus six kinds of controller for the attractor
+step-size, and a seeded echo-cancellation simulation harness with
 CSV/SVG output.
 """
 
@@ -13,16 +13,14 @@ from .filtercore import (DivergenceError, FilterState, apply_update,
                          predict_error, sign_vec, step)
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
-                      compare, derive_stream_seeds, oracle_delta_l1,
-                      oracle_delta_projected, recovery_time, residual_error,
-                      run_all, run_scenario)
+                      compare, derive_stream_seeds, recovery_time, run_all,
+                      run_scenario)
 from .metrics import (MetricSample, misalignment_db, norms, sign_agreement,
                       smoothed_mse, sparsity_xi)
 from .signal import (ChannelSchedule, DesiredSignal, generate_input,
                      regressor_at, synthesize_desired)
-from .stepsize import (ConvergenceDetector, FixedKappa, LiuVss, ProposedL1Vss,
-                       ProposedNormVss, YouVss, kappa_smooth, make_controller,
-                       proposed_l1_delta, proposed_norm_delta)
+from .stepsize import (KINDS, Controller, controller_params,
+                       make_controller)
 
 __version__ = "0.1.0"
 
@@ -35,13 +33,10 @@ __all__ = [
     "sign_vec", "step",
     "AlgorithmAggregate", "AlgorithmConfig", "ChannelSpec", "RunTrace",
     "ScenarioConfig", "aggregate", "build_schedule", "compare",
-    "derive_stream_seeds", "oracle_delta_l1", "oracle_delta_projected",
-    "recovery_time", "residual_error", "run_all", "run_scenario",
+    "derive_stream_seeds", "recovery_time", "run_all", "run_scenario",
     "MetricSample", "misalignment_db", "norms", "sign_agreement",
     "smoothed_mse", "sparsity_xi",
     "ChannelSchedule", "DesiredSignal", "generate_input", "regressor_at",
     "synthesize_desired",
-    "ConvergenceDetector", "FixedKappa", "LiuVss", "ProposedL1Vss",
-    "ProposedNormVss", "YouVss", "kappa_smooth", "make_controller",
-    "proposed_l1_delta", "proposed_norm_delta",
+    "KINDS", "Controller", "controller_params", "make_controller",
 ]

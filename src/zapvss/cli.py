@@ -16,7 +16,7 @@ from .filtercore import DivergenceError
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       ConfigError, RunTrace, ScenarioConfig, aggregate,
                       run_all)
-from .stepsize import CONTROLLER_KINDS, PARAM_SPECS, make_controller
+from .stepsize import KINDS, PARAMS
 
 CSV_HEADER = "scenario,algorithm,seed,n,e,kappa,misalignment_db,sign_agreement,smoothed_mse"
 # the RunTrace fields behind the CSV columns from n on
@@ -35,6 +35,7 @@ _CHANNEL_KEYS = {
     "dispersive": {"kind", "seed", "decay"},
     "file": {"file"},
 }
+_CHANNEL_TYPES = {"active_count": int, "seed": int, "decay": float}
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                 "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
@@ -119,34 +120,15 @@ def _parse_channel(section) -> ChannelSpec:
         lineno = kv[extra[0]][1]
         raise ConfigError(f"line {lineno}: unknown key '{extra[0]}' for "
                           f"{kind} channel")
+    args = {key: _convert(raw, _CHANNEL_TYPES[key], key, lineno)
+            for key, (raw, lineno) in kv.items() if key != "kind"}
     try:
-        if kind == "sparse":
-            if "active_count" not in kv or "seed" not in kv:
-                raise ConfigError(f"line {hline}: sparse channel requires "
-                                  f"active_count and seed")
-            return ChannelSpec(
-                kind="sparse",
-                active_count=_convert(kv["active_count"][0], int,
-                                      "active_count", kv["active_count"][1]),
-                seed=_convert(kv["seed"][0], int, "seed", kv["seed"][1]),
-            )
-        if "seed" not in kv:
-            raise ConfigError(f"line {hline}: dispersive channel requires seed")
-        decay = 0.0
-        if "decay" in kv:
-            decay = _convert(kv["decay"][0], float, "decay", kv["decay"][1])
-        return ChannelSpec(
-            kind="dispersive",
-            seed=_convert(kv["seed"][0], int, "seed", kv["seed"][1]),
-            decay=decay,
-        )
+        return ChannelSpec(kind=kind, **args)
     except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
         raise ConfigError(f"line {hline}: {err}") from None
 
 
-def _parse_algorithm(section, mu: float) -> AlgorithmConfig:
+def _parse_algorithm(section) -> AlgorithmConfig:
     hline, kv = section
     if "name" not in kv:
         raise ConfigError(f"line {hline}: [algorithm] section needs name=")
@@ -157,21 +139,17 @@ def _parse_algorithm(section, mu: float) -> AlgorithmConfig:
     if "kind" not in kv:
         raise ConfigError(f"line {hline}: [algorithm] '{name}' needs kind=")
     kind, kind_line = kv["kind"]
-    if kind not in CONTROLLER_KINDS:
+    if kind not in KINDS:
         raise ConfigError(f"line {kind_line}: unknown algorithm kind {kind!r}; "
-                          f"expected one of {', '.join(CONTROLLER_KINDS)}")
+                          f"expected one of {', '.join(KINDS)}")
     params = {}
     for key, (raw, lineno) in kv.items():
         if key in ("name", "kind"):
             continue
-        if key not in PARAM_SPECS[kind]:
+        if key not in KINDS[kind].keys:
             raise ConfigError(f"line {lineno}: unknown key '{key}' for "
                               f"algorithm kind '{kind}'")
-        params[key] = _convert(raw, PARAM_SPECS[kind][key], key, lineno)
-    try:
-        make_controller(kind, params, mu)
-    except ValueError as err:
-        raise ConfigError(f"line {hline}: [algorithm] '{name}': {err}") from None
+        params[key] = _convert(raw, PARAMS[key][0], key, lineno)
     return AlgorithmConfig(name=name, kind=kind, params=params)
 
 
@@ -205,11 +183,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if not algorithms:
         raise ConfigError("at least one [algorithm] section is required")
     scen = _parse_scenario(scenario[1])
-    algs = [_parse_algorithm(a, mu=scen["mu"]) for a in algorithms]
-    names = [a.name for a in algs]
-    if len(set(names)) != len(names):
-        dupe = next(n for n in names if names.count(n) > 1)
-        raise ConfigError(f"duplicate algorithm name '{dupe}'")
+    algs = [_parse_algorithm(a) for a in algorithms]
     try:
         return ScenarioConfig(
             L=scen["L"], N=scen["N"], snr_db=scen["snr_db"], mu=scen["mu"],

@@ -55,13 +55,18 @@ def apply_update(w_prev, x, e: float, mu: float, kappa: float) -> np.ndarray:
 def step(state: FilterState, x, d: float, mu: float, controller):
     """Advance one sample: error, controller kappa, then the weight update.
 
-    All three stages see the pre-update weights. The controller is advanced
-    in place; returns (e, kappa, new FilterState). Overflow on the way to a
-    divergence is silent: the update reports it as a DivergenceError.
+    All three stages see the pre-update weights. ``controller`` (from
+    ``make_controller``, one row) is advanced in place; returns (e, kappa,
+    new FilterState). Overflow on the way to a divergence is silent: the
+    update reports it as a DivergenceError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         e = predict_error(state.w, x, d)
-        kappa = controller.update(e, x, state.w)
+        X = np.asarray(x, dtype=np.float64).reshape(1, -1)
+        W = state.w.reshape(1, -1)
+        controller.update(np.array([e]), X, W, np.sign(W),
+                          np.einsum("sl,sl->s", X, X))
+        kappa = float(controller.kappa[0])
         try:
             w = apply_update(state.w, x, e, mu, kappa)
         except DivergenceError as err:

@@ -1,6 +1,5 @@
 """Scenario runner: the batched grid engine, the scalar single-run
-reference, multi-seed aggregation, recovery-time measurement, and the
-ground-truth oracles used by the test suite."""
+reference, multi-seed aggregation and recovery-time measurement."""
 
 from __future__ import annotations
 
@@ -13,10 +12,10 @@ import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
 from .filtercore import DivergenceError, FilterState, step
-from .metrics import (ACTIVE_TAPS, SAMPLE_DTYPE, MetricSample,
-                      misalignment_db, sign_agreement, smoothed_mse)
+from .metrics import (SAMPLE_DTYPE, MetricSample, misalignment_db,
+                      sign_agreement, smoothed_mse)
 from .signal import ChannelSchedule, generate_input, synthesize_desired
-from .stepsize import batch_controller, make_controller
+from .stepsize import controller_params, make_controller
 
 MSE_BETA = 0.01      # smoothing constant for the recorded error power
 RECOVERY_HOLD = 100  # recorded samples the recovery margin must hold
@@ -121,10 +120,13 @@ class ScenarioConfig:
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ValueError("algorithm names must be unique")
-        for alg in self.algorithms:  # fail fast on bad controller parameters
-            make_controller(alg.kind, alg.params, self.mu)
+        for alg in self.algorithms:
+            if names.count(alg.name) > 1:
+                raise ValueError(f"duplicate algorithm name '{alg.name}'")
+            try:
+                controller_params(alg.kind, alg.params, self.mu)
+            except ValueError as err:
+                raise ValueError(f"[algorithm] '{alg.name}': {err}") from None
 
 
 @dataclass
@@ -193,7 +195,8 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
     then metrics of the updated weights against the channel active at that
     sample, recorded every ``record_every`` samples. Weights start at zero.
     A divergence stops the run and is recorded in ``diverged_at``. This is
-    the plain reference that the batched ``run_seeds`` is tested against.
+    the plain reference that the batched ``run_seeds`` is tested against;
+    both drive the same controller update, here over one row.
     """
     alg = next((a for a in cfg.algorithms if a.name == algorithm), None)
     if alg is None:
@@ -229,46 +232,12 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
                 misalignment_db=misalignment_db(h, state.w),
                 kappa=kappa,
                 error=e,
-                sign_agreement=sign_agreement(h, state.w, ACTIVE_TAPS),
+                sign_agreement=sign_agreement(h, state.w),
                 smoothed_mse=mse,
             ))
     final = samples[-1].misalignment_db if samples else math.nan
     return RunTrace(algorithm=algorithm, seed=seed, samples=samples,
                     final_misalignment_db=final, diverged_at=diverged_at)
-
-
-def residual_error(h, w, x) -> float:
-    """Ground-truth a-priori error (h - w).x of the noiseless system."""
-    h = _taps(h)
-    if len(h) != len(w) or len(h) != len(x):
-        raise ValueError("h, w, x must share one length")
-    return float(np.dot(h - np.asarray(w, dtype=np.float64), x))
-
-
-def oracle_delta_projected(h, w, x) -> float:
-    """Distance estimate computed from the true residual error instead of
-    the observable error; test oracle only."""
-    h = _taps(h)
-    if len(h) != len(w) or len(h) != len(x):
-        raise ValueError("h, w, x must share one length")
-    den = float(np.dot(x, x))
-    if den == 0.0:
-        return 0.0
-    eps = residual_error(h, w, x)
-    return abs(eps * float(np.dot(x, np.sign(w)))) / den
-
-
-def oracle_delta_l1(h, w) -> float:
-    """True averaged l1 sparseness distance |  ||w||_1 - ||h||_1  | / L."""
-    h = _taps(h)
-    w = np.asarray(w, dtype=np.float64)
-    if len(h) != len(w):
-        raise ValueError("h and w must share one length")
-    return abs(float(np.sum(np.abs(w))) - float(np.sum(np.abs(h)))) / len(h)
-
-
-def _taps(h) -> np.ndarray:
-    return h.taps if isinstance(h, Channel) else np.asarray(h, dtype=np.float64)
 
 
 def recovery_time(trace: RunTrace, change_at: int | None,
@@ -335,11 +304,12 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     kappa = np.empty((A, S))
     controllers = []
     for a, alg in enumerate(cfg.algorithms):
-        ctl = batch_controller(make_controller(alg.kind, alg.params, mu),
-                               kappa[a], L)
-        if ctl is not None:
+        ctl = make_controller(alg.kind, alg.params, mu, rows=S)
+        kappa[a] = ctl.kappa
+        ctl.kappa = kappa[a]  # updates rewrite it in place: the engine reads it
+        if ctl.spec.update is not None:  # a constant kappa costs nothing
             controllers.append((a, ctl))
-    need_xx = any(ctl.uses_xx for _, ctl in controllers)
+    need_xx = any(ctl.spec.uses_xx for _, ctl in controllers)
     mse = np.zeros((A, S))
     live = np.ones((A, S), dtype=bool)
     stop_at = np.full((A, S), N)

@@ -7,9 +7,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-ACTIVE_TAPS = "active_taps"
-ALL_TAPS = "all_taps"
-
 
 @dataclass(slots=True)
 class MetricSample:
@@ -73,21 +70,13 @@ def sparsity_xi(h) -> float:
     return min(1.0, max(0.0, xi))
 
 
-def sign_agreement(h, w, scope: str = ACTIVE_TAPS) -> float:
-    """Fraction of in-scope taps where sign(w) matches sign(h).
-
-    ``active_taps`` restricts the count to the nonzero taps of h.
-    """
+def sign_agreement(h, w) -> float:
+    """Fraction of the nonzero taps of h where sign(w) matches sign(h)."""
     h = np.asarray(h, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if h.shape != w.shape:
         raise ValueError(f"length mismatch: {h.shape} vs {w.shape}")
-    if scope == ACTIVE_TAPS:
-        mask = h != 0.0
-    elif scope == ALL_TAPS:
-        mask = np.ones(h.shape, dtype=bool)
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
+    mask = h != 0.0
     if not mask.any():
         raise ValueError("sign agreement over an empty tap set")
     return float(np.mean(np.sign(w[mask]) == np.sign(h[mask])))

@@ -1,453 +1,244 @@
 """Zero-attractor step-size controllers.
 
-Five interchangeable ways to produce the attractor step-size kappa(n) each
-sample, all sharing the interface ``update(e, x, w) -> kappa`` where ``w``
-is the pre-update weight vector:
+Six kinds of controller produce the attractor step-size kappa(n) each
+sample:
 
-* ``FixedKappa``     constant kappa (0 reduces the filter to plain LMS)
-* ``YouVss``         start large, multiply by eta on detected convergence,
-                     freeze once kappa <= kappa_min
-* ``LiuVss``         smooth the gradient of the filter's own sparseness
-                     measure (l1 norm or the xi sparsity) into kappa
-* ``ProposedL1Vss``  kappa proportional to an estimate of the l1 sparseness
-                     distance between the filter and the unknown response
-* ``ProposedNormVss`` same estimate divided by (sqrt(L)-1)*||w||, which keeps
-                     the attraction safe on dispersive responses
+* ``lms``           kappa = 0, plain LMS
+* ``fixed_zap``     constant kappa0
+* ``you``           start large, multiply by eta on detected convergence,
+                    freeze once kappa <= kappa_min
+* ``liu``           smooth the gradient of the filter's own sparseness
+                    measure (l1 norm or the xi sparsity) into kappa
+* ``proposed_l1``   kappa proportional to an estimate of the l1 sparseness
+                    distance between the filter and the unknown response
+* ``proposed_norm`` same estimate divided by (sqrt(L)-1)*||w||, which keeps
+                    the attraction safe on dispersive responses
 
-``batch_controller`` turns a fresh controller into its vectorized form over
-many runs at once, for the batched grid engine.
+``KINDS`` is the one table of them: each kind's config keys, their defaults
+and its update. ``PARAMS`` holds each key's type and rule, and
+``controller_params`` is the one place that applies them. A controller
+advances many runs (rows) at once; the scalar reference drives one row.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .metrics import smoothed_mse, sparsity_xi
+MEASURES = ("l1", "xi")
 
-MEASURE_L1 = "l1"
-MEASURE_XI = "xi"
 
-CONTROLLER_KINDS = ("lms", "fixed_zap", "you", "liu", "proposed_l1", "proposed_norm")
+def _open_unit(v) -> bool:
+    return 0.0 < v < 1.0
 
-# config keys accepted per controller kind and their scalar types
-PARAM_SPECS: dict[str, dict[str, type]] = {
-    "lms": {},
-    "fixed_zap": {"kappa0": float},
-    "you": {
-        "kappa0": float,
-        "eta": float,
-        "kappa_min": float,
-        "beta": float,
-        "window": int,
-        "tolerance": float,
-        "cooldown": int,
-    },
-    "liu": {
-        "kappa0": float,
-        "lambda": float,
-        "alpha": float,
-        "gamma": float,
-        "measure": str,
-        "kappa_max": float,
-    },
-    "proposed_l1": {"kappa0": float, "alpha": float, "gamma": float, "kappa_max": float},
-    "proposed_norm": {
-        "kappa0": float,
-        "alpha": float,
-        "gamma": float,
-        "w2_floor": float,
-        "kappa_max": float,
-    },
+
+def _positive(v) -> bool:
+    return v > 0.0
+
+
+# config key -> (type, check, what the check demands)
+PARAMS: dict[str, tuple[type, Callable, str]] = {
+    "kappa0": (float, lambda v: v >= 0.0 and math.isfinite(v), ">= 0 and finite"),
+    "eta": (float, _open_unit, "in (0,1)"),
+    "kappa_min": (float, _positive, "> 0"),
+    "beta": (float, _open_unit, "in (0,1)"),
+    "window": (int, lambda v: v >= 1, "an integer >= 1"),
+    "tolerance": (float, _positive, "> 0"),
+    "cooldown": (int, lambda v: v >= 0, "an integer >= 0"),
+    "lambda": (float, _open_unit, "in (0,1)"),
+    "alpha": (float, _open_unit, "in (0,1)"),
+    "gamma": (float, _positive, "> 0"),
+    "measure": (str, lambda v: v in MEASURES, "'l1' or 'xi'"),
+    "kappa_max": (float, _positive, "> 0"),
+    "w2_floor": (float, _positive, "> 0"),
 }
 
 
-def kappa_smooth(kappa_prev: float, delta: float, alpha: float, gamma: float) -> float:
-    """Long-term average (1-alpha)*kappa + alpha*gamma*delta, clamped at 0."""
-    return max(0.0, (1.0 - alpha) * kappa_prev + alpha * gamma * delta)
+def _you_init(ctl, rows: int) -> None:
+    # the detector's smoothed error power and its last ``window`` values
+    ctl.mse = np.zeros(rows)
+    ctl.history = np.zeros((ctl.params["window"], rows))
+    ctl.cooldown_left = np.zeros(rows, dtype=np.int64)
+    ctl.t = 0
 
 
-def proposed_l1_delta(e: float, x, w_prev) -> float:
-    """Estimated l1 sparseness distance |e * x.sign(w)| / (x.x).
-
-    A zero regressor carries no sparseness information and yields 0.
-    """
-    if len(x) != len(w_prev):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(w_prev)}")
-    den = float(np.dot(x, x))
-    if den == 0.0:
-        return 0.0
-    return abs(e * float(np.dot(x, np.sign(w_prev)))) / den
-
-
-def proposed_norm_delta(e: float, x, w_prev, w2_floor: float) -> float:
-    """Gain-normalized distance estimate, usable on dispersive responses.
-
-    Divides the l1 estimate by (sqrt(L)-1)*||w||, flooring ||w|| at
-    ``w2_floor`` so the early near-zero filter cannot blow the ratio up.
-    """
-    L = len(x)
-    if L <= 1:
-        raise ValueError("normalized delta needs L > 1")
-    if w2_floor <= 0.0:
-        raise ValueError(f"w2_floor must be > 0, got {w2_floor}")
-    base = proposed_l1_delta(e, x, w_prev)
-    scale = (math.sqrt(L) - 1.0) * max(float(np.linalg.norm(w_prev)), w2_floor)
-    return base / scale
+def _you(ctl, e, X, W, sgn, xx) -> None:
+    """Decay on convergence: a plateau of the smoothed error power over the
+    last ``window`` samples (relative change below ``tolerance``, at most
+    once per ``cooldown`` samples) multiplies kappa by eta until kappa <=
+    kappa_min freezes it for good. The frozen step-size is what makes this
+    scheme blind to later path changes."""
+    p = ctl.params
+    slot = ctl.history[ctl.t % p["window"]]  # written window samples ago
+    ctl.mse = (1.0 - p["beta"]) * ctl.mse + p["beta"] * e * e
+    cooling = ctl.cooldown_left > 0
+    ctl.cooldown_left -= cooling
+    if ctl.t >= p["window"]:  # a full window first: the transient never fires
+        event = np.abs(ctl.mse - slot) / slot < p["tolerance"]
+        event &= slot > 0.0
+        event &= ~cooling
+        if event.any():
+            ctl.cooldown_left[event] = p["cooldown"]
+            ctl.kappa[event & (ctl.kappa > p["kappa_min"])] *= p["eta"]
+    slot[...] = ctl.mse
+    ctl.t += 1
 
 
-class ConvergenceDetector:
-    """Plateau detector on exponentially smoothed squared error.
-
-    Emits an event when the smoothed error power changed by less than
-    ``tolerance`` (relative) over the last ``window`` samples, at most once
-    per ``cooldown`` samples. Needs a full window of history before it can
-    fire, so the initial transient never triggers it.
-    """
-
-    def __init__(self, beta: float = 0.01, window: int = 200,
-                 tolerance: float = 0.05, cooldown: int | None = None):
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must be in (0,1), got {beta}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if tolerance <= 0.0:
-            raise ValueError(f"tolerance must be > 0, got {tolerance}")
-        self.beta = beta
-        self.window = window
-        self.tolerance = tolerance
-        self.cooldown = window if cooldown is None else cooldown
-        if self.cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-        self.smoothed_mse = 0.0
-        self._history: deque[float] = deque(maxlen=window)
-        self._cooldown_left = 0
-
-    def observe(self, e: float) -> bool:
-        """Feed one error sample; True when a convergence event fires."""
-        m_old = self._history[0] if len(self._history) == self.window else None
-        self.smoothed_mse = smoothed_mse(self.smoothed_mse, e, self.beta)
-        event = False
-        if self._cooldown_left > 0:
-            self._cooldown_left -= 1
-        elif m_old is not None and m_old > 0.0:
-            if abs(self.smoothed_mse - m_old) / m_old < self.tolerance:
-                event = True
-                self._cooldown_left = self.cooldown
-        self._history.append(self.smoothed_mse)
-        return event
+def _smooth(ctl, delta) -> None:
+    """kappa <- (1-alpha)*kappa + alpha*gamma*delta, clamped to
+    [0, kappa_max]; a NaN drive leaves kappa at 0 rather than NaN."""
+    p = ctl.params
+    delta *= p["alpha"] * p["gamma"]
+    kappa = (1.0 - p["alpha"]) * ctl.kappa
+    kappa += delta
+    np.fmin(np.fmax(0.0, kappa), p["kappa_max"], out=ctl.kappa)
 
 
-class FixedKappa:
-    """Constant attractor step-size; kappa0=0 is plain LMS."""
-
-    def __init__(self, kappa0: float):
-        if not (kappa0 >= 0.0 and math.isfinite(kappa0)):
-            raise ValueError(f"kappa0 must be >= 0 and finite, got {kappa0}")
-        self.kappa = kappa0
-
-    def update(self, e, x, w_prev) -> float:
-        return self.kappa
+def _liu_init(ctl, rows: int) -> None:
+    ctl.phi = np.zeros(rows)  # forgetting-factor average of the measure
 
 
-class YouVss:
-    """Decay-on-convergence schedule.
-
-    kappa starts at kappa0 and is multiplied by eta each time the detector
-    reports convergence, until kappa <= kappa_min freezes it for good. The
-    frozen step-size is what makes this scheme blind to later path changes.
-    """
-
-    def __init__(self, kappa0: float, eta: float, kappa_min: float,
-                 detector: ConvergenceDetector | None = None):
-        if not (kappa0 >= 0.0 and math.isfinite(kappa0)):
-            raise ValueError(f"kappa0 must be >= 0 and finite, got {kappa0}")
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"eta must be in (0,1), got {eta}")
-        if kappa_min <= 0.0:
-            raise ValueError(f"kappa_min must be > 0, got {kappa_min}")
-        self.kappa = kappa0
-        self.eta = eta
-        self.kappa_min = kappa_min
-        self.detector = ConvergenceDetector() if detector is None else detector
-
-    def update(self, e, x, w_prev) -> float:
-        event = self.detector.observe(e)
-        if event and self.kappa > self.kappa_min:
-            self.kappa *= self.eta
-        return self.kappa
+def _liu(ctl, e, X, W, sgn, xx) -> None:
+    """Sparseness gradient: delta = J(w) - phi, where J is the l1 norm or
+    the xi sparsity of the weights and phi its running average. delta can
+    be negative, so the zero clamp is load-bearing."""
+    p = ctl.params
+    j = np.abs(W).sum(axis=-1)
+    if p["measure"] == "xi":
+        L = W.shape[-1]
+        root = math.sqrt(L)
+        l2 = np.sqrt(np.einsum("sl,sl->s", W, W))
+        xi = L / (L - root) * (1.0 - j / (root * l2))
+        # the zero vector has no sparsity; it drives nothing
+        j = np.where(j == 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, xi)))
+    delta = j - ctl.phi
+    ctl.phi = (1.0 - p["lambda"]) * ctl.phi + p["lambda"] * j
+    _smooth(ctl, delta)
 
 
-class LiuVss:
-    """Sparseness-gradient schedule.
-
-    Tracks a forgetting-factor average phi of the filter's own sparseness
-    measure J(w); the difference J(w) - phi is smoothed into kappa. delta can
-    be negative here, so the zero clamp in kappa_smooth is load-bearing.
-    """
-
-    def __init__(self, lam: float, alpha: float, gamma: float,
-                 kappa0: float = 0.0, measure: str = MEASURE_XI,
-                 kappa_max: float | None = None, phi0: float = 0.0):
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"lambda must be in (0,1), got {lam}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {alpha}")
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        if not (kappa0 >= 0.0 and math.isfinite(kappa0)):
-            raise ValueError(f"kappa0 must be >= 0 and finite, got {kappa0}")
-        if measure not in (MEASURE_L1, MEASURE_XI):
-            raise ValueError(f"measure must be 'l1' or 'xi', got {measure!r}")
-        if kappa_max is not None and kappa_max <= 0.0:
-            raise ValueError(f"kappa_max must be > 0, got {kappa_max}")
-        self.lam = lam
-        self.alpha = alpha
-        self.gamma = gamma
-        self.measure = measure
-        self.kappa_max = kappa_max
-        self.kappa = kappa0
-        self.phi = phi0
-
-    def _measure(self, w) -> float:
-        if self.measure == MEASURE_L1:
-            return float(np.sum(np.abs(w)))
-        if not np.any(w):
-            return 0.0  # sparsity of the zero vector is undefined; no signal
-        return sparsity_xi(w)
-
-    def update(self, e, x, w_prev) -> float:
-        j = self._measure(w_prev)
-        delta = j - self.phi
-        self.phi = (1.0 - self.lam) * self.phi + self.lam * j
-        kappa = kappa_smooth(self.kappa, delta, self.alpha, self.gamma)
-        if self.kappa_max is not None:
-            kappa = min(kappa, self.kappa_max)
-        self.kappa = kappa
-        return kappa
+def _l1_delta(e, X, sgn, xx) -> np.ndarray:
+    """Estimated l1 sparseness distance |e * x.sign(w)| / (x.x); a zero
+    regressor carries no information and yields 0."""
+    delta = np.abs(e * np.einsum("sl,sl->s", X, sgn))
+    delta /= xx
+    if not xx.all():
+        delta[xx == 0.0] = 0.0
+    return delta
 
 
-class _SmoothedDeltaVss:
-    """Shared smoothing shell for the distance-estimate controllers."""
-
-    def __init__(self, alpha: float, gamma: float, kappa0: float,
-                 kappa_max: float | None):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {alpha}")
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        if not (kappa0 >= 0.0 and math.isfinite(kappa0)):
-            raise ValueError(f"kappa0 must be >= 0 and finite, got {kappa0}")
-        if kappa_max is not None and kappa_max <= 0.0:
-            raise ValueError(f"kappa_max must be > 0, got {kappa_max}")
-        self.alpha = alpha
-        self.gamma = gamma
-        self.kappa = kappa0
-        self.kappa_max = kappa_max
-
-    def _delta(self, e, x, w_prev) -> float:
-        raise NotImplementedError
-
-    def update(self, e, x, w_prev) -> float:
-        kappa = kappa_smooth(self.kappa, self._delta(e, x, w_prev),
-                             self.alpha, self.gamma)
-        if self.kappa_max is not None:
-            kappa = min(kappa, self.kappa_max)
-        self.kappa = kappa
-        return kappa
+def _proposed_l1(ctl, e, X, W, sgn, xx) -> None:
+    _smooth(ctl, _l1_delta(e, X, sgn, xx))
 
 
-class ProposedL1Vss(_SmoothedDeltaVss):
-    """kappa proportional to the smoothed l1 sparseness-distance estimate."""
-
-    def __init__(self, alpha: float, gamma: float, kappa0: float = 0.0,
-                 kappa_max: float | None = None):
-        super().__init__(alpha, gamma, kappa0, kappa_max)
-
-    def _delta(self, e, x, w_prev) -> float:
-        return proposed_l1_delta(e, x, w_prev)
-
-
-class ProposedNormVss(_SmoothedDeltaVss):
-    """kappa from the gain-normalized distance estimate; the variant meant
-    to behave on both sparse and dispersive responses."""
-
-    def __init__(self, alpha: float, gamma: float, w2_floor: float = 1e-2,
-                 kappa0: float = 0.0, kappa_max: float | None = None):
-        super().__init__(alpha, gamma, kappa0, kappa_max)
-        if w2_floor <= 0.0:
-            raise ValueError(f"w2_floor must be > 0, got {w2_floor}")
-        self.w2_floor = w2_floor
-
-    def _delta(self, e, x, w_prev) -> float:
-        return proposed_norm_delta(e, x, w_prev, self.w2_floor)
+def _proposed_norm(ctl, e, X, W, sgn, xx) -> None:
+    """The l1 estimate divided by (sqrt(L)-1)*||w||, with ||w|| floored at
+    ``w2_floor`` so the early near-zero filter cannot blow the ratio up."""
+    delta = _l1_delta(e, X, sgn, xx)
+    scale = np.sqrt(np.einsum("sl,sl->s", W, W))
+    np.maximum(scale, ctl.params["w2_floor"], out=scale)
+    scale *= math.sqrt(W.shape[-1]) - 1.0
+    delta /= scale
+    _smooth(ctl, delta)
 
 
-def _require(params: dict, key: str, kind: str):
-    if key not in params:
-        raise ValueError(f"algorithm kind '{kind}' requires key '{key}'")
-    return params[key]
+@dataclass(frozen=True)
+class Kind:
+    """One controller kind: the config keys it must be given, the optional
+    ones with their defaults (None: worked out by ``controller_params``),
+    its update (None: kappa stays at kappa0), an ``init(ctl, rows)`` that
+    adds the state arrays the update keeps, and whether the update reads
+    the regressor energies x.x."""
+
+    required: tuple[str, ...]
+    optional: dict
+    update: Callable | None = None
+    init: Callable | None = None
+    uses_xx: bool = False
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return self.required + tuple(self.optional)
 
 
-def make_controller(kind: str, params: dict, mu: float):
-    """Build a fresh controller from config parameters.
+KINDS: dict[str, Kind] = {
+    "lms": Kind((), {}),
+    "fixed_zap": Kind(("kappa0",), {}),
+    "you": Kind(("kappa0", "eta", "kappa_min"),
+                {"beta": 0.01, "window": 200, "tolerance": 0.05,
+                 "cooldown": None},
+                _you, _you_init),
+    "liu": Kind(("lambda", "alpha", "gamma"),
+                {"kappa0": 0.0, "measure": "xi", "kappa_max": None},
+                _liu, _liu_init),
+    "proposed_l1": Kind(("alpha", "gamma"),
+                        {"kappa0": 0.0, "kappa_max": None},
+                        _proposed_l1, uses_xx=True),
+    "proposed_norm": Kind(("alpha", "gamma"),
+                          {"kappa0": 0.0, "w2_floor": 1e-2, "kappa_max": None},
+                          _proposed_norm, uses_xx=True),
+}
 
-    Applies the documented defaults: kappa0=0 for the smoothed schemes,
-    measure='xi' for liu, w2_floor=1e-2, and kappa_max=mu as the runaway
-    guard for every smoothed controller unless overridden.
-    """
-    if kind not in PARAM_SPECS:
-        raise ValueError(f"unknown algorithm kind {kind!r}")
-    params = dict(params)
-    unknown = sorted(set(params) - set(PARAM_SPECS[kind]))
+
+def controller_params(kind: str, params: dict, mu: float) -> dict:
+    """Every parameter of a ``kind`` controller: ``params`` checked against
+    their rules, plus the defaults of the keys it leaves out. ``cooldown``
+    defaults to ``window``, and ``kappa_max``, the runaway guard of every
+    smoothed controller, to the LMS step-size ``mu``. Raises ValueError."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown algorithm kind {kind!r}; expected one of "
+                         f"{', '.join(KINDS)}")
+    unknown = sorted(set(params) - set(spec.keys))
     if unknown:
         raise ValueError(f"unknown key '{unknown[0]}' for algorithm kind '{kind}'")
-    if kind == "lms":
-        return FixedKappa(0.0)
-    if kind == "fixed_zap":
-        return FixedKappa(kappa0=_require(params, "kappa0", kind))
-    if kind == "you":
-        detector = ConvergenceDetector(
-            beta=params.get("beta", 0.01),
-            window=int(params.get("window", 200)),
-            tolerance=params.get("tolerance", 0.05),
-            cooldown=params.get("cooldown"),
-        )
-        return YouVss(
-            kappa0=_require(params, "kappa0", kind),
-            eta=_require(params, "eta", kind),
-            kappa_min=_require(params, "kappa_min", kind),
-            detector=detector,
-        )
-    if kind == "liu":
-        return LiuVss(
-            lam=_require(params, "lambda", kind),
-            alpha=_require(params, "alpha", kind),
-            gamma=_require(params, "gamma", kind),
-            kappa0=params.get("kappa0", 0.0),
-            measure=params.get("measure", MEASURE_XI),
-            kappa_max=params.get("kappa_max", mu),
-        )
-    if kind == "proposed_l1":
-        return ProposedL1Vss(
-            alpha=_require(params, "alpha", kind),
-            gamma=_require(params, "gamma", kind),
-            kappa0=params.get("kappa0", 0.0),
-            kappa_max=params.get("kappa_max", mu),
-        )
-    return ProposedNormVss(
-        alpha=_require(params, "alpha", kind),
-        gamma=_require(params, "gamma", kind),
-        w2_floor=params.get("w2_floor", 1e-2),
-        kappa0=params.get("kappa0", 0.0),
-        kappa_max=params.get("kappa_max", mu),
-    )
+    for key in spec.required:
+        if key not in params:
+            raise ValueError(f"algorithm kind '{kind}' requires key '{key}'")
+    for key, value in params.items():
+        typ, ok, rule = PARAMS[key]
+        int_as_float = typ is float and isinstance(value, int)
+        if not ((isinstance(value, typ) or int_as_float) and ok(value)):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+    p = {**spec.optional, **params}
+    if p.get("cooldown", 0) is None:
+        p["cooldown"] = p["window"]
+    if p.get("kappa_max", 0.0) is None:
+        p["kappa_max"] = mu
+    return p
 
 
-class _BatchYou:
-    """YouVss over the seed rows of one algorithm; the detector's history
-    deque becomes a (window, rows) ring buffer."""
-
-    uses_xx = False
-
-    def __init__(self, ctl: YouVss, kappa: np.ndarray):
-        det = ctl.detector
-        self.kappa = kappa
-        self.eta = ctl.eta
-        self.kappa_min = ctl.kappa_min
-        self.beta = det.beta
-        self.window = det.window
-        self.tolerance = det.tolerance
-        self.cooldown = det.cooldown
-        self.mse = np.full(kappa.shape, det.smoothed_mse)
-        self.history = np.zeros((det.window,) + kappa.shape)
-        self.cooldown_left = np.zeros(kappa.shape, dtype=np.int64)
-        self.t = 0
-
-    def update(self, e, X, W, sgn, xx) -> None:
-        slot = self.history[self.t % self.window]  # written window samples ago
-        self.mse = (1.0 - self.beta) * self.mse + self.beta * e * e
-        cooling = self.cooldown_left > 0
-        self.cooldown_left -= cooling
-        if self.t >= self.window:
-            event = np.abs(self.mse - slot) / slot < self.tolerance
-            event &= slot > 0.0
-            event &= ~cooling
-            if event.any():
-                self.cooldown_left[event] = self.cooldown
-                self.kappa[event & (self.kappa > self.kappa_min)] *= self.eta
-        slot[...] = self.mse
-        self.t += 1
+def _hold(ctl, e, X, W, sgn, xx) -> None:
+    """The update of a constant kappa."""
 
 
-class _BatchSmoothed:
-    """LiuVss, ProposedL1Vss and ProposedNormVss over the seed rows of one
-    algorithm: a per-row drive ``delta`` smoothed into kappa exactly as
-    ``kappa_smooth`` does, then clamped at ``kappa_max``."""
+class Controller:
+    """The state of one controller over ``rows`` runs at once.
 
-    def __init__(self, ctl, kappa: np.ndarray, L: int):
-        self.kappa = kappa
-        self.L = L
-        self.decay = 1.0 - ctl.alpha
-        self.gain = ctl.alpha * ctl.gamma
-        self.kappa_max = math.inf if ctl.kappa_max is None else ctl.kappa_max
-        self.liu = ctl if isinstance(ctl, LiuVss) else None
-        self.uses_xx = self.liu is None
-        self.w2_floor = getattr(ctl, "w2_floor", None)  # ProposedNormVss only
-        if self.liu is not None:
-            self.phi = np.full(kappa.shape, ctl.phi)
-
-    def _liu_delta(self, W) -> np.ndarray:
-        liu, L = self.liu, self.L
-        j = np.abs(W).sum(axis=-1)
-        if liu.measure == MEASURE_XI:
-            root = math.sqrt(L)
-            l2 = np.sqrt(np.einsum("sl,sl->s", W, W))
-            xi = L / (L - root) * (1.0 - j / (root * l2))
-            # the zero vector has no sparsity; it drives nothing
-            j = np.where(j == 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, xi)))
-        delta = j - self.phi
-        self.phi = (1.0 - liu.lam) * self.phi + liu.lam * j
-        return delta
-
-    def _proposed_delta(self, e, X, W, sgn, xx) -> np.ndarray:
-        delta = np.abs(e * np.einsum("sl,sl->s", X, sgn))
-        delta /= xx
-        if not xx.all():  # a zero regressor carries no information
-            delta[xx == 0.0] = 0.0
-        if self.w2_floor is not None:
-            scale = np.sqrt(np.einsum("sl,sl->s", W, W))
-            np.maximum(scale, self.w2_floor, out=scale)
-            scale *= math.sqrt(self.L) - 1.0
-            delta /= scale
-        return delta
-
-    def update(self, e, X, W, sgn, xx) -> None:
-        delta = (self._liu_delta(W) if self.liu is not None
-                 else self._proposed_delta(e, X, W, sgn, xx))
-        delta *= self.gain
-        kappa = self.decay * self.kappa
-        kappa += delta
-        np.minimum(np.maximum(0.0, kappa), self.kappa_max, out=self.kappa)
-
-
-def batch_controller(ctl, kappa: np.ndarray, L: int):
-    """Vectorized form of a fresh controller from ``make_controller`` over
-    the seed rows of one algorithm.
-
-    ``kappa`` is the algorithm's row of the engine's kappa array; it is set
-    to the starting kappa here and rewritten in place by each
-    ``update(e, X, W, sgn, xx)`` call, which sees the rows' a-priori errors,
-    regressors, pre-update weights, their signs and the regressor energies
-    x.x (None unless ``uses_xx``). Returns None for a constant kappa.
-    Row for row, the floating-point operations are those of the scalar
-    ``update``; only the dot products sum in a different order.
+    ``kappa`` holds the rows' attractor step-sizes. Each
+    ``update(e, X, W, sgn, xx)`` call takes the rows' a-priori errors (R,),
+    regressors (R, L), pre-update weights (R, L), their signs (R, L) and
+    regressor energies x.x (R,; None is allowed when the kind's
+    ``uses_xx`` is false), and rewrites ``kappa`` in place. Every state
+    array has the rows on its last axis, and no row reads another's.
+    Callers update under ``np.errstate(all="ignore")``: a zero filter or
+    regressor, and a diverging row, pass through inf and NaN on the way.
     """
-    kappa[...] = ctl.kappa
-    if isinstance(ctl, FixedKappa):
-        return None
-    if isinstance(ctl, YouVss):
-        return _BatchYou(ctl, kappa)
-    return _BatchSmoothed(ctl, kappa, L)
+
+    def __init__(self, kind: str, params: dict, rows: int):
+        self.kind = kind
+        self.spec = KINDS[kind]
+        self.params = params
+        self.kappa = np.full(rows, params.get("kappa0", 0.0), dtype=np.float64)
+        if self.spec.init is not None:
+            self.spec.init(self, rows)
+        self.update = partial(self.spec.update or _hold, self)
+
+
+def make_controller(kind: str, params: dict, mu: float, rows: int = 1) -> Controller:
+    """A fresh controller of ``kind`` over ``rows`` runs, from config
+    parameters (see ``controller_params``)."""
+    return Controller(kind, controller_params(kind, params, mu), rows)

@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import oracle_delta_projected, proposed_l1_delta
 from zapvss.channel import generate_sparse
 from zapvss.cli import emit_csv, parse_config
 from zapvss.filtercore import FilterState, predict_error, step
-from zapvss.harness import (derive_stream_seeds, oracle_delta_projected,
-                            recovery_time, run_all)
+from zapvss.harness import derive_stream_seeds, recovery_time, run_all
 from zapvss.metrics import misalignment_db, sparsity_xi
 from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
-from zapvss.stepsize import FixedKappa, ProposedL1Vss, proposed_l1_delta
+from zapvss.stepsize import make_controller
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 RECOVERY_MARGIN_DB = 3.0
@@ -72,7 +72,7 @@ def test_criterion_1_trajectory_oracle():
 
     w_ref = [0.0] * L
     state = FilterState(np.zeros(L))
-    ctl = FixedKappa(kappa)
+    ctl = make_controller("fixed_zap", {"kappa0": kappa}, mu)
     worst = 0.0
     for n in range(steps):
         x = xs[n].tolist()
@@ -116,7 +116,8 @@ def test_criterion_3_substitution_validity():
     des = synthesize_desired(x, sched, math.inf, noise_seed)
     xp = np.concatenate([np.zeros(L - 1), x])
     state = FilterState(np.zeros(L))
-    ctl = ProposedL1Vss(alpha=0.05, gamma=1e-3, kappa_max=mu)
+    ctl = make_controller("proposed_l1", {"alpha": 0.05, "gamma": 1e-3,
+                                          "kappa_max": mu}, mu)
     worst = 0.0
     for n in range(N):
         r = xp[n:n + L][::-1]

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from zapvss.filtercore import (DivergenceError, FilterState, apply_update,
                                predict_error, sign_vec, step)
-from zapvss.stepsize import FixedKappa
+from zapvss.stepsize import make_controller
 
 finite_vectors = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=16),
@@ -98,7 +98,7 @@ class TestStep:
         ds = rng.standard_normal(50)
         state_a = FilterState(np.zeros(4))
         state_b = FilterState(np.zeros(4))
-        zap = FixedKappa(0.0)
+        zap = make_controller("lms", {}, 0.1)
         for x, d in zip(xs, ds):
             _, _, state_a = step(state_a, x, d, 0.1, zap)
             e = predict_error(state_b.w, x, d)
@@ -110,9 +110,10 @@ class TestStep:
         x = np.array([1.0, -2.0, 0.5])
         d = 3.0
         _, _, with_zap = step(FilterState(np.zeros(3)), x, d, 0.2,
-                              FixedKappa(0.05))
+                              make_controller("fixed_zap", {"kappa0": 0.05},
+                                              0.2))
         _, _, plain = step(FilterState(np.zeros(3)), x, d, 0.2,
-                           FixedKappa(0.0))
+                           make_controller("lms", {}, 0.2))
         assert np.array_equal(with_zap.w, plain.w)
 
     def test_matches_direct_recomputation(self):
@@ -123,7 +124,7 @@ class TestStep:
         mu, kappa = 0.05, 0.01
         reference = _reference_za_lms(xs.tolist(), ds.tolist(), mu, kappa)
         state = FilterState(np.zeros(4))
-        ctl = FixedKappa(kappa)
+        ctl = make_controller("fixed_zap", {"kappa0": kappa}, mu)
         for n in range(steps):
             e, _, state = step(state, xs[n], ds[n], mu, ctl)
             e_ref, w_ref = reference[n]
@@ -133,11 +134,12 @@ class TestStep:
 
     def test_advances_sample_index(self):
         _, _, state = step(FilterState(np.zeros(2), 7), [1.0, 0.0], 1.0, 0.1,
-                           FixedKappa(0.0))
+                           make_controller("lms", {}, 0.1))
         assert state.n == 8
 
     def test_divergence_carries_sample_index(self):
         state = FilterState(np.zeros(2), 41)
         with pytest.raises(DivergenceError) as info:
-            step(state, [1e200, 1e200], 1e200, 1e200, FixedKappa(0.0))
+            step(state, [1e200, 1e200], 1e200, 1e200,
+                 make_controller("lms", {}, 1e200))
         assert info.value.sample_index == 41

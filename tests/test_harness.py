@@ -5,14 +5,15 @@ import pytest
 
 from zapvss.channel import generate_sparse
 from zapvss.filtercore import FilterState, predict_error, step
+from oracles import (oracle_delta_l1, oracle_delta_projected,
+                     proposed_l1_delta, residual_error)
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, build_schedule, compare,
-                            derive_stream_seeds, oracle_delta_l1,
-                            oracle_delta_projected, recovery_time,
-                            residual_error, run_all, run_scenario)
+                            derive_stream_seeds, recovery_time, run_all,
+                            run_scenario)
 from zapvss.metrics import MetricSample
 from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
-from zapvss.stepsize import ProposedL1Vss, proposed_l1_delta
+from zapvss.stepsize import make_controller
 
 
 def small_config(**overrides):
@@ -194,7 +195,8 @@ class TestNoiseFreeEquivalence:
         des = synthesize_desired(x, sched, math.inf, noise_seed)
         xp = np.concatenate([np.zeros(L - 1), x])
         state = FilterState(np.zeros(L))
-        ctl = ProposedL1Vss(alpha=0.05, gamma=1e-3, kappa_max=mu)
+        ctl = make_controller("proposed_l1", {"alpha": 0.05, "gamma": 1e-3,
+                                              "kappa_max": mu}, mu)
         for n in range(N):
             r = xp[n:n + L][::-1]
             e = predict_error(state.w, r, des.d[n])

@@ -94,12 +94,12 @@ class TestSignAgreement:
 
     def test_total_disagreement(self):
         h = np.array([1.0, -1.0, 2.0, -2.0])
-        assert sign_agreement(h, -h, scope="all_taps") == 0.0
+        assert sign_agreement(h, -h) == 0.0
 
     def test_hand_count(self):
         h = np.array([1.0, -1.0, 2.0, -2.0])
         w = np.array([1.0, -1.0, -2.0, 2.0])
-        assert sign_agreement(h, w, scope="all_taps") == 0.5
+        assert sign_agreement(h, w) == 0.5
 
     def test_active_scope_ignores_zero_taps(self):
         h = np.array([1.0, 0.0, 0.0, -1.0])
@@ -108,11 +108,7 @@ class TestSignAgreement:
 
     def test_empty_scope_rejected(self):
         with pytest.raises(ValueError):
-            sign_agreement(np.zeros(3), np.ones(3), scope="active_taps")
-
-    def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError):
-            sign_agreement([1.0], [1.0], scope="taps")
+            sign_agreement(np.zeros(3), np.ones(3))
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -120,8 +116,7 @@ class TestSignAgreement:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(9)
         w = rng.standard_normal(9)
-        assert sign_agreement(h, w, scope="all_taps") == sign_agreement(
-            w, h, scope="all_taps")
+        assert sign_agreement(h, w) == sign_agreement(w, h)
 
 
 class TestSmoothedMse:
