@@ -318,6 +318,14 @@ class TestLiuVss:
         feed(ctl, 0.0, [1.0, 1.0], [1.0, 0.0])  # xi of a 1-sparse vector is 1
         assert ctl.phi[0] == pytest.approx(1.0)
 
+    def test_xi_measure_clamped_to_unit_interval(self):
+        # unclamped, the norm ratios give xi = 1 + 4e-16 for a 1-sparse
+        # 2-tap filter and -5e-16 for a flat 3-tap one
+        for w, xi in (([3.0, 0.0], 1.0), ([1.0, 1.0, 1.0], 0.0)):
+            ctl = liu(**{"lambda": 0.5}, alpha=0.5, gamma=1.0)
+            feed(ctl, 0.0, np.ones(len(w)), w)
+            assert ctl.phi[0] == 0.5 * xi
+
     def test_kappa_max_guard(self):
         ctl = liu(**{"lambda": 0.5}, alpha=0.9, gamma=100.0, measure="l1",
                   kappa_max=0.01)
