@@ -10,15 +10,15 @@ from .channel import (Channel, ChannelFormatError, generate_dispersive,
 from .cli import (ConfigError, canonical_config_text, emit_csv, emit_svg,
                   parse_config, parse_config_text)
 from .filtercore import (DivergenceError, FilterState, apply_update,
-                         predict_error, sign_vec, step)
+                         predict_error, step)
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
                       compare, derive_stream_seeds, recovery_time, run_all,
                       run_scenario)
-from .metrics import (MetricSample, misalignment_db, norms, sign_agreement,
+from .metrics import (MetricSample, misalignment_db, sign_agreement,
                       smoothed_mse, sparsity_xi)
 from .signal import (ChannelSchedule, DesiredSignal, generate_input,
-                     regressor_at, synthesize_desired)
+                     synthesize_desired)
 from .stepsize import (KINDS, Controller, controller_params,
                        make_controller)
 
@@ -30,13 +30,12 @@ __all__ = [
     "ConfigError", "canonical_config_text", "emit_csv", "emit_svg",
     "parse_config", "parse_config_text",
     "DivergenceError", "FilterState", "apply_update", "predict_error",
-    "sign_vec", "step",
+    "step",
     "AlgorithmAggregate", "AlgorithmConfig", "ChannelSpec", "RunTrace",
     "ScenarioConfig", "aggregate", "build_schedule", "compare",
     "derive_stream_seeds", "recovery_time", "run_all", "run_scenario",
-    "MetricSample", "misalignment_db", "norms", "sign_agreement",
-    "smoothed_mse", "sparsity_xi",
-    "ChannelSchedule", "DesiredSignal", "generate_input", "regressor_at",
-    "synthesize_desired",
+    "MetricSample", "misalignment_db", "sign_agreement", "smoothed_mse",
+    "sparsity_xi",
+    "ChannelSchedule", "DesiredSignal", "generate_input", "synthesize_desired",
     "KINDS", "Controller", "controller_params", "make_controller",
 ]

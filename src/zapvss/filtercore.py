@@ -24,11 +24,6 @@ class FilterState:
     n: int = 0
 
 
-def sign_vec(w) -> np.ndarray:
-    """Component-wise sign: x/|x| for nonzero components, 0 at 0."""
-    return np.sign(np.asarray(w, dtype=np.float64))
-
-
 def predict_error(w_prev, x, d: float) -> float:
     """A-priori error d - x.w using the pre-update weights."""
     if len(w_prev) != len(x):

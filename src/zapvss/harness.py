@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import math
 import os
+import re
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +22,8 @@ from .stepsize import controller_params, make_controller
 
 MSE_BETA = 0.01      # smoothing constant for the recorded error power
 RECOVERY_HOLD = 100  # recorded samples the recovery margin must hold
+# algorithm names go into CSV rows and config text unquoted
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 class ConfigError(ValueError):
@@ -45,6 +50,10 @@ class ChannelSpec:
         elif self.kind == "file":
             if self.path is None:
                 raise ValueError("file channel spec requires file=<path>")
+            # the config text could not carry such a path back
+            if self.path != self.path.strip() or len(self.path.splitlines()) > 1:
+                raise ValueError(f"channel file path {self.path!r} must be one "
+                                 f"line without leading or trailing whitespace")
         else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
 
@@ -121,6 +130,9 @@ class ScenarioConfig:
             raise ValueError("at least one algorithm is required")
         names = [a.name for a in self.algorithms]
         for alg in self.algorithms:
+            if not _NAME_RE.fullmatch(alg.name):
+                raise ValueError(f"algorithm name {alg.name!r} may only use "
+                                 f"letters, digits, '_', '.', '-'")
             if names.count(alg.name) > 1:
                 raise ValueError(f"duplicate algorithm name '{alg.name}'")
             try:
@@ -381,8 +393,8 @@ def _stop_diverged(w, suspect, live, stop_at, n) -> None:
 
 
 def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
-    """Worker count (and so seed-chunk count) for ``n_tasks`` seeds; the
-    ZAPVSS_THREADS env var caps it, else the CPU count does."""
+    """Worker count for ``n_tasks`` independent tasks; the ZAPVSS_THREADS
+    env var caps it, else the CPU count does."""
     if max_workers is None:
         env = os.environ.get("ZAPVSS_THREADS")
         if env is not None:
@@ -396,23 +408,46 @@ def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
     return max(1, min(max_workers, n_tasks))
 
 
+def fan_out(fn, items: list, max_workers: int | None = None):
+    """Yield ``fn(item)`` for each of ``items``, in input order.
+
+    The calls run on ``resolve_workers(len(items), max_workers)`` worker
+    processes, at most two per worker ahead of the caller, so only a few
+    results wait in memory at once; ``fn``, the items and the results must
+    pickle. With one worker this is a plain ``map`` in this process. The
+    pool shuts down when the generator is exhausted or closed or a call
+    raises, cancelling the calls not yet started.
+    """
+    k = resolve_workers(len(items), max_workers)
+    if k == 1:
+        yield from map(fn, items)
+        return
+    pool = ProcessPoolExecutor(max_workers=k)
+    try:
+        pending = deque()
+        for item in items:
+            if len(pending) == 2 * k:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_all(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunTrace]:
     """Every (algorithm, seed) run of the grid, in config order.
 
     The seed list is split into one contiguous chunk per worker; each chunk
-    runs every algorithm in one batched loop (``run_seeds``), on a process
-    pool when there is more than one chunk. No trace depends on the
-    chunking or on scheduling.
+    runs every algorithm in one batched loop (``run_seeds``), the chunks
+    side by side through ``fan_out``. No trace depends on the chunking or
+    on scheduling.
     """
     seeds = cfg.seeds
     k = resolve_workers(len(seeds), max_workers)
     chunks = [seeds[i * len(seeds) // k:(i + 1) * len(seeds) // k]
               for i in range(k)]
-    if k == 1:
-        results = [run_seeds(cfg, seeds)]
-    else:
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            results = list(pool.map(run_seeds, [cfg] * k, chunks))
+    results = list(fan_out(partial(run_seeds, cfg), chunks, k))
     return [t for a in range(len(cfg.algorithms))
             for chunk in results for t in chunk[a]]
 

@@ -26,12 +26,6 @@ SAMPLE_DTYPE = np.dtype([(f.name, np.int64 if f.name == "n" else np.float64)
                          for f in fields(MetricSample)])
 
 
-def norms(w) -> tuple[float, float]:
-    """l1 and l2 norms of a tap vector."""
-    w = np.asarray(w, dtype=np.float64)
-    return float(np.sum(np.abs(w))), float(np.linalg.norm(w))
-
-
 def misalignment_db(h, w) -> float:
     """Normalized misalignment 20*log10(||h - w|| / ||h||) in dB.
 
@@ -61,7 +55,7 @@ def sparsity_xi(h) -> float:
     L = h.size
     if L <= 1:
         raise ValueError("sparsity needs at least 2 taps")
-    l1, l2 = norms(h)
+    l1, l2 = float(np.sum(np.abs(h))), float(np.linalg.norm(h))
     if l2 == 0.0:
         raise ValueError("sparsity undefined for the zero vector")
     root = math.sqrt(L)

@@ -1,5 +1,5 @@
-"""White Gaussian input, regressor windows, and the SNR-calibrated desired
-signal with a scheduled echo-path change."""
+"""White Gaussian input and the SNR-calibrated desired signal with a
+scheduled echo-path change."""
 
 from __future__ import annotations
 
@@ -73,19 +73,6 @@ def generate_input(N: int, seed: int, sigma_x: float = 1.0) -> np.ndarray:
     if not (sigma_x > 0.0 and math.isfinite(sigma_x)):
         raise ValueError(f"sigma_x must be > 0, got {sigma_x}")
     return np.random.default_rng(seed).standard_normal(N) * sigma_x
-
-
-def regressor_at(x, n: int, L: int) -> np.ndarray:
-    """Window [x(n), x(n-1), ..., x(n-L+1)] with zeros before the start."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= n < x.size:
-        raise ValueError(f"sample index {n} outside [0, {x.size})")
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    out = np.zeros(L)
-    k = min(L, n + 1)
-    out[:k] = x[n - k + 1:n + 1][::-1]
-    return out
 
 
 def synthesize_desired(x, schedule: ChannelSchedule, snr_db: float,

@@ -1,7 +1,9 @@
 """Plain-Python references for the test suite.
 
-The ground-truth oracles need the true channel, which a running filter
-never sees. The controller references recompute each kind's kappa one
+The vector helpers (sign, regressor window, norms) restate by hand what
+the vectorized engine computes with slices and reductions. The
+ground-truth oracles need the true channel, which a running filter never
+sees. The controller references recompute each kind's kappa one
 sample at a time with scalar arithmetic, independently of the vectorized
 updates in ``zapvss.stepsize``, so those updates have a reference that
 shares none of their code.
@@ -14,6 +16,30 @@ import numpy as np
 
 from zapvss.channel import Channel
 from zapvss.metrics import sparsity_xi
+
+
+def sign_vec(w) -> np.ndarray:
+    """Component-wise sign: x/|x| for nonzero components, 0 at 0."""
+    return np.sign(np.asarray(w, dtype=np.float64))
+
+
+def regressor_at(x, n: int, L: int) -> np.ndarray:
+    """Window [x(n), x(n-1), ..., x(n-L+1)] with zeros before the start."""
+    x = np.asarray(x, dtype=np.float64)
+    if not 0 <= n < x.size:
+        raise ValueError(f"sample index {n} outside [0, {x.size})")
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    out = np.zeros(L)
+    k = min(L, n + 1)
+    out[:k] = x[n - k + 1:n + 1][::-1]
+    return out
+
+
+def norms(w) -> tuple[float, float]:
+    """l1 and l2 norms of a tap vector."""
+    w = np.asarray(w, dtype=np.float64)
+    return float(np.sum(np.abs(w))), float(np.linalg.norm(w))
 
 
 def _taps(h) -> np.ndarray:

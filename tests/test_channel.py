@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zapvss.channel import (Channel, ChannelFormatError, generate_dispersive,
                             generate_sparse, load_channel, save_channel)
@@ -140,6 +141,27 @@ class TestChannelFile:
         path = tmp_path / "ext.txt"
         save_channel(ch, path)
         assert np.array_equal(load_channel(path).taps, ch.taps)
+
+    @given(hnp.arrays(np.float64, st.integers(2, 40),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)
+                      | st.just(0.0)).filter(np.any),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, taps, as_sparse):
+        nonzero = int(np.count_nonzero(taps))
+        ch = (Channel(taps, "sparse", active_count=nonzero) if as_sparse
+              else Channel(taps, "dispersive"))
+        buf = io.StringIO()
+        save_channel(ch, buf)
+        buf.seek(0)
+        loaded = load_channel(buf)
+        # bit for bit, so the sign of a zero tap survives too
+        assert loaded.taps.tobytes() == ch.taps.tobytes()
+        # the file holds only taps: kind and count are inferred from them
+        if nonzero < taps.size:
+            assert (loaded.kind, loaded.active_count) == ("sparse", nonzero)
+        else:
+            assert (loaded.kind, loaded.active_count) == ("dispersive", None)
 
     def test_count_mismatch_names_line(self):
         with pytest.raises(ChannelFormatError, match="line"):

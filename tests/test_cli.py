@@ -1,6 +1,11 @@
+import dataclasses
+import errno
 import io
 import math
+import multiprocessing
+import threading
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +14,8 @@ from zapvss.channel import load_channel
 from zapvss.cli import (ConfigError, canonical_config_text, emit_aggregate_csv,
                         emit_csv, emit_svg, main, parse_config,
                         parse_config_text)
-from zapvss.harness import RunTrace, aggregate, run_all
+from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
+                            ScenarioConfig, aggregate, run_all, run_scenario)
 from zapvss.metrics import MetricSample
 
 MINIMAL = """\
@@ -108,6 +114,10 @@ class TestParseConfig:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="'mu'"):
             parse_config_text(MINIMAL.replace("mu=0.01\n", ""))
+
+    def test_bad_algorithm_name(self):
+        with pytest.raises(ConfigError, match="may only use"):
+            parse_config_text(MINIMAL.replace("name=lms", "name=a b"))
 
     def test_duplicate_algorithm_names(self):
         with pytest.raises(ConfigError, match="duplicate algorithm name"):
@@ -224,6 +234,116 @@ class TestEmitCsv:
     def test_comma_in_scenario_rejected(self):
         with pytest.raises(ValueError):
             emit_csv([], io.StringIO(), scenario="a,b")
+
+
+def mixed_traces():
+    """Runs of every shape emit_csv meets: record arrays from run_all, one
+    of them cut short by a divergence; plain rows from run_scenario; a
+    -inf misalignment; an empty trace."""
+    # at mu=2.5 seed 4 diverges inside the run and seeds 1 and 2 do not
+    cfg = ScenarioConfig(
+        L=16, N=400, snr_db=30.0, mu=2.5, record_every=3,
+        channel_before=ChannelSpec(kind="sparse", active_count=4, seed=21),
+        channel_after=ChannelSpec(kind="sparse", active_count=4, seed=33),
+        change_at=200, seeds=[1, 2, 4],
+        algorithms=[AlgorithmConfig("lms", "lms"),
+                    AlgorithmConfig("zap", "fixed_zap", {"kappa0": 1e-4})])
+    traces = run_all(cfg, max_workers=1)
+    assert {t.seed for t in traces if t.diverged_at is not None} == {4}
+    rows = dataclasses.replace(run_scenario(cfg, "zap", 1), algorithm="rows")
+    empty = RunTrace("empty", 0, [], math.nan)
+    return traces + [rows, empty] + tiny_traces()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every process pool started, in order."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("zapvss.harness.ProcessPoolExecutor", CountingPool)
+    return started
+
+
+class TestPooledEmission:
+    def test_bytes_independent_of_worker_count(self, monkeypatch, pools):
+        traces = mixed_traces()
+        texts = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ZAPVSS_THREADS", threads)
+            buf = io.StringIO()
+            emit_csv(traces, buf, scenario="s")
+            texts.append(buf.getvalue())
+        assert pools == [2, 3]
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        lines = texts[0].splitlines()
+        assert len(lines) == 1 + sum(len(t.samples) for t in traces)
+        assert sum(line.split(",")[6] == "-inf" for line in lines) == 1
+
+    def test_failed_write_stops_workers_at_once(self, monkeypatch, pools):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell():  # the header got through
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        traces = mixed_traces()
+        monkeypatch.setenv("ZAPVSS_THREADS", "2")
+        with pytest.raises(OSError) as failure:
+            emit_csv(traces, FullDisk(), scenario="s")
+        # its traceback keeps emit_csv's frame alive: the pool must not wait
+        # for that frame to be collected
+        assert failure.value.errno == errno.ENOSPC
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_exits_3_and_stops_workers(self, tmp_path, capsys,
+                                                    monkeypatch, pools):
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f = f
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:  # the header and one run got through
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.f.write(text)
+
+        def fake_open(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            return FullDisk(f) if str(path).endswith("_trace.csv") else f
+
+        monkeypatch.setattr("zapvss.cli.open", fake_open, raising=False)
+        monkeypatch.setenv("ZAPVSS_THREADS", "2")
+        cfg_path = tmp_path / "grid.cfg"
+        # 16 runs: calls are still queued when the write fails
+        cfg_path.write_text(MINIMAL.replace("seeds=1,2", "seeds=1,2,3,4,5,6,7,8")
+                            + "\n[algorithm]\nname=zap\nkind=fixed_zap\n"
+                              "kappa0=1e-4\n")
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])))
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive()
+        assert codes == [3]
+        assert "No space left on device" in capsys.readouterr().err
+        assert pools == [2, 2]  # the seed chunks, then the CSV formatting
+        # the pool was shut down, not left for the garbage collector
+        assert multiprocessing.active_children() == []
 
 
 def tiny_aggregates(cfg_text=FULL, n=60):

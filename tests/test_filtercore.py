@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import sign_vec
 from zapvss.filtercore import (DivergenceError, FilterState, apply_update,
-                               predict_error, sign_vec, step)
+                               predict_error, step)
 from zapvss.stepsize import make_controller
 
 finite_vectors = hnp.arrays(

@@ -55,6 +55,18 @@ class TestScenarioConfig:
             small_config(algorithms=[AlgorithmConfig("a", "lms"),
                                      AlgorithmConfig("a", "lms")])
 
+    @pytest.mark.parametrize("name", ["a,b", "a b", "", "lms\n"])
+    def test_algorithm_name_rule(self, name):
+        # a comma would add a CSV column and a line break would not survive
+        # the config text
+        with pytest.raises(ValueError, match="may only use"):
+            small_config(algorithms=[AlgorithmConfig(name, "lms")])
+
+    @pytest.mark.parametrize("path", [" h.txt", "h.txt ", "h.txt\n", "a\nb"])
+    def test_file_path_must_survive_config_text(self, path):
+        with pytest.raises(ValueError, match="whitespace"):
+            ChannelSpec(kind="file", path=path)
+
     def test_bad_controller_params_fail_fast(self):
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             small_config(algorithms=[AlgorithmConfig(

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import regressor_at
 from zapvss.channel import Channel, generate_sparse
-from zapvss.signal import (ChannelSchedule, generate_input, regressor_at,
-                           synthesize_desired)
+from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
 
 
 def _impulse(scale=1.0, L=2):
