@@ -9,13 +9,12 @@ from .channel import (Channel, ChannelFormatError, generate_dispersive,
                       generate_sparse, load_channel, save_channel)
 from .cli import (ConfigError, canonical_config_text, emit_csv, emit_svg,
                   parse_config, parse_config_text)
-from .filtercore import (DivergenceError, FilterState, apply_update,
-                         predict_error, step)
+from .filtercore import DivergenceError, apply_update, predict_error, step
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
                       compare, derive_stream_seeds, recovery_time, run_all,
                       run_scenario)
-from .metrics import (MetricSample, misalignment_db, sign_agreement,
+from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
                       smoothed_mse, sparsity_xi)
 from .signal import (ChannelSchedule, DesiredSignal, generate_input,
                      synthesize_desired)
@@ -29,12 +28,11 @@ __all__ = [
     "load_channel", "save_channel",
     "ConfigError", "canonical_config_text", "emit_csv", "emit_svg",
     "parse_config", "parse_config_text",
-    "DivergenceError", "FilterState", "apply_update", "predict_error",
-    "step",
+    "DivergenceError", "apply_update", "predict_error", "step",
     "AlgorithmAggregate", "AlgorithmConfig", "ChannelSpec", "RunTrace",
     "ScenarioConfig", "aggregate", "build_schedule", "compare",
     "derive_stream_seeds", "recovery_time", "run_all", "run_scenario",
-    "MetricSample", "misalignment_db", "sign_agreement", "smoothed_mse",
+    "SAMPLE_DTYPE", "misalignment_db", "sign_agreement", "smoothed_mse",
     "sparsity_xi",
     "ChannelSchedule", "DesiredSignal", "generate_input", "synthesize_desired",
     "KINDS", "Controller", "controller_params", "make_controller",

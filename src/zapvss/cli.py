@@ -13,7 +13,6 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .channel import generate_dispersive, generate_sparse, save_channel
-from .filtercore import DivergenceError
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       ConfigError, RunTrace, ScenarioConfig, aggregate,
                       fan_out, run_all)
@@ -151,27 +150,18 @@ def _parse_algorithm(section) -> AlgorithmConfig:
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse config text; unknown sections or keys are rejected."""
-    scenario = None
-    before = None
-    after = None
+    single = {"scenario": None, "channel.before": None, "channel.after": None}
     algorithms = []
     for header, hline, kv in _collect_sections(text):
-        if header == "scenario":
-            if scenario is not None:
-                raise ConfigError(f"line {hline}: duplicate [scenario] section")
-            scenario = (hline, kv)
-        elif header == "channel.before":
-            if before is not None:
-                raise ConfigError(f"line {hline}: duplicate [channel.before]")
-            before = (hline, kv)
-        elif header == "channel.after":
-            if after is not None:
-                raise ConfigError(f"line {hline}: duplicate [channel.after]")
-            after = (hline, kv)
-        elif header == "algorithm":
+        if header == "algorithm":
             algorithms.append((hline, kv))
-        else:
+        elif header not in single:
             raise ConfigError(f"line {hline}: unknown section [{header}]")
+        elif single[header] is not None:
+            raise ConfigError(f"line {hline}: duplicate [{header}] section")
+        else:
+            single[header] = (hline, kv)
+    scenario, before, after = single.values()
     if scenario is None:
         raise ConfigError("missing [scenario] section")
     if before is None:
@@ -450,9 +440,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except DivergenceError as err:
-        print(f"runtime error: {err} (sample {err.sample_index})", file=sys.stderr)
-        return 2
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 3

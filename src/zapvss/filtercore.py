@@ -3,25 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class DivergenceError(RuntimeError):
     """A weight update produced a non-finite component."""
-
-    def __init__(self, message: str, sample_index: int | None = None):
-        super().__init__(message)
-        self.sample_index = sample_index
-
-
-@dataclass(slots=True)
-class FilterState:
-    """Adaptive weight vector plus the index of the next sample to consume."""
-
-    w: np.ndarray
-    n: int = 0
 
 
 def predict_error(w_prev, x, d: float) -> float:
@@ -47,24 +34,19 @@ def apply_update(w_prev, x, e: float, mu: float, kappa: float) -> np.ndarray:
     return w
 
 
-def step(state: FilterState, x, d: float, mu: float, controller):
+def step(w, x, d: float, mu: float, controller):
     """Advance one sample: error, controller kappa, then the weight update.
 
-    All three stages see the pre-update weights. ``controller`` (from
+    All three stages see the pre-update weights ``w``. ``controller`` (from
     ``make_controller``, one row) is advanced in place; returns (e, kappa,
-    new FilterState). Overflow on the way to a divergence is silent: the
+    new weights). Overflow on the way to a divergence is silent: the
     update reports it as a DivergenceError.
     """
     with np.errstate(all="ignore"):
-        e = predict_error(state.w, x, d)
+        e = predict_error(w, x, d)
         X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        W = state.w.reshape(1, -1)
+        W = np.asarray(w).reshape(1, -1)
         controller.update(np.array([e]), X, W, np.sign(W),
                           np.einsum("sl,sl->s", X, X))
         kappa = float(controller.kappa[0])
-        try:
-            w = apply_update(state.w, x, e, mu, kappa)
-        except DivergenceError as err:
-            err.sample_index = state.n
-            raise
-    return e, kappa, FilterState(w, state.n + 1)
+        return e, kappa, apply_update(w, x, e, mu, kappa)

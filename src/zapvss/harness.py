@@ -14,9 +14,9 @@ from functools import partial
 import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
-from .filtercore import DivergenceError, FilterState, step
-from .metrics import (SAMPLE_DTYPE, MetricSample, misalignment_db,
-                      sign_agreement, smoothed_mse)
+from .filtercore import DivergenceError, step
+from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
+                      smoothed_mse)
 from .signal import ChannelSchedule, generate_input, synthesize_desired
 from .stepsize import controller_params, make_controller
 
@@ -120,6 +120,12 @@ class ScenarioConfig:
                     f"change_at must be in (0, N={self.N}), got {self.change_at}")
             if self.channel_after is None:
                 raise ValueError("change_at requires a channel_after spec")
+            # recovery is measured on the samples recorded from change_at on
+            every = self.record_every
+            if -(-self.change_at // every) * every >= self.N:
+                raise ValueError(
+                    f"record_every={self.record_every} records no sample in "
+                    f"[change_at={self.change_at}, N={self.N})")
         elif self.channel_after is not None:
             raise ValueError("channel_after requires change_at")
         if not self.seeds:
@@ -145,9 +151,9 @@ class ScenarioConfig:
 class RunTrace:
     """Recorded time series for one (algorithm, seed) run.
 
-    ``samples`` is a record array of SAMPLE_DTYPE (what ``run_all``
-    returns) or any sequence of rows with MetricSample's attributes (what
-    ``run_scenario`` returns, or a hand-built trace).
+    ``samples`` is a record array of SAMPLE_DTYPE (what ``run_all`` and
+    ``run_scenario`` return) or a hand-built sequence of rows with those
+    fields as attributes.
     """
 
     algorithm: str
@@ -219,35 +225,27 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
     desired = synthesize_desired(x, schedule, cfg.snr_db, noise_seed)
     controller = make_controller(alg.kind, alg.params, cfg.mu)
 
-    L = cfg.L
+    L, every = cfg.L, cfg.record_every
     xp = np.concatenate([np.zeros(L - 1), x])
-    spans = list(schedule.spans(cfg.N))
-    state = FilterState(np.zeros(L), 0)
-    samples: list[MetricSample] = []
+    w = np.zeros(L)
+    samples = np.zeros(-(-cfg.N // every), SAMPLE_DTYPE).view(np.recarray)
     mse = 0.0
     diverged_at = None
-    si = 0
     for n in range(cfg.N):
-        while si + 1 < len(spans) and n >= spans[si + 1][0]:
-            si += 1
-        h = spans[si][2].taps
         r = xp[n:n + L][::-1]
         try:
-            e, kappa, state = step(state, r, desired.d[n], cfg.mu, controller)
-        except DivergenceError as err:
-            diverged_at = err.sample_index if err.sample_index is not None else n
+            e, kappa, w = step(w, r, desired.d[n], cfg.mu, controller)
+        except DivergenceError:
+            diverged_at = n
             break
         mse = smoothed_mse(mse, e, MSE_BETA)
-        if n % cfg.record_every == 0:
-            samples.append(MetricSample(
-                n=n,
-                misalignment_db=misalignment_db(h, state.w),
-                kappa=kappa,
-                error=e,
-                sign_agreement=sign_agreement(h, state.w),
-                smoothed_mse=mse,
-            ))
-    final = samples[-1].misalignment_db if samples else math.nan
+        if n % every == 0:
+            h = schedule.channel_at(n).taps
+            samples[n // every] = (n, misalignment_db(h, w), kappa, e,
+                                   sign_agreement(h, w), mse)
+    if diverged_at is not None:  # keep the rows recorded before it
+        samples = samples[:-(-diverged_at // every)]
+    final = float(samples.misalignment_db[-1]) if samples.size else math.nan
     return RunTrace(algorithm=algorithm, seed=seed, samples=samples,
                     final_misalignment_db=final, diverged_at=diverged_at)
 
@@ -263,7 +261,7 @@ def recovery_time(trace: RunTrace, change_at: int | None,
     """
     if change_at is None:
         raise ValueError("change_at is required")
-    if margin_db <= 0.0:
+    if not margin_db > 0.0:
         raise ValueError(f"margin_db must be > 0, got {margin_db}")
     ns = trace.sample_indices()
     mis = trace.misalignment_curve()

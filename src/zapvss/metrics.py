@@ -3,27 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-
-@dataclass(slots=True)
-class MetricSample:
-    """One recorded row of a run trace."""
-
-    n: int
-    misalignment_db: float
-    kappa: float
-    error: float
-    sign_agreement: float
-    smoothed_mse: float
-
-
-# MetricSample's fields as one numpy record; the batched engine stores a
-# run's trace as an array of these
-SAMPLE_DTYPE = np.dtype([(f.name, np.int64 if f.name == "n" else np.float64)
-                         for f in fields(MetricSample)])
+# one recorded row of a run trace; a run's trace is an array of these
+SAMPLE_DTYPE = np.dtype([("n", np.int64), ("misalignment_db", np.float64),
+                         ("kappa", np.float64), ("error", np.float64),
+                         ("sign_agreement", np.float64),
+                         ("smoothed_mse", np.float64)])
 
 
 def misalignment_db(h, w) -> float:

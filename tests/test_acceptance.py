@@ -17,7 +17,7 @@ import pytest
 from oracles import oracle_delta_projected, proposed_l1_delta
 from zapvss.channel import generate_sparse
 from zapvss.cli import emit_csv, parse_config
-from zapvss.filtercore import FilterState, predict_error, step
+from zapvss.filtercore import predict_error, step
 from zapvss.harness import derive_stream_seeds, recovery_time, run_all
 from zapvss.metrics import misalignment_db, sparsity_xi
 from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
@@ -71,7 +71,7 @@ def test_criterion_1_trajectory_oracle():
     ds = rng.standard_normal(steps)
 
     w_ref = [0.0] * L
-    state = FilterState(np.zeros(L))
+    w = np.zeros(L)
     ctl = make_controller("fixed_zap", {"kappa0": kappa}, mu)
     worst = 0.0
     for n in range(steps):
@@ -80,9 +80,9 @@ def test_criterion_1_trajectory_oracle():
         sgn = [0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0) for v in w_ref]
         w_ref = [w_ref[i] + mu * x[i] * e_ref - kappa * sgn[i]
                  for i in range(L)]
-        e, _, state = step(state, xs[n], ds[n], mu, ctl)
+        e, _, w = step(w, xs[n], ds[n], mu, ctl)
         worst = max(worst, abs(e - e_ref) / max(1.0, abs(e_ref)))
-        num = float(np.linalg.norm(state.w - np.array(w_ref)))
+        num = float(np.linalg.norm(w - np.array(w_ref)))
         den = max(1.0, float(np.linalg.norm(w_ref)))
         worst = max(worst, num / den)
     elapsed = time.perf_counter() - start
@@ -115,20 +115,20 @@ def test_criterion_3_substitution_validity():
     x = generate_input(N, input_seed)
     des = synthesize_desired(x, sched, math.inf, noise_seed)
     xp = np.concatenate([np.zeros(L - 1), x])
-    state = FilterState(np.zeros(L))
+    w = np.zeros(L)
     ctl = make_controller("proposed_l1", {"alpha": 0.05, "gamma": 1e-3,
                                           "kappa_max": mu}, mu)
     worst = 0.0
     for n in range(N):
         r = xp[n:n + L][::-1]
-        e = predict_error(state.w, r, des.d[n])
-        observable = proposed_l1_delta(e, r, state.w)
-        truth = oracle_delta_projected(ch, state.w, r)
+        e = predict_error(w, r, des.d[n])
+        observable = proposed_l1_delta(e, r, w)
+        truth = oracle_delta_projected(ch, w, r)
         if truth == 0.0:
             assert observable == 0.0
         else:
             worst = max(worst, abs(observable - truth) / truth)
-        _, _, state = step(state, r, des.d[n], mu, ctl)
+        _, _, w = step(w, r, des.d[n], mu, ctl)
     _report("3", worst <= 1e-12, f"max rel err {worst:.2e} over {N} samples")
 
 

@@ -13,7 +13,7 @@ from zapvss.cli import emit_csv
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, recovery_time, run_all,
                             run_scenario, run_seeds)
-from zapvss.metrics import MetricSample
+from zapvss.metrics import SAMPLE_DTYPE
 
 MIS_TOL_DB = 1e-9
 # kappa, error and smoothed MSE: relative, with an absolute floor for
@@ -145,7 +145,8 @@ class TestColumnarTrace:
     def test_csv_text_matches_row_objects(self):
         trace = run_all(grid(N=60, change_at=30, seeds=[2]),
                         max_workers=1)[4]
-        rows = [MetricSample(*r) for r in trace.samples.tolist()]
+        rows = [SimpleNamespace(**dict(zip(SAMPLE_DTYPE.names, r)))
+                for r in trace.samples.tolist()]
         as_rows = RunTrace(trace.algorithm, trace.seed, rows,
                            trace.final_misalignment_db)
         a, b = io.StringIO(), io.StringIO()

@@ -6,6 +6,7 @@ import multiprocessing
 import threading
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from zapvss.cli import (ConfigError, canonical_config_text, emit_aggregate_csv,
                         parse_config_text)
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, run_all, run_scenario)
-from zapvss.metrics import MetricSample
+from zapvss.metrics import SAMPLE_DTYPE
 
 MINIMAL = """\
 [scenario]
@@ -123,6 +124,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate algorithm name"):
             parse_config_text(MINIMAL + "\n[algorithm]\nname=lms\nkind=lms\n")
 
+    @pytest.mark.parametrize("header",
+                             ["scenario", "channel.before", "channel.after"])
+    def test_duplicate_section_names_line(self, header):
+        # FULL already has each of these sections once
+        line = len(FULL.splitlines()) + 2
+        text = FULL + f"\n[{header}]\nseed=1\n"
+        with pytest.raises(ConfigError,
+                           match=rf"line {line}: duplicate \[{header}\]"):
+            parse_config_text(text)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"\[plot\]"):
             parse_config_text(MINIMAL + "\n[plot]\nstyle=fancy\n")
@@ -178,9 +189,10 @@ class TestParseConfig:
 
 
 def tiny_traces():
-    samples = [MetricSample(0, -1.5, 1e-6, 0.25, 1.0, 0.0625),
-               MetricSample(1, -math.inf, 2e-6, 0.125, 1.0, 0.03125),
-               MetricSample(2, -3.5, 0.0, 0.0625, 0.75, 0.015625)]
+    samples = np.rec.array([(0, -1.5, 1e-6, 0.25, 1.0, 0.0625),
+                            (1, -math.inf, 2e-6, 0.125, 1.0, 0.03125),
+                            (2, -3.5, 0.0, 0.0625, 0.75, 0.015625)],
+                           dtype=SAMPLE_DTYPE)
     return [RunTrace("lms", 1, samples, -3.5)]
 
 
@@ -238,8 +250,8 @@ class TestEmitCsv:
 
 def mixed_traces():
     """Runs of every shape emit_csv meets: record arrays from run_all, one
-    of them cut short by a divergence; plain rows from run_scenario; a
-    -inf misalignment; an empty trace."""
+    of them cut short by a divergence; a record array from run_scenario;
+    plain rows; a -inf misalignment; an empty trace."""
     # at mu=2.5 seed 4 diverges inside the run and seeds 1 and 2 do not
     cfg = ScenarioConfig(
         L=16, N=400, snr_db=30.0, mu=2.5, record_every=3,
@@ -250,9 +262,13 @@ def mixed_traces():
                     AlgorithmConfig("zap", "fixed_zap", {"kappa0": 1e-4})])
     traces = run_all(cfg, max_workers=1)
     assert {t.seed for t in traces if t.diverged_at is not None} == {4}
-    rows = dataclasses.replace(run_scenario(cfg, "zap", 1), algorithm="rows")
+    scalar = dataclasses.replace(run_scenario(cfg, "zap", 1),
+                                 algorithm="scalar")
+    rows = [SimpleNamespace(**dict(zip(SAMPLE_DTYPE.names, r)))
+            for r in scalar.samples.tolist()]
+    rows = RunTrace("rows", 1, rows, scalar.final_misalignment_db)
     empty = RunTrace("empty", 0, [], math.nan)
-    return traces + [rows, empty] + tiny_traces()
+    return traces + [scalar, rows, empty] + tiny_traces()
 
 
 @pytest.fixture
@@ -438,6 +454,14 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_no_recorded_sample_after_change_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FULL.replace("record_every=1", "record_every=300"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: record_every=300" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exit_code(self, tmp_path):
         cfg_path = tmp_path / "div.cfg"

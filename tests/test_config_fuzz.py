@@ -56,6 +56,13 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 def configs(draw):
     N = draw(st.integers(1, 10**6))
     change = N > 1 and draw(st.booleans())
+    if change:
+        # change_at at most the last recorded sample, so recovery has one
+        record_every = draw(st.integers(1, N - 1))
+        last = (N - 1) // record_every * record_every
+        change_at = draw(st.integers(1, last))
+    else:
+        record_every, change_at = draw(st.integers(1, 10**6)), None
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_.\-]{1,8}",
                                         fullmatch=True),
                           min_size=1, max_size=4, unique=True))
@@ -64,8 +71,7 @@ def configs(draw):
         snr_db=draw(st.floats(allow_nan=False).filter(
             lambda v: v != -math.inf)),
         mu=draw(positive), sigma_x=draw(positive),
-        record_every=draw(st.integers(1, 10**6)),
-        change_at=draw(st.integers(1, N - 1)) if change else None,
+        record_every=record_every, change_at=change_at,
         channel_before=draw(channels),
         channel_after=draw(channels) if change else None,
         algorithms=[draw(algorithms(name)) for name in names],

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from zapvss.channel import generate_sparse
-from zapvss.filtercore import FilterState, predict_error, step
+from zapvss.filtercore import DivergenceError, predict_error, step
 from oracles import (oracle_delta_l1, oracle_delta_projected,
                      proposed_l1_delta, residual_error)
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, build_schedule, compare,
                             derive_stream_seeds, recovery_time, run_all,
                             run_scenario)
-from zapvss.metrics import MetricSample
+from zapvss.metrics import SAMPLE_DTYPE
 from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
 from zapvss.stepsize import make_controller
 
@@ -28,8 +28,9 @@ def small_config(**overrides):
 
 
 def make_trace(mis, algorithm="a", seed=0, start=0, step_n=1):
-    samples = [MetricSample(start + i * step_n, float(v), 0.0, 0.0, 1.0, 0.0)
-               for i, v in enumerate(mis)]
+    samples = np.rec.array(
+        [(start + i * step_n, float(v), 0.0, 0.0, 1.0, 0.0)
+         for i, v in enumerate(mis)], dtype=SAMPLE_DTYPE)
     return RunTrace(algorithm=algorithm, seed=seed, samples=samples,
                     final_misalignment_db=float(mis[-1]))
 
@@ -54,6 +55,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             small_config(algorithms=[AlgorithmConfig("a", "lms"),
                                      AlgorithmConfig("a", "lms")])
+
+    @pytest.mark.parametrize("every", [100, 60])
+    def test_change_needs_a_recorded_sample_after_it(self, every):
+        # no multiple of 60 or 100 lies in [change_at, N) = [61, 100)
+        after = ChannelSpec(kind="sparse", active_count=4, seed=3)
+        with pytest.raises(ValueError, match="record_every"):
+            small_config(L=8, N=100, change_at=61, record_every=every,
+                         channel_after=after)
+        # sample 60 is recorded, so recovery can be measured from it
+        small_config(L=8, N=100, change_at=60, record_every=60,
+                     channel_after=after)
 
     @pytest.mark.parametrize("name", ["a,b", "a b", "", "lms\n"])
     def test_algorithm_name_rule(self, name):
@@ -124,6 +136,29 @@ class TestRunScenario:
         trace = run_scenario(small_config(mu=10.0, N=400), "lms", 1)
         assert trace.diverged_at is not None
         assert len(trace.samples) < 400
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_diverged_at_is_the_first_failing_step(self, record_every):
+        # at mu=2.5 seed 4 diverges inside the run
+        cfg = small_config(mu=2.5, N=400, seeds=[4], record_every=record_every)
+        schedule = build_schedule(cfg)
+        input_seed, noise_seed = derive_stream_seeds(4)
+        x = generate_input(cfg.N, input_seed)
+        des = synthesize_desired(x, schedule, cfg.snr_db, noise_seed)
+        xp = np.concatenate([np.zeros(cfg.L - 1), x])
+        w = np.zeros(cfg.L)
+        ctl = make_controller("lms", {}, cfg.mu)
+        for n in range(cfg.N):
+            try:
+                _, _, w = step(w, xp[n:n + cfg.L][::-1], des.d[n], cfg.mu, ctl)
+            except DivergenceError:
+                break
+        else:
+            pytest.fail("the run did not diverge")
+        trace = run_scenario(cfg, "lms", 4)
+        assert trace.diverged_at == n
+        # the rows recorded before the failing sample, and no more
+        assert list(trace.samples.n) == list(range(0, n, record_every))
 
     def test_kappa_nonnegative_finite_all_kinds(self):
         cfg = small_config(
@@ -206,19 +241,19 @@ class TestNoiseFreeEquivalence:
         x = generate_input(N, input_seed)
         des = synthesize_desired(x, sched, math.inf, noise_seed)
         xp = np.concatenate([np.zeros(L - 1), x])
-        state = FilterState(np.zeros(L))
+        w = np.zeros(L)
         ctl = make_controller("proposed_l1", {"alpha": 0.05, "gamma": 1e-3,
                                               "kappa_max": mu}, mu)
         for n in range(N):
             r = xp[n:n + L][::-1]
-            e = predict_error(state.w, r, des.d[n])
-            observable = proposed_l1_delta(e, r, state.w)
-            truth = oracle_delta_projected(ch, state.w, r)
+            e = predict_error(w, r, des.d[n])
+            observable = proposed_l1_delta(e, r, w)
+            truth = oracle_delta_projected(ch, w, r)
             if truth == 0.0:
                 assert observable == 0.0
             else:
                 assert abs(observable - truth) / truth <= 1e-12
-            _, _, state = step(state, r, des.d[n], mu, ctl)
+            _, _, w = step(w, r, des.d[n], mu, ctl)
 
 
 class TestRecoveryTime:
@@ -256,8 +291,12 @@ class TestRecoveryTime:
             recovery_time(trace, None, 3.0)
         with pytest.raises(ValueError):
             recovery_time(trace, 100, 3.0)  # nothing recorded after change
-        with pytest.raises(ValueError):
-            recovery_time(trace, 100, margin_db=0.0)
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan])
+    def test_margin_must_be_positive(self, margin):
+        trace = make_trace([-30.0] * 200)
+        with pytest.raises(ValueError, match="margin_db"):
+            recovery_time(trace, 100, margin_db=margin)
 
 
 class TestAggregation:
