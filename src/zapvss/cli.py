@@ -351,6 +351,11 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
     _write_chunks(destination, ["\n".join(parts) + "\n"])
 
 
+def _json_number(v: float) -> float | None:
+    # strict JSON has no NaN or infinity: a mean over no run, or a -inf dB
+    return v if math.isfinite(v) else None
+
+
 def _cmd_run(args) -> int:
     if not args.margin_db > 0.0:
         raise ConfigError(f"--margin-db must be > 0, got {args.margin_db}")
@@ -375,15 +380,22 @@ def _cmd_run(args) -> int:
         "summary": [
             {
                 "algorithm": a.name,
-                "mean_final_misalignment_db": a.mean_final_misalignment_db,
+                "mean_final_misalignment_db": _json_number(
+                    a.mean_final_misalignment_db),
                 "mean_recovery_time": a.mean_recovery_time,
                 "not_recovered": a.not_recovered,
+                "recovery_times": a.recovery_times,
+                "floor_db": _json_number(a.floor_db),
+                "floor_kappa": _json_number(a.floor_kappa),
+                "floor_sign_agreement": _json_number(a.floor_sign_agreement),
+                "max_kappa": _json_number(a.max_kappa),
                 "diverged": a.diverged,
             }
             for a in aggs
         ],
     }
-    (outdir / f"{scenario}_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (outdir / f"{scenario}_meta.json").write_text(
+        json.dumps(meta, indent=2, allow_nan=False) + "\n")
     diverged = False
     for a in aggs:
         rec = ("-" if a.mean_recovery_time is None

@@ -21,7 +21,7 @@ from .signal import ChannelSchedule, generate_input, synthesize_desired
 from .stepsize import controller_params, make_controller
 
 MSE_BETA = 0.01      # smoothing constant for the recorded error power
-RECOVERY_HOLD = 100  # recorded samples the recovery margin must hold
+RECOVERY_HOLD = 100  # samples the recovery margin must hold
 # algorithm names go into CSV rows and config text unquoted
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
@@ -132,6 +132,8 @@ class ScenarioConfig:
             raise ValueError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"duplicate seed in {self.seeds}")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         names = [a.name for a in self.algorithms]
@@ -180,7 +182,14 @@ class RunTrace:
 
 @dataclass
 class AlgorithmAggregate:
-    """Multi-seed summary for one algorithm of a comparison grid."""
+    """Multi-seed summary for one algorithm of a comparison grid.
+
+    Every field but ``diverged`` is taken over the included (non-diverged)
+    seeds; a mean over no included seed is NaN. The floor fields are tail
+    means before the change (``tail_mean``), or before N without one.
+    ``recovery_times`` holds one entry per included seed (None: never
+    recovered), none without a change.
+    """
 
     name: str
     n: np.ndarray
@@ -190,6 +199,11 @@ class AlgorithmAggregate:
     not_recovered: int
     included_seeds: list[int]
     diverged: list[tuple[int, int]]
+    recovery_times: list[int | None]
+    floor_db: float
+    floor_kappa: float
+    floor_sign_agreement: float
+    max_kappa: float
 
 
 def build_schedule(cfg: ScenarioConfig) -> ChannelSchedule:
@@ -250,38 +264,40 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
                     final_misalignment_db=final, diverged_at=diverged_at)
 
 
+def tail_mean(trace: RunTrace, name: str, end: int) -> float:
+    """Mean of field ``name`` over the last 10% of the rows recorded
+    before sample ``end`` (at least one row)."""
+    ns = trace.sample_indices()
+    pre = trace.column(name)[ns < end]
+    return float(np.mean(pre[-max(1, math.ceil(0.1 * pre.size)):]))
+
+
 def recovery_time(trace: RunTrace, change_at: int | None,
                   margin_db: float = 3.0) -> int | None:
-    """Samples (relative to change_at) until the trace re-enters its
-    pre-change steady state plus ``margin_db``, held for RECOVERY_HOLD
-    consecutive recorded samples. None when it never recovers.
-
-    The pre-change steady state is the mean misalignment over the last 10%
-    of recorded samples before the change.
+    """Samples from change_at to the first recorded sample n from which the
+    trace stays within ``margin_db`` of its pre-change floor
+    (``tail_mean`` of the misalignment before change_at) at every recorded
+    sample in [n, n + RECOVERY_HOLD). The rows, one per ``n[1] - n[0]``
+    samples, must cover that span. None when it never recovers.
     """
     if change_at is None:
         raise ValueError("change_at is required")
     if not margin_db > 0.0:
         raise ValueError(f"margin_db must be > 0, got {margin_db}")
     ns = trace.sample_indices()
-    mis = trace.misalignment_curve()
-    pre = mis[ns < change_at]
-    post_mask = ns >= change_at
-    if pre.size == 0 or not post_mask.any():
+    if not (ns.size and ns[0] < change_at <= ns[-1]):
         raise ValueError(f"change_at={change_at} outside the recorded trace")
-    tail = max(1, math.ceil(0.1 * pre.size))
-    threshold = float(np.mean(pre[-tail:])) + margin_db
-    post_ns = ns[post_mask]
-    ok = mis[post_mask] <= threshold
-    if ok.size < RECOVERY_HOLD:
-        return None
-    counts = np.cumsum(ok.astype(np.int64))
-    window = counts[RECOVERY_HOLD - 1:] - np.concatenate(
-        ([0], counts[:-RECOVERY_HOLD]))
-    hits = np.flatnonzero(window == RECOVERY_HOLD)
-    if hits.size == 0:
-        return None
-    return int(post_ns[hits[0]] - change_at)
+    threshold = tail_mean(trace, "misalignment_db", change_at) + margin_db
+    post = ns >= change_at
+    post_ns = ns[post]
+    # misses[i]: how many of the first i post-change rows miss the margin
+    misses = np.concatenate(([0], np.cumsum(
+        ~(trace.misalignment_curve()[post] <= threshold))))
+    window_end = np.searchsorted(post_ns, post_ns + RECOVERY_HOLD)
+    covered = post_ns + RECOVERY_HOLD <= ns[-1] + (ns[1] - ns[0])
+    held = (misses[window_end] == misses[:-1]) & covered
+    hits = np.flatnonzero(held)
+    return int(post_ns[hits[0]] - change_at) if hits.size else None
 
 
 def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
@@ -452,10 +468,12 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunTrac
 
 def aggregate(cfg: ScenarioConfig, traces: list[RunTrace],
               margin_db: float = 3.0) -> list[AlgorithmAggregate]:
-    """Per-algorithm pointwise dB-mean curves and recovery summaries.
+    """Per-algorithm pointwise dB-mean curves, floors and recovery
+    summaries (see ``AlgorithmAggregate``).
 
     Diverged runs are excluded from every mean and reported in ``diverged``.
     """
+    end = cfg.N if cfg.change_at is None else cfg.change_at
     out = []
     for alg in cfg.algorithms:
         runs = [t for t in traces if t.algorithm == alg.name]
@@ -466,26 +484,34 @@ def aggregate(cfg: ScenarioConfig, traces: list[RunTrace],
             ns = included[0].sample_indices()
             curves = np.vstack([t.misalignment_curve() for t in included])
             mean_curve = curves.mean(axis=0)
-            mean_final = float(np.mean([t.final_misalignment_db
-                                        for t in included]))
         else:
             ns = np.array([], dtype=np.int64)
             mean_curve = np.array([])
-            mean_final = math.nan
-        mean_rec = None
-        not_rec = 0
-        if cfg.change_at is not None and included:
-            times = [recovery_time(t, cfg.change_at, margin_db)
-                     for t in included]
-            reached = [t for t in times if t is not None]
-            not_rec = len(times) - len(reached)
-            mean_rec = float(np.mean(reached)) if reached else None
+        times = ([] if cfg.change_at is None else
+                 [recovery_time(t, cfg.change_at, margin_db)
+                  for t in included])
+        reached = [t for t in times if t is not None]
         out.append(AlgorithmAggregate(
             name=alg.name, n=ns, mean_misalignment_db=mean_curve,
-            mean_final_misalignment_db=mean_final,
-            mean_recovery_time=mean_rec, not_recovered=not_rec,
-            included_seeds=[t.seed for t in included], diverged=diverged))
+            mean_final_misalignment_db=_mean_or_nan(
+                [t.final_misalignment_db for t in included]),
+            mean_recovery_time=float(np.mean(reached)) if reached else None,
+            not_recovered=len(times) - len(reached),
+            included_seeds=[t.seed for t in included], diverged=diverged,
+            recovery_times=times,
+            floor_db=_mean_or_nan([tail_mean(t, "misalignment_db", end)
+                                   for t in included]),
+            floor_kappa=_mean_or_nan([tail_mean(t, "kappa", end)
+                                      for t in included]),
+            floor_sign_agreement=_mean_or_nan(
+                [tail_mean(t, "sign_agreement", end) for t in included]),
+            max_kappa=max((float(np.max(t.kappa_curve())) for t in included),
+                          default=math.nan)))
     return out
+
+
+def _mean_or_nan(values: list[float]) -> float:
+    return float(np.mean(values)) if values else math.nan
 
 
 def compare(cfg: ScenarioConfig, margin_db: float = 3.0,

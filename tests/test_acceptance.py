@@ -18,7 +18,8 @@ from oracles import oracle_delta_projected, proposed_l1_delta
 from zapvss.channel import generate_sparse
 from zapvss.cli import emit_csv, parse_config
 from zapvss.filtercore import predict_error, step
-from zapvss.harness import derive_stream_seeds, recovery_time, run_all
+from zapvss.harness import (aggregate, derive_stream_seeds, recovery_time,
+                            run_all)
 from zapvss.metrics import misalignment_db, sparsity_xi
 from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
 from zapvss.stepsize import make_controller
@@ -36,6 +37,14 @@ def _steady_db(trace, change_at):
     ns = trace.sample_indices()
     mis = trace.misalignment_curve()
     pre = mis[ns < change_at]
+    tail = max(1, math.ceil(0.1 * pre.size))
+    return float(np.mean(pre[-tail:]))
+
+
+def _sign_tail(trace, change_at):
+    ns = trace.sample_indices()
+    sig = np.array([s.sign_agreement for s in trace.samples])
+    pre = sig[ns < change_at]
     tail = max(1, math.ceil(0.1 * pre.size))
     return float(np.mean(pre[-tail:]))
 
@@ -175,13 +184,7 @@ def test_criterion_5_dispersive_safety(dispersive_grid):
 def test_criterion_6_sign_diagnostic(sparse_grid):
     cfg, traces, _ = sparse_grid
     runs = [t for t in traces if t.algorithm == "proposed_norm"]
-    per_seed = []
-    for t in runs:
-        ns = t.sample_indices()
-        sig = np.array([s.sign_agreement for s in t.samples])
-        pre = sig[ns < cfg.change_at]
-        tail = max(1, math.ceil(0.1 * pre.size))
-        per_seed.append(float(np.mean(pre[-tail:])))
+    per_seed = [_sign_tail(t, cfg.change_at) for t in runs]
     mean_sign = float(np.mean(per_seed))
     _report("6", mean_sign > 0.9,
             f"mean active-tap sign agreement {mean_sign:.4f} over "
@@ -221,3 +224,21 @@ def test_criterion_7_robustness(sparse_grid, dispersive_grid):
     _report("7", not problems,
             "kappa bounds, realized SNR, rerun determinism"
             + (f"; problems: {problems}" if problems else ""))
+
+
+def test_aggregate_reports_the_criteria_tails(sparse_grid, dispersive_grid):
+    # the floors and recoveries written to *_meta.json are the quantities
+    # criteria 4 and 6 compute by hand
+    for cfg, traces in (sparse_grid[:2], dispersive_grid):
+        for agg in aggregate(cfg, traces, RECOVERY_MARGIN_DB):
+            runs = [t for t in traces if t.algorithm == agg.name]
+            assert agg.floor_db == np.mean(
+                [_steady_db(t, cfg.change_at) for t in runs])
+            assert agg.recovery_times == [
+                recovery_time(t, cfg.change_at, RECOVERY_MARGIN_DB)
+                for t in runs]
+    cfg, traces, _ = sparse_grid
+    pn = next(a for a in aggregate(cfg, traces) if a.name == "proposed_norm")
+    assert pn.floor_sign_agreement == np.mean(
+        [_sign_tail(t, cfg.change_at) for t in traces
+         if t.algorithm == "proposed_norm"])

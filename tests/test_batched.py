@@ -158,8 +158,8 @@ class TestColumnarTrace:
         cfg = grid(N=2000, change_at=1000, algorithms=ALL_KINDS[:1],
                    seeds=[1])
         trace = run_all(cfg, max_workers=1)[0]
-        rows = [SimpleNamespace(n=int(n), misalignment_db=float(m))
-                for n, m in zip(trace.samples.n, trace.samples.misalignment_db)]
+        rows = [SimpleNamespace(**dict(zip(SAMPLE_DTYPE.names, r.tolist())))
+                for r in trace.samples]
         plain = RunTrace(trace.algorithm, trace.seed, rows,
                          rows[-1].misalignment_db)
         assert recovery_time(plain, 1000) == recovery_time(trace, 1000)

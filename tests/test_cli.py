@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import io
+import json
 import math
 import multiprocessing
 import threading
@@ -469,6 +470,45 @@ class TestMain:
         cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_duplicate_seed_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("seeds=1,2", "seeds=1,1,2"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: duplicate seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_meta_reports_floors_and_recoveries(self, tmp_path):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FULL)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        meta = json.loads((out / "grid_meta.json").read_text())
+        cfg = parse_config_text(FULL)
+        for entry, agg in zip(meta["summary"],
+                              aggregate(cfg, run_all(cfg, max_workers=1))):
+            assert entry["recovery_times"] == agg.recovery_times
+            for key in ("floor_db", "floor_kappa", "floor_sign_agreement",
+                        "max_kappa"):
+                assert entry[key] == getattr(agg, key)
+
+    def test_all_diverged_meta_is_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-finite literal {constant}")
+
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FULL.replace("mu=0.01", "mu=50"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        meta = json.loads((out / "grid_meta.json").read_text(),
+                          parse_constant=reject)
+        for entry in meta["summary"]:
+            assert entry["diverged"] and entry["recovery_times"] == []
+            for key in ("mean_final_misalignment_db", "mean_recovery_time",
+                        "floor_db", "floor_kappa", "floor_sign_agreement",
+                        "max_kappa"):
+                assert entry[key] is None
 
     def test_gen_channel_round_trip(self, tmp_path):
         dest = tmp_path / "h.txt"

@@ -75,7 +75,8 @@ def configs(draw):
         channel_before=draw(channels),
         channel_after=draw(channels) if change else None,
         algorithms=[draw(algorithms(name)) for name in names],
-        seeds=draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=5)))
+        seeds=draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=5,
+                            unique=True)))
 
 
 def parse_or_config_error(text):

@@ -56,6 +56,10 @@ class TestScenarioConfig:
             small_config(algorithms=[AlgorithmConfig("a", "lms"),
                                      AlgorithmConfig("a", "lms")])
 
+    def test_duplicate_seeds(self):
+        with pytest.raises(ValueError, match="duplicate seed"):
+            small_config(seeds=[1, 1, 2])
+
     @pytest.mark.parametrize("every", [100, 60])
     def test_change_needs_a_recorded_sample_after_it(self, every):
         # no multiple of 60 or 100 lies in [change_at, N) = [61, 100)
@@ -285,6 +289,29 @@ class TestRecoveryTime:
         trace = make_trace(mis, step_n=5)  # record_every=5 style trace
         assert recovery_time(trace, change_at=500, margin_db=3.0) == 50
 
+    @pytest.mark.parametrize("every", [1, 10, 20])
+    def test_hold_counts_samples_not_rows(self, every):
+        # 100 post-change rows at record_every=10 still hold for 100 samples
+        cfg = small_config(
+            L=8, N=2000, mu=0.05, change_at=1000, record_every=every,
+            channel_before=ChannelSpec(kind="sparse", active_count=2, seed=3),
+            channel_after=ChannelSpec(kind="sparse", active_count=2, seed=4),
+            seeds=[1, 2])
+        agg = compare(cfg, max_workers=1)[0]
+        assert agg.not_recovered == 0
+        assert None not in agg.recovery_times
+        if every == 1:
+            assert agg.mean_recovery_time == 63.5
+
+    def test_hold_must_be_covered_by_the_rows(self):
+        # recovered from n=550 on, but the rows end before n=650
+        trace = make_trace([-30.0] * 100 + [-10.0] * 10 + [-29.0] * 19,
+                           step_n=5)
+        assert recovery_time(trace, change_at=500, margin_db=3.0) is None
+        trace = make_trace([-30.0] * 100 + [-10.0] * 10 + [-29.0] * 20,
+                           step_n=5)
+        assert recovery_time(trace, change_at=500, margin_db=3.0) == 50
+
     def test_missing_change_rejected(self):
         trace = make_trace([-30.0] * 100)
         with pytest.raises(ValueError):
@@ -308,10 +335,11 @@ class TestAggregation:
                               traces[0].misalignment_curve())
 
     def test_duplicate_seeds_equal_single(self):
-        cfg_two = small_config(seeds=[7, 7])
+        # a config rejects a repeated seed, so repeat the run by hand
         cfg_one = small_config(seeds=[7])
-        agg_two = aggregate(cfg_two, run_all(cfg_two, max_workers=1))
-        agg_one = aggregate(cfg_one, run_all(cfg_one, max_workers=1))
+        traces = run_all(cfg_one, max_workers=1)
+        agg_two = aggregate(cfg_one, traces + traces)
+        agg_one = aggregate(cfg_one, traces)
         assert np.array_equal(agg_two[0].mean_misalignment_db,
                               agg_one[0].mean_misalignment_db)
 
@@ -340,6 +368,31 @@ class TestAggregation:
         assert aggs[0].diverged == [(2, 10)]
         assert np.array_equal(aggs[0].mean_misalignment_db,
                               good.misalignment_curve())
+
+    def test_floor_covers_whole_run_without_change(self):
+        cfg = small_config(
+            algorithms=[AlgorithmConfig("zap", "fixed_zap", {"kappa0": 1e-3})],
+            seeds=[1, 2])
+        traces = run_all(cfg, max_workers=1)
+        agg = aggregate(cfg, traces)[0]
+        for field, value in (("misalignment_db", agg.floor_db),
+                             ("kappa", agg.floor_kappa),
+                             ("sign_agreement", agg.floor_sign_agreement)):
+            # the last 10% of 200 rows
+            assert value == np.mean([np.mean(t.column(field)[-20:])
+                                     for t in traces])
+        assert agg.max_kappa == 1e-3
+        assert agg.recovery_times == [] and agg.not_recovered == 0
+
+    def test_all_diverged_fields_are_nan(self):
+        cfg = small_config(mu=50.0, N=300, seeds=[1, 2])
+        agg = aggregate(cfg, run_all(cfg, max_workers=1))[0]
+        assert [seed for seed, _ in agg.diverged] == [1, 2]
+        assert agg.included_seeds == [] and agg.recovery_times == []
+        for value in (agg.mean_final_misalignment_db, agg.floor_db,
+                      agg.floor_kappa, agg.floor_sign_agreement,
+                      agg.max_kappa):
+            assert math.isnan(value)
 
     def test_compare_orders_algorithms_like_config(self):
         cfg = small_config(
