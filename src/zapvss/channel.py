@@ -8,9 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-SPARSE = "sparse"
-DISPERSIVE = "dispersive"
-
 
 class ChannelFormatError(ValueError):
     """A channel file failed to parse; the message names the offending line."""
@@ -18,17 +15,10 @@ class ChannelFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """An impulse response together with its generation metadata.
-
-    ``taps`` is stored as a read-only float64 copy so channels can be
-    shared freely between runs. ``active_count`` is meaningful for sparse
-    channels only and must equal the number of nonzero taps.
-    """
+    """An impulse response: its taps, stored as a read-only float64 copy so
+    channels can be shared freely between runs."""
 
     taps: np.ndarray
-    kind: str
-    seed: int = 0
-    active_count: int | None = None
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=np.float64)
@@ -38,19 +28,6 @@ class Channel:
             raise ValueError("channel taps must be finite")
         if not np.any(taps):
             raise ValueError("a channel must have at least one nonzero tap")
-        if self.kind not in (SPARSE, DISPERSIVE):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        nonzero = int(np.count_nonzero(taps))
-        if self.kind == SPARSE:
-            if self.active_count is None:
-                raise ValueError("a sparse channel requires active_count")
-            if nonzero != self.active_count:
-                raise ValueError(
-                    f"sparse channel has {nonzero} nonzero taps, "
-                    f"expected active_count={self.active_count}"
-                )
-        elif self.active_count is not None:
-            raise ValueError("active_count applies to sparse channels only")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
 
@@ -74,7 +51,7 @@ def generate_sparse(L: int, active_count: int, seed: int) -> Channel:
         amps[zeros] = rng.standard_normal(int(np.count_nonzero(zeros)))
     taps = np.zeros(L)
     taps[positions] = amps
-    return Channel(taps, SPARSE, seed=seed, active_count=active_count)
+    return Channel(taps)
 
 
 def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
@@ -86,7 +63,7 @@ def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
         raise ValueError(f"decay must be >= 0, got {decay}")
     rng = np.random.default_rng(seed)
     taps = rng.standard_normal(L) * np.exp(-decay * np.arange(L) / L)
-    return Channel(taps, DISPERSIVE, seed=seed)
+    return Channel(taps)
 
 
 def save_channel(ch: Channel, destination) -> None:
@@ -102,11 +79,7 @@ def save_channel(ch: Channel, destination) -> None:
 
 
 def load_channel(source) -> Channel:
-    """Read a channel file written by save_channel.
-
-    Only taps are stored, so the kind is inferred (sparse when zero taps are
-    present) and the seed of a loaded channel is reported as 0.
-    """
+    """Read a channel file written by save_channel."""
     if hasattr(source, "read"):
         name = getattr(source, "name", "<channel>")
         text = source.read()
@@ -145,7 +118,4 @@ def load_channel(source) -> Channel:
                 f"{name}: line {i + 2}: tap must be finite, got {raw!r}"
             )
         taps[i] = v
-    nonzero = int(np.count_nonzero(taps))
-    if nonzero < L:
-        return Channel(taps, SPARSE, seed=0, active_count=nonzero)
-    return Channel(taps, DISPERSIVE, seed=0)
+    return Channel(taps)

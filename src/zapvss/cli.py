@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -12,11 +13,11 @@ from functools import partial
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .channel import generate_dispersive, generate_sparse, save_channel
+from .channel import save_channel
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       ConfigError, RunTrace, ScenarioConfig, aggregate,
                       fan_out, run_all)
-from .stepsize import KINDS, PARAMS
+from .stepsize import PARAMS
 
 CSV_HEADER = "scenario,algorithm,seed,n,e,kappa,misalignment_db,sign_agreement,smoothed_mse"
 # the RunTrace fields behind the CSV columns from n on
@@ -24,16 +25,20 @@ CSV_FIELDS = ("n", "error", "kappa", "misalignment_db", "sign_agreement",
               "smoothed_mse")
 AGGREGATE_HEADER = "scenario,algorithm,n,mean_misalignment_db"
 
-_SCENARIO_KEYS = {
-    "L": int, "N": int, "snr_db": float, "mu": float, "sigma_x": float,
-    "change_at": int, "record_every": int, "seeds": str,
+# each section's text keys in canonical order with their types (list: of
+# comma-separated ints); every default and rule is the config dataclasses'
+_SCENARIO_KEYS = (
+    ("L", int), ("N", int), ("snr_db", float), ("mu", float),
+    ("sigma_x", float), ("change_at", int), ("record_every", int),
+    ("seeds", list),
+)
+_CHANNEL_KEYS = {  # file= holds ChannelSpec.path
+    "sparse": (("kind", str), ("active_count", int), ("seed", int)),
+    "dispersive": (("kind", str), ("seed", int), ("decay", float)),
+    "file": (("file", str),),
 }
-_CHANNEL_KEYS = {
-    "sparse": {"kind", "active_count", "seed"},
-    "dispersive": {"kind", "seed", "decay"},
-    "file": {"file"},
-}
-_CHANNEL_TYPES = {"active_count": int, "seed": int, "decay": float}
+_ALGORITHM_KEYS = (("name", str), ("kind", str))  # then the params, sorted
+_PARAM_KEYS = tuple((key, typ) for key, (typ, _, _) in PARAMS.items())
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                 "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
@@ -73,79 +78,59 @@ def _convert(raw: str, typ: type, key: str, lineno: int):
             if math.isnan(v):
                 raise ValueError("nan")
             return v
+        if typ is list:
+            return [int(part) for part in raw.split(",")]
         return raw
     except ValueError:
+        expected = ("a comma-separated integer list" if typ is list
+                    else typ.__name__)
         raise ConfigError(
-            f"line {lineno}: key '{key}': expected {typ.__name__}, got {raw!r}"
+            f"line {lineno}: key '{key}': expected {expected}, got {raw!r}"
         ) from None
 
 
-def _parse_scenario(kv: dict) -> dict:
+def _read(kv: dict, keys: tuple, where: str) -> dict:
+    """The section's values converted to the types of ``keys``; a key not
+    among them raises ConfigError."""
+    types = dict(keys)
     out = {}
     for key, (raw, lineno) in kv.items():
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}' in [scenario]")
-        out[key] = _convert(raw, _SCENARIO_KEYS[key], key, lineno)
-        if key == "seeds":
-            parts = [p.strip() for p in raw.split(",")]
-            if not parts or any(not p for p in parts):
-                raise ConfigError(f"line {lineno}: key 'seeds': expected a "
-                                  f"comma-separated integer list, got {raw!r}")
-            out["seeds"] = [_convert(p, int, "seeds", lineno) for p in parts]
-    for key in ("L", "N", "snr_db", "mu", "seeds"):
-        if key not in out:
-            raise ConfigError(f"[scenario] is missing required key '{key}'")
+        if key not in types:
+            raise ConfigError(f"line {lineno}: unknown key '{key}' in {where}")
+        out[key] = _convert(raw, types[key], key, lineno)
     return out
 
 
-def _parse_channel(section) -> ChannelSpec:
-    hline, kv = section
-    if "file" in kv:
-        extra = sorted(set(kv) - _CHANNEL_KEYS["file"])
-        if extra:
-            lineno = kv[extra[0]][1]
-            raise ConfigError(f"line {lineno}: key '{extra[0]}' not allowed "
-                              f"with file=<path>")
-        return ChannelSpec(kind="file", path=kv["file"][0])
-    if "kind" not in kv:
+def _require(cls, given: dict, where: str) -> None:
+    """Raise ConfigError for the first field of ``cls`` without a default
+    that ``given`` lacks."""
+    for f in dataclasses.fields(cls):
+        if (f.default is dataclasses.MISSING and f.name not in given
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigError(f"{where} is missing required key '{f.name}'")
+
+
+def _parse_channel(hline: int, kv: dict) -> ChannelSpec:
+    kind = "file" if "file" in kv else kv.get("kind", (None,))[0]
+    if kind is None:
         raise ConfigError(f"line {hline}: channel section needs kind= or file=")
-    kind, kind_line = kv["kind"]
-    if kind not in ("sparse", "dispersive"):
-        raise ConfigError(f"line {kind_line}: channel kind must be 'sparse' "
-                          f"or 'dispersive', got {kind!r}")
-    extra = sorted(set(kv) - _CHANNEL_KEYS[kind])
-    if extra:
-        lineno = kv[extra[0]][1]
-        raise ConfigError(f"line {lineno}: unknown key '{extra[0]}' for "
-                          f"{kind} channel")
-    args = {key: _convert(raw, _CHANNEL_TYPES[key], key, lineno)
-            for key, (raw, lineno) in kv.items() if key != "kind"}
+    # an unknown kind reads every channel key, so ChannelSpec names the kind
+    keys = _CHANNEL_KEYS.get(kind) or sum(_CHANNEL_KEYS.values(), ())
+    args = _read(kv, keys, f"{kind} channel")
+    args["kind"] = kind
+    if "file" in args:
+        args["path"] = args.pop("file")
     try:
-        return ChannelSpec(kind=kind, **args)
+        return ChannelSpec(**args)
     except ValueError as err:
         raise ConfigError(f"line {hline}: {err}") from None
 
 
-def _parse_algorithm(section) -> AlgorithmConfig:
-    hline, kv = section
-    if "name" not in kv:
-        raise ConfigError(f"line {hline}: [algorithm] section needs name=")
-    name = kv["name"][0]
-    if "kind" not in kv:
-        raise ConfigError(f"line {hline}: [algorithm] '{name}' needs kind=")
-    kind, kind_line = kv["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"line {kind_line}: unknown algorithm kind {kind!r}; "
-                          f"expected one of {', '.join(KINDS)}")
-    params = {}
-    for key, (raw, lineno) in kv.items():
-        if key in ("name", "kind"):
-            continue
-        if key not in KINDS[kind].keys:
-            raise ConfigError(f"line {lineno}: unknown key '{key}' for "
-                              f"algorithm kind '{kind}'")
-        params[key] = _convert(raw, PARAMS[key][0], key, lineno)
-    return AlgorithmConfig(name=name, kind=kind, params=params)
+def _parse_algorithm(hline: int, kv: dict) -> AlgorithmConfig:
+    params = _read(kv, _ALGORITHM_KEYS + _PARAM_KEYS, "[algorithm]")
+    head = {key: params.pop(key) for key, _ in _ALGORITHM_KEYS if key in params}
+    _require(AlgorithmConfig, head, f"line {hline}: [algorithm]")
+    return AlgorithmConfig(**head, params=params)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -154,7 +139,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     algorithms = []
     for header, hline, kv in _collect_sections(text):
         if header == "algorithm":
-            algorithms.append((hline, kv))
+            algorithms.append(_parse_algorithm(hline, kv))
         elif header not in single:
             raise ConfigError(f"line {hline}: unknown section [{header}]")
         elif single[header] is not None:
@@ -168,19 +153,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
         raise ConfigError("missing [channel.before] section")
     if not algorithms:
         raise ConfigError("at least one [algorithm] section is required")
-    scen = _parse_scenario(scenario[1])
-    algs = [_parse_algorithm(a) for a in algorithms]
+    args = _read(scenario[1], _SCENARIO_KEYS, "[scenario]")
+    args.update(channel_before=_parse_channel(*before), algorithms=algorithms,
+                channel_after=_parse_channel(*after) if after else None)
+    _require(ScenarioConfig, args, "[scenario]")
     try:
-        return ScenarioConfig(
-            L=scen["L"], N=scen["N"], snr_db=scen["snr_db"], mu=scen["mu"],
-            sigma_x=scen.get("sigma_x", 1.0),
-            record_every=scen.get("record_every", 1),
-            change_at=scen.get("change_at"),
-            channel_before=_parse_channel(before),
-            channel_after=_parse_channel(after) if after is not None else None,
-            algorithms=algs, seeds=scen["seeds"])
-    except ConfigError:
-        raise
+        return ScenarioConfig(**args)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -197,41 +175,28 @@ def parse_config(source) -> ScenarioConfig:
 
 def _fmt(v) -> str:
     # full-precision scalar text that parses back to the identical value
+    if isinstance(v, list):
+        return ",".join(map(str, v))
     return repr(v) if isinstance(v, float) else str(v)
-
-
-def _channel_lines(spec: ChannelSpec) -> list[str]:
-    if spec.kind == "file":
-        return [f"file={spec.path}"]
-    lines = [f"kind={spec.kind}", f"seed={spec.seed}"]
-    if spec.kind == "sparse":
-        lines.insert(1, f"active_count={spec.active_count}")
-    else:
-        lines.append(f"decay={_fmt(spec.decay)}")
-    return lines
 
 
 def canonical_config_text(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse_config of it yields an equal config."""
-    lines = [
-        "[scenario]",
-        f"L={cfg.L}",
-        f"N={cfg.N}",
-        f"snr_db={_fmt(cfg.snr_db)}",
-        f"mu={_fmt(cfg.mu)}",
-        f"sigma_x={_fmt(cfg.sigma_x)}",
-    ]
-    if cfg.change_at is not None:
-        lines.append(f"change_at={cfg.change_at}")
-    lines.append(f"record_every={cfg.record_every}")
-    lines.append("seeds=" + ",".join(str(s) for s in cfg.seeds))
-    lines += ["", "[channel.before]"] + _channel_lines(cfg.channel_before)
-    if cfg.channel_after is not None:
-        lines += ["", "[channel.after]"] + _channel_lines(cfg.channel_after)
+    sections = [("scenario", [(k, getattr(cfg, k)) for k, _ in _SCENARIO_KEYS])]
+    for header, spec in (("channel.before", cfg.channel_before),
+                         ("channel.after", cfg.channel_after)):
+        if spec is not None:
+            sections.append((header, [
+                (k, spec.path if k == "file" else getattr(spec, k))
+                for k, _ in _CHANNEL_KEYS[spec.kind]]))
     for alg in cfg.algorithms:
-        lines += ["", "[algorithm]", f"name={alg.name}", f"kind={alg.kind}"]
-        lines += [f"{k}={_fmt(alg.params[k])}" for k in sorted(alg.params)]
-    return "\n".join(lines) + "\n"
+        sections.append(("algorithm", [
+            *((k, getattr(alg, k)) for k, _ in _ALGORITHM_KEYS),
+            *sorted(alg.params.items())]))
+    return "\n".join(
+        f"[{header}]\n" + "".join(f"{k}={_fmt(v)}\n" for k, v in pairs
+                                  if v is not None)
+        for header, pairs in sections)
 
 
 def _write_chunks(destination, chunks) -> None:
@@ -242,6 +207,14 @@ def _write_chunks(destination, chunks) -> None:
         with open(destination, "w") as f:
             for chunk in chunks:
                 f.write(chunk)
+
+
+def _check_label(scenario: str) -> None:
+    """The label opens every CSV row unquoted, so it may hold no comma and
+    no line break (none that str.splitlines knows, a trailing one too)."""
+    if "," in scenario or len(f"{scenario}.".splitlines()) > 1:
+        raise ConfigError(f"scenario label {scenario!r} must not contain a "
+                          f"comma or a line break")
 
 
 def _trace_rows(trace: RunTrace, scenario: str) -> str:
@@ -257,8 +230,7 @@ def emit_csv(traces: list[RunTrace], destination, scenario: str) -> None:
     decimal precision; byte-identical for identical inputs at any worker
     count. Each run's rows are formatted through ``fan_out`` and written
     here in order, a few runs at a time."""
-    if "," in scenario:
-        raise ConfigError("scenario label must not contain a comma")
+    _check_label(scenario)
     ordered = sorted(traces, key=lambda t: (t.algorithm, t.seed))
     texts = fan_out(partial(_trace_rows, scenario=scenario), ordered)
     with contextlib.closing(texts):  # a failed write stops the pool too
@@ -268,6 +240,7 @@ def emit_csv(traces: list[RunTrace], destination, scenario: str) -> None:
 def emit_aggregate_csv(aggregates: list[AlgorithmAggregate], destination,
                        scenario: str) -> None:
     """Mean misalignment curves, one row per (algorithm, recorded sample)."""
+    _check_label(scenario)
     rows = []
     for agg in aggregates:
         for n, v in zip(agg.n, agg.mean_misalignment_db):
@@ -359,8 +332,9 @@ def _json_number(v: float) -> float | None:
 def _cmd_run(args) -> int:
     if not args.margin_db > 0.0:
         raise ConfigError(f"--margin-db must be > 0, got {args.margin_db}")
-    cfg = parse_config(args.config)
     scenario = Path(args.config).stem
+    _check_label(scenario)
+    cfg = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     traces = run_all(cfg)
@@ -409,13 +383,7 @@ def _cmd_run(args) -> int:
 def _cmd_gen_channel(args) -> int:
     if args.type == "sparse" and args.active is None:
         raise ConfigError("--active is required for --type sparse")
-    try:
-        if args.type == "sparse":
-            ch = generate_sparse(args.L, args.active, args.seed)
-        else:
-            ch = generate_dispersive(args.L, args.seed, args.decay)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    ch = ChannelSpec(args.type, args.active, args.seed, args.decay).realize(args.L)
     save_channel(ch, args.out)
     print(f"wrote {args.type} channel L={args.L} seed={args.seed} to {args.out}")
     return 0

@@ -415,8 +415,10 @@ def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
             try:
                 max_workers = int(env)
             except ValueError:
+                max_workers = 0  # reported with the counts below 1
+            if max_workers < 1:
                 raise ConfigError(
-                    f"ZAPVSS_THREADS must be an integer, got {env!r}") from None
+                    f"ZAPVSS_THREADS must be an integer >= 1, got {env!r}")
         else:
             max_workers = os.cpu_count() or 1
     return max(1, min(max_workers, n_tasks))

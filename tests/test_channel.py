@@ -25,8 +25,6 @@ class TestGenerateSparse:
         ch = generate_sparse(8, 2, 42)
         assert int(np.count_nonzero(ch.taps)) == 2
         assert ch.L == 8
-        assert ch.kind == "sparse"
-        assert ch.active_count == 2
 
     def test_determinism(self):
         a = generate_sparse(8, 2, 42)
@@ -65,8 +63,6 @@ class TestGenerateDispersive:
     def test_all_taps_nonzero(self):
         ch = generate_dispersive(512, 7, decay=0.0)
         assert int(np.count_nonzero(ch.taps)) == 512
-        assert ch.kind == "dispersive"
-        assert ch.active_count is None
 
     def test_determinism(self):
         a = generate_dispersive(512, 7)
@@ -98,20 +94,12 @@ class TestChannelInvariants:
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            Channel(np.zeros(4), "dispersive")
-
-    def test_sparse_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(np.array([1.0, 0.0, 0.0]), "sparse", active_count=2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(np.array([1.0, 2.0]), "smooth")
+            Channel(np.zeros(4))
 
 
 class TestChannelFile:
     def test_round_trip_two_taps(self, tmp_path):
-        ch = Channel(np.array([1.0, -0.5]), "dispersive")
+        ch = Channel(np.array([1.0, -0.5]))
         path = tmp_path / "ch.txt"
         save_channel(ch, path)
         loaded = load_channel(path)
@@ -123,8 +111,6 @@ class TestChannelFile:
         save_channel(ch, path)
         loaded = load_channel(path)
         assert np.array_equal(loaded.taps, ch.taps)
-        assert loaded.kind == "sparse"
-        assert loaded.active_count == 2
         assert sparsity_xi(loaded.taps) == sparsity_xi(ch.taps)
 
     def test_round_trip_through_file_objects(self):
@@ -136,32 +122,23 @@ class TestChannelFile:
         assert np.array_equal(loaded.taps, ch.taps)
 
     def test_round_trip_extreme_values(self, tmp_path):
-        ch = Channel(np.array([1e-300, -1.2345678901234567e2, 3e200]),
-                     "dispersive")
+        ch = Channel(np.array([1e-300, -1.2345678901234567e2, 3e200]))
         path = tmp_path / "ext.txt"
         save_channel(ch, path)
         assert np.array_equal(load_channel(path).taps, ch.taps)
 
     @given(hnp.arrays(np.float64, st.integers(2, 40),
                       elements=st.floats(allow_nan=False, allow_infinity=False)
-                      | st.just(0.0)).filter(np.any),
-           st.booleans())
+                      | st.just(0.0)).filter(np.any))
     @settings(max_examples=200, deadline=None)
-    def test_round_trip_property(self, taps, as_sparse):
-        nonzero = int(np.count_nonzero(taps))
-        ch = (Channel(taps, "sparse", active_count=nonzero) if as_sparse
-              else Channel(taps, "dispersive"))
+    def test_round_trip_property(self, taps):
+        ch = Channel(taps)
         buf = io.StringIO()
         save_channel(ch, buf)
         buf.seek(0)
         loaded = load_channel(buf)
         # bit for bit, so the sign of a zero tap survives too
         assert loaded.taps.tobytes() == ch.taps.tobytes()
-        # the file holds only taps: kind and count are inferred from them
-        if nonzero < taps.size:
-            assert (loaded.kind, loaded.active_count) == ("sparse", nonzero)
-        else:
-            assert (loaded.kind, loaded.active_count) == ("dispersive", None)
 
     def test_count_mismatch_names_line(self):
         with pytest.raises(ChannelFormatError, match="line"):

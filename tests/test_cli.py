@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zapvss.channel import load_channel
+from zapvss.channel import generate_dispersive, generate_sparse, load_channel
 from zapvss.cli import (ConfigError, canonical_config_text, emit_aggregate_csv,
                         emit_csv, emit_svg, main, parse_config,
                         parse_config_text)
@@ -183,6 +183,26 @@ class TestParseConfig:
         cfg = parse_config_text(MINIMAL)
         assert parse_config_text(canonical_config_text(cfg)) == cfg
 
+    def test_canonical_text_full(self):
+        # pins the key order and the written defaults, which a round trip
+        # alone would not notice
+        assert canonical_config_text(parse_config_text(FULL)) == (
+            "[scenario]\nL=16\nN=300\nsnr_db=30.0\nmu=0.01\nsigma_x=1.0\n"
+            "change_at=150\nrecord_every=1\nseeds=1,2\n\n"
+            "[channel.before]\nkind=sparse\nactive_count=4\nseed=21\n\n"
+            "[channel.after]\nkind=sparse\nactive_count=4\nseed=33\n\n"
+            "[algorithm]\nname=lms\nkind=lms\n\n"
+            "[algorithm]\nname=zap\nkind=fixed_zap\nkappa0=0.0001\n\n"
+            "[algorithm]\nname=pn\nkind=proposed_norm\nalpha=0.05\n"
+            "gamma=0.5\n")
+
+    def test_canonical_text_minimal(self):
+        assert canonical_config_text(parse_config_text(MINIMAL)) == (
+            "[scenario]\nL=16\nN=50\nsnr_db=30.0\nmu=0.01\nsigma_x=1.0\n"
+            "record_every=1\nseeds=1,2\n\n"
+            "[channel.before]\nkind=sparse\nactive_count=4\nseed=21\n\n"
+            "[algorithm]\nname=lms\nkind=lms\n")
+
     def test_parse_from_path(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text(MINIMAL)
@@ -245,8 +265,9 @@ class TestEmitCsv:
         assert keys == sorted(keys)
 
     def test_comma_in_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            emit_csv([], io.StringIO(), scenario="a,b")
+        for label in ("a,b", "a\n"):  # either would break the rows
+            with pytest.raises(ValueError):
+                emit_csv([], io.StringIO(), scenario=label)
 
 
 def mixed_traces():
@@ -417,6 +438,11 @@ class TestAggregateCsv:
         assert lines[0] == "scenario,algorithm,n,mean_misalignment_db"
         assert len(lines) == 1 + 3 * 5
 
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\r"])
+    def test_bad_scenario_label_rejected(self, label):
+        with pytest.raises(ConfigError, match="scenario label"):
+            emit_aggregate_csv(tiny_aggregates(n=5), io.StringIO(), label)
+
 
 class TestMain:
     def test_run_end_to_end(self, tmp_path, capsys):
@@ -462,6 +488,15 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "config error: record_every=300" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_comma_in_label_exit_code(self, tmp_path, capsys):
+        # the label is the config's file name, checked before any run
+        cfg_path = tmp_path / "a,b.cfg"
+        cfg_path.write_text(MINIMAL)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: scenario label" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_divergence_exit_code(self, tmp_path):
@@ -518,12 +553,15 @@ class TestMain:
         ch = load_channel(dest)
         assert ch.L == 32
         assert int(np.count_nonzero(ch.taps)) == 4
+        assert np.array_equal(ch.taps, generate_sparse(32, 4, 9).taps)
 
     def test_gen_channel_dispersive(self, tmp_path):
         dest = tmp_path / "h.txt"
         assert main(["gen-channel", "--L", "16", "--type", "dispersive",
                      "--seed", "3", "--decay", "1.5", "--out", str(dest)]) == 0
-        assert load_channel(dest).L == 16
+        ch = load_channel(dest)
+        assert ch.L == 16
+        assert np.array_equal(ch.taps, generate_dispersive(16, 3, 1.5).taps)
 
     def test_gen_channel_sparse_needs_active(self, tmp_path, capsys):
         assert main(["gen-channel", "--L", "16", "--type", "sparse",

@@ -431,9 +431,10 @@ class TestParallelism:
             assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("ZAPVSS_THREADS", "lots")
-        with pytest.raises(ValueError, match="ZAPVSS_THREADS"):
-            run_all(small_config(N=10))
+        for value in ("lots", "0", "-1"):
+            monkeypatch.setenv("ZAPVSS_THREADS", value)
+            with pytest.raises(ValueError, match="ZAPVSS_THREADS"):
+                run_all(small_config(N=10))
 
 
 class TestStreamSeeds:

@@ -11,7 +11,7 @@ from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
 def _impulse(scale=1.0, L=2):
     taps = np.zeros(L)
     taps[0] = scale
-    return Channel(taps, "sparse", active_count=1)
+    return Channel(taps)
 
 
 class TestGenerateInput:
