@@ -383,7 +383,11 @@ def _cmd_run(args) -> int:
 def _cmd_gen_channel(args) -> int:
     if args.type == "sparse" and args.active is None:
         raise ConfigError("--active is required for --type sparse")
-    ch = ChannelSpec(args.type, args.active, args.seed, args.decay).realize(args.L)
+    try:
+        spec = ChannelSpec(args.type, args.active, args.seed, args.decay)
+    except ValueError as err:  # a flag of the other generator
+        raise ConfigError(str(err)) from None
+    ch = spec.realize(args.L)
     save_channel(ch, args.out)
     print(f"wrote {args.type} channel L={args.L} seed={args.seed} to {args.out}")
     return 0

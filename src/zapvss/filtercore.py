@@ -38,15 +38,19 @@ def step(w, x, d: float, mu: float, controller):
     """Advance one sample: error, controller kappa, then the weight update.
 
     All three stages see the pre-update weights ``w``. ``controller`` (from
-    ``make_controller``, one row) is advanced in place; returns (e, kappa,
-    new weights). Overflow on the way to a divergence is silent: the
-    update reports it as a DivergenceError.
+    ``make_controller``, one row) is bound to the filter length, handed
+    the reductions its kind reads and advanced in place; returns (e,
+    kappa, new weights). Overflow on the way to a divergence is silent:
+    the update reports it as a DivergenceError.
     """
     with np.errstate(all="ignore"):
         e = predict_error(w, x, d)
-        X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        W = np.asarray(w).reshape(1, -1)
-        controller.update(np.array([e]), X, W, np.sign(W),
-                          np.einsum("sl,sl->s", X, X))
+        x = np.asarray(x, dtype=np.float64)
+        sgn = np.sign(w)
+        reductions = {"xx": np.dot(x, x), "xs": np.dot(x, sgn),
+                      "ww": np.dot(w, w), "ws": np.abs(w).sum()}
+        controller.bind(len(x))
+        controller.update(np.array([e]), *(np.array([reductions[r]])
+                                           for r in controller.spec.reads))
         kappa = float(controller.kappa[0])
         return e, kappa, apply_update(w, x, e, mu, kappa)

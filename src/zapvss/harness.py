@@ -8,7 +8,7 @@ import os
 import re
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -18,7 +18,7 @@ from .filtercore import DivergenceError, step
 from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
                       smoothed_mse)
 from .signal import ChannelSchedule, generate_input, synthesize_desired
-from .stepsize import controller_params, make_controller
+from .stepsize import KINDS, controller_params, make_controller
 
 MSE_BETA = 0.01      # smoothing constant for the recorded error power
 RECOVERY_HOLD = 100  # samples the recovery margin must hold
@@ -30,9 +30,16 @@ class ConfigError(ValueError):
     """A scenario config, a channel spec or an environment setting is invalid."""
 
 
+# the ChannelSpec fields each kind uses (all required but decay); its
+# config text carries no other
+_CHANNEL_FIELDS = {"sparse": ("active_count", "seed"),
+                   "dispersive": ("seed", "decay"), "file": ("path",)}
+
+
 @dataclass
 class ChannelSpec:
-    """How to obtain a channel: generator parameters or a file path."""
+    """How to obtain a channel: generator parameters or a file path. A
+    field that does not apply to the kind must keep its default."""
 
     kind: str  # 'sparse' | 'dispersive' | 'file'
     active_count: int | None = None
@@ -41,21 +48,21 @@ class ChannelSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind == "sparse":
-            if self.active_count is None or self.seed is None:
-                raise ValueError("sparse channel spec requires active_count and seed")
-        elif self.kind == "dispersive":
-            if self.seed is None:
-                raise ValueError("dispersive channel spec requires seed")
-        elif self.kind == "file":
-            if self.path is None:
-                raise ValueError("file channel spec requires file=<path>")
-            # the config text could not carry such a path back
-            if self.path != self.path.strip() or len(self.path.splitlines()) > 1:
-                raise ValueError(f"channel file path {self.path!r} must be one "
-                                 f"line without leading or trailing whitespace")
-        else:
+        used = _CHANNEL_FIELDS.get(self.kind)
+        if used is None:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in used and value is None:
+                raise ValueError(f"a {self.kind} channel requires {f.name}")
+            if f.name not in used and value != f.default:
+                raise ValueError(f"a {self.kind} channel takes no {f.name}, "
+                                 f"got {value!r}")
+        # the config text could not carry such a path back
+        if self.path is not None and (self.path != self.path.strip()
+                                      or len(self.path.splitlines()) > 1):
+            raise ValueError(f"channel file path {self.path!r} must be one "
+                             f"line without leading or trailing whitespace")
 
     def realize(self, L: int) -> Channel:
         """The channel for filter length L. Generator arguments it cannot
@@ -309,7 +316,10 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     floating-point operations in the same order except for the sums of the
     dot products and norms, so its curves match the scalar path to rounding.
     Rows never interact: a row's trace does not depend on which other rows
-    share the batch. Metrics are computed only at the recorded samples.
+    share the batch or where. Each sample computes every row reduction a
+    controller reads once, over the rows whose kinds read it. The rows
+    whose kappa is a constant 0 skip the attractor and take their signs
+    only at the recorded samples, where the metrics are computed.
     """
     schedule = build_schedule(cfg)
     L, N, mu, every = cfg.L, cfg.N, cfg.mu, cfg.record_every
@@ -324,70 +334,124 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
         d[:, i] = synthesize_desired(x, schedule, cfg.snr_db, noise_seed).d
         xrev[i, :N] = x[::-1]
 
+    ctls = [make_controller(alg.kind, alg.params, mu, rows=S)
+            for alg in cfg.algorithms]
+    # engine order: the rows that never attract lead; the others follow in
+    # the order of KINDS, so that the readers of a reduction sit together
+    kinds = list(KINDS)
+    order = sorted(range(A), key=lambda a: (ctls[a].attracts,
+                                            kinds.index(ctls[a].kind)))
+    ctls = [ctls[a] for a in order]
+    att = slice(sum(not c.attracts for c in ctls), A)
+
     w = np.zeros((A, S, L))
     sgn = np.zeros((A, S, L))  # sign(w): read by the next update and the metrics
     tmp = np.empty((A, S, L))
-    kappa = np.empty((A, S))
-    controllers = []
-    for a, alg in enumerate(cfg.algorithms):
-        ctl = make_controller(alg.kind, alg.params, mu, rows=S)
-        kappa[a] = ctl.kappa
-        ctl.kappa = kappa[a]  # updates rewrite it in place: the engine reads it
+    kappa, e, mue, e2, mse = (np.zeros((A, S)) for _ in range(5))
+    # numpy charges less for an operation between two small arrays than
+    # for one with a Python float
+    mu_rows, beta_rows, forget_rows = (np.full((A, S), c) for c in
+                                       (mu, MSE_BETA, 1.0 - MSE_BETA))
+    e_flat, ones = e.reshape(-1), np.ones(A * S)
+    # the reductions the controllers read, each computed once per sample:
+    # x.x once per seed, the others over the rows from the first reader to
+    # the last, as (left, right, out) with None standing for the regressors
+    need_xx = any("xx" in c.spec.reads for c in ctls)
+    xx = np.zeros(S)
+    red = {"xx": xx}
+    reduce = []
+    for name, (left, right) in {"xs": (None, sgn), "ww": (w, w),
+                                "ws": (w, sgn)}.items():
+        readers = [i for i, c in enumerate(ctls) if name in c.spec.reads]
+        if readers:
+            rows = slice(readers[0], readers[-1] + 1)
+            red[name] = np.zeros((A, S))
+            reduce.append((None if left is None else left[rows], right[rows],
+                           red[name][rows]))
+    updates = []
+    for i, ctl in enumerate(ctls):
+        kappa[i] = ctl.kappa
+        ctl.kappa = kappa[i]  # updates rewrite it in place: the engine reads it
+        ctl.bind(L)
         if ctl.spec.update is not None:  # a constant kappa costs nothing
-            controllers.append((a, ctl))
-    need_xx = any(ctl.spec.uses_xx for _, ctl in controllers)
-    mse = np.zeros((A, S))
+            updates.append((ctl.update, (e[i],) + tuple(
+                red[r] if r == "xx" else red[r][i] for r in ctl.spec.reads)))
     live = np.ones((A, S), dtype=bool)
     stop_at = np.full((A, S), N)
     rec = np.zeros((-(-N // every), A, S), dtype=SAMPLE_DTYPE)
     rec["n"] = np.arange(0, N, every)[:, None, None]
+    # the recorded squared distance ||w - h||^2 and twice the sign-match
+    # count become dB and a fraction after the loop, with the span's ||h||
+    # and active-tap count
+    rec_dist, rec_kappa, rec_e, rec_agree, rec_mse = (
+        rec[f] for f in SAMPLE_DTYPE.names[1:])
+    w_att, sgn_att, tmp_att, kappa_att = w[att], sgn[att], tmp[att], kappa[att]
+    w_hold, sgn_hold = w[:att.start], sgn[:att.start]
+    spans = [(start, stop, ch.taps) for start, stop, ch in schedule.spans(N)]
 
     # a diverged row runs on as inf/nan, harmlessly: rows never mix
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start, stop, ch in schedule.spans(N):
+        for start, stop, h in spans:
             # h on every row: a same-shape subtraction beats a broadcast one
-            h_rows = np.broadcast_to(ch.taps, w.shape).copy()
-            hn = float(np.linalg.norm(ch.taps))
-            active = np.flatnonzero(ch.taps)
-            h_sign = np.sign(ch.taps[active])
+            h_rows = np.broadcast_to(h, w.shape).copy()
+            active = np.flatnonzero(h)
+            h_sign = np.sign(h[active])
             for n in range(start, stop):
                 X = xrev[:, N - 1 - n:N - 1 - n + L]
-                e = d[n] - np.einsum("asl,sl->as", w, X)
-                if not np.isfinite(e).all():
+                np.vecdot(w, X, out=e)
+                np.subtract(d[n], e, out=e)
+                if not math.isfinite(e_flat.dot(ones)):  # inf and NaN propagate
                     _stop_diverged(w, live & ~np.isfinite(e), live, stop_at, n - 1)
-                xx = np.einsum("sl,sl->s", X, X) if need_xx else None
-                for a, ctl in controllers:
-                    ctl.update(e[a], X, w[a], sgn[a], xx)
+                if need_xx:
+                    np.vecdot(X, X, out=xx)
+                for left, right, out in reduce:
+                    np.vecdot(X if left is None else left, right, out=out)
+                for update, args in updates:
+                    update(*args)
                 # (w + (mu*e)*x) - kappa*sign(w), rounded as apply_update
                 # rounds it; einsum broadcasts these products faster
-                w += np.einsum("as,sl->asl", mu * e, X, out=tmp)
-                w -= np.einsum("as,asl->asl", kappa, sgn, out=tmp)
-                np.sign(w, out=sgn)
-                mse = (1.0 - MSE_BETA) * mse + MSE_BETA * e * e
+                np.multiply(mu_rows, e, out=mue)
+                w += np.einsum("as,sl->asl", mue, X, out=tmp)
+                w_att -= np.einsum("as,asl->asl", kappa_att, sgn_att, out=tmp_att)
+                np.sign(w_att, out=sgn_att)
+                np.multiply(beta_rows, e, out=e2)
+                e2 *= e
+                mse *= forget_rows
+                mse += e2
                 if n % every == 0:
-                    row = rec[n // every]
+                    i = n // every
+                    np.sign(w_hold, out=sgn_hold)
                     np.subtract(w, h_rows, out=tmp)
-                    dn = np.sqrt(np.einsum("asl,asl->as", tmp, tmp))
-                    row["misalignment_db"] = 20.0 * np.log10(dn / hn)
-                    row["kappa"] = kappa
-                    row["error"] = e
-                    agree = (sgn == h_sign if active.size == L
-                             else sgn[:, :, active] == h_sign)
-                    row["sign_agreement"] = agree.sum(axis=-1) / active.size
-                    row["smoothed_mse"] = mse
+                    np.vecdot(tmp, tmp, out=rec_dist[i])
+                    rec_kappa[i] = kappa
+                    rec_e[i] = e
+                    # on the active taps, sgn.sign(h) + sgn.sgn counts
+                    # each match twice and each mismatch or zero not at all
+                    s = sgn if active.size == L else sgn[:, :, active]
+                    np.add(np.vecdot(s, h_sign), np.vecdot(s, s), out=rec_agree[i])
+                    rec_mse[i] = mse
         _stop_diverged(w, live, live, stop_at, N - 1)
+        for start, stop, h in spans:
+            rows = slice(-(-start // every), -(-stop // every))
+            mis = rec_dist[rows]
+            np.sqrt(mis, out=mis)
+            mis /= float(np.linalg.norm(h))
+            np.log10(mis, out=mis)
+            mis *= 20.0
+            rec_agree[rows] /= 2 * np.count_nonzero(h)
 
     traces = []
     for a, alg in enumerate(cfg.algorithms):
+        i = order.index(a)
         runs = []
-        for i, seed in enumerate(seeds):
-            samples = rec[:-(-stop_at[a, i] // every), a, i].copy()
+        for s, seed in enumerate(seeds):
+            samples = rec[:-(-stop_at[i, s] // every), i, s].copy()
             samples = samples.view(np.recarray)
             final = float(samples.misalignment_db[-1]) if samples.size else math.nan
             runs.append(RunTrace(
                 algorithm=alg.name, seed=seed, samples=samples,
                 final_misalignment_db=final,
-                diverged_at=None if live[a, i] else int(stop_at[a, i])))
+                diverged_at=None if live[i, s] else int(stop_at[i, s])))
         traces.append(runs)
     return traces
 

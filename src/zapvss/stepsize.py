@@ -18,6 +18,8 @@ sample:
 and its update. ``PARAMS`` holds each key's type and rule, and
 ``controller_params`` is the one place that applies them. A controller
 advances many runs (rows) at once; the scalar reference drives one row.
+An update reads per-row values that its caller reduces from the regressor
+and the weights (``Kind.reads``), never a tap vector.
 """
 
 from __future__ import annotations
@@ -58,15 +60,26 @@ PARAMS: dict[str, tuple[type, Callable, str]] = {
 }
 
 
+def _constants(ctl, rows: int, **values: float) -> None:
+    """Set each value as an attribute of ``rows`` copies: numpy charges
+    less for an operation between two small arrays than for one with a
+    Python float."""
+    for name, value in values.items():
+        setattr(ctl, name, np.full(rows, value))
+
+
 def _you_init(ctl, rows: int) -> None:
     # the detector's smoothed error power and its last ``window`` values
+    p = ctl.params
     ctl.mse = np.zeros(rows)
-    ctl.history = np.zeros((ctl.params["window"], rows))
+    ctl.history = np.zeros((p["window"], rows))
     ctl.cooldown_left = np.zeros(rows, dtype=np.int64)
     ctl.t = 0
+    _constants(ctl, rows, forget=1.0 - p["beta"], beta=p["beta"],
+               tolerance=p["tolerance"])
 
 
-def _you(ctl, e, X, W, sgn, xx) -> None:
+def _you(ctl, e) -> None:
     """Decay on convergence: a plateau of the smoothed error power over the
     last ``window`` samples (relative change below ``tolerance``, at most
     once per ``cooldown`` samples) multiplies kappa by eta until kappa <=
@@ -74,75 +87,75 @@ def _you(ctl, e, X, W, sgn, xx) -> None:
     scheme blind to later path changes."""
     p = ctl.params
     slot = ctl.history[ctl.t % p["window"]]  # written window samples ago
-    ctl.mse = (1.0 - p["beta"]) * ctl.mse + p["beta"] * e * e
+    ctl.mse = mse = ctl.forget * ctl.mse + ctl.beta * e * e
     cooling = ctl.cooldown_left > 0
     ctl.cooldown_left -= cooling
     if ctl.t >= p["window"]:  # a full window first: the transient never fires
-        event = np.abs(ctl.mse - slot) / slot < p["tolerance"]
-        event &= slot > 0.0
+        # a zero slot gives inf or NaN here, so it never fires either
+        event = np.abs(mse - slot) / slot < ctl.tolerance
         event &= ~cooling
         if event.any():
             ctl.cooldown_left[event] = p["cooldown"]
             ctl.kappa[event & (ctl.kappa > p["kappa_min"])] *= p["eta"]
-    slot[...] = ctl.mse
+    slot[...] = mse
     ctl.t += 1
+
+
+def _smooth_init(ctl, rows: int) -> None:
+    p = ctl.params
+    _constants(ctl, rows, keep=1.0 - p["alpha"], gain=p["alpha"] * p["gamma"],
+               kappa_max=p["kappa_max"])
 
 
 def _smooth(ctl, delta) -> None:
     """kappa <- (1-alpha)*kappa + alpha*gamma*delta, clamped to
     [0, kappa_max]; a NaN drive leaves kappa at 0 rather than NaN."""
-    p = ctl.params
-    delta *= p["alpha"] * p["gamma"]
-    kappa = (1.0 - p["alpha"]) * ctl.kappa
-    kappa += delta
-    np.fmin(np.fmax(0.0, kappa), p["kappa_max"], out=ctl.kappa)
+    kappa = ctl.keep * ctl.kappa + ctl.gain * delta
+    np.fmin(np.fmax(0.0, kappa), ctl.kappa_max, out=ctl.kappa)
 
 
 def _liu_init(ctl, rows: int) -> None:
+    _smooth_init(ctl, rows)
     ctl.phi = np.zeros(rows)  # forgetting-factor average of the measure
+    lam = ctl.params["lambda"]
+    _constants(ctl, rows, forget=1.0 - lam, lam=lam)
 
 
-def _liu(ctl, e, X, W, sgn, xx) -> None:
-    """Sparseness gradient: delta = J(w) - phi, where J is the l1 norm or
-    the xi sparsity of the weights and phi its running average. delta can
-    be negative, so the zero clamp is load-bearing."""
-    p = ctl.params
-    j = np.abs(W).sum(axis=-1)
-    if p["measure"] == "xi":
-        L = W.shape[-1]
-        root = math.sqrt(L)
-        l2 = np.sqrt(np.einsum("sl,sl->s", W, W))
-        xi = L / (L - root) * (1.0 - j / (root * l2))
-        # the zero vector has no sparsity; it drives nothing
-        j = np.where(j == 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, xi)))
+def _liu(ctl, e, ws, ww) -> None:
+    """Sparseness gradient: delta = J(w) - phi, where J is the l1 norm
+    ``ws`` or the xi sparsity of the weights and phi its running average.
+    delta can be negative, so the zero clamp is load-bearing."""
+    j = ws
+    if ctl.params["measure"] == "xi":
+        xi = ctl.xi_scale * (1.0 - j / (ctl.root * np.sqrt(ww)))
+        # the zero vector's xi is 0/0: it has no sparsity and drives nothing
+        j = np.fmin(1.0, np.fmax(0.0, xi))
     delta = j - ctl.phi
-    ctl.phi = (1.0 - p["lambda"]) * ctl.phi + p["lambda"] * j
+    ctl.phi = ctl.forget * ctl.phi + ctl.lam * j
     _smooth(ctl, delta)
 
 
-def _l1_delta(e, X, sgn, xx) -> np.ndarray:
-    """Estimated l1 sparseness distance |e * x.sign(w)| / (x.x); a zero
-    regressor carries no information and yields 0."""
-    delta = np.abs(e * np.einsum("sl,sl->s", X, sgn))
-    delta /= xx
-    if not xx.all():
-        delta[xx == 0.0] = 0.0
-    return delta
+def _l1_delta(e, xx, xs) -> np.ndarray:
+    """Estimated l1 sparseness distance |e * x.sign(w)| / (x.x). A zero
+    regressor carries no information: its 0/0 (x.sign(w) is 0 too) yields
+    0."""
+    return np.fmax(np.abs(e * xs) / xx, 0.0)
 
 
-def _proposed_l1(ctl, e, X, W, sgn, xx) -> None:
-    _smooth(ctl, _l1_delta(e, X, sgn, xx))
+def _proposed_l1(ctl, e, xx, xs) -> None:
+    _smooth(ctl, _l1_delta(e, xx, xs))
 
 
-def _proposed_norm(ctl, e, X, W, sgn, xx) -> None:
+def _norm_init(ctl, rows: int) -> None:
+    _smooth_init(ctl, rows)
+    _constants(ctl, rows, w2_floor=ctl.params["w2_floor"])
+
+
+def _proposed_norm(ctl, e, xx, xs, ww) -> None:
     """The l1 estimate divided by (sqrt(L)-1)*||w||, with ||w|| floored at
     ``w2_floor`` so the early near-zero filter cannot blow the ratio up."""
-    delta = _l1_delta(e, X, sgn, xx)
-    scale = np.sqrt(np.einsum("sl,sl->s", W, W))
-    np.maximum(scale, ctl.params["w2_floor"], out=scale)
-    scale *= math.sqrt(W.shape[-1]) - 1.0
-    delta /= scale
-    _smooth(ctl, delta)
+    scale = np.maximum(np.sqrt(ww), ctl.w2_floor) * ctl.norm_scale
+    _smooth(ctl, _l1_delta(e, xx, xs) / scale)
 
 
 @dataclass(frozen=True)
@@ -150,14 +163,17 @@ class Kind:
     """One controller kind: the config keys it must be given, the optional
     ones with their defaults (None: worked out by ``controller_params``),
     its update (None: kappa stays at kappa0), an ``init(ctl, rows)`` that
-    adds the state arrays the update keeps, and whether the update reads
-    the regressor energies x.x."""
+    adds the state arrays and constants the update keeps, and the per-row
+    reductions the update reads after the a-priori errors e, in its
+    argument order: ``xx`` = x.x, ``xs`` = x.sign(w), ``ww`` = w.w and
+    ``ws`` = w.sign(w) = ||w||_1, of the regressor x and the pre-update
+    weights w."""
 
     required: tuple[str, ...]
     optional: dict
     update: Callable | None = None
     init: Callable | None = None
-    uses_xx: bool = False
+    reads: tuple[str, ...] = ()
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -173,13 +189,13 @@ KINDS: dict[str, Kind] = {
                 _you, _you_init),
     "liu": Kind(("lambda", "alpha", "gamma"),
                 {"kappa0": 0.0, "measure": "xi", "kappa_max": None},
-                _liu, _liu_init),
+                _liu, _liu_init, ("ws", "ww")),
     "proposed_l1": Kind(("alpha", "gamma"),
                         {"kappa0": 0.0, "kappa_max": None},
-                        _proposed_l1, uses_xx=True),
+                        _proposed_l1, _smooth_init, ("xx", "xs")),
     "proposed_norm": Kind(("alpha", "gamma"),
                           {"kappa0": 0.0, "w2_floor": 1e-2, "kappa_max": None},
-                          _proposed_norm, uses_xx=True),
+                          _proposed_norm, _norm_init, ("xx", "xs", "ww")),
 }
 
 
@@ -211,7 +227,7 @@ def controller_params(kind: str, params: dict, mu: float) -> dict:
     return p
 
 
-def _hold(ctl, e, X, W, sgn, xx) -> None:
+def _hold(ctl, e) -> None:
     """The update of a constant kappa."""
 
 
@@ -219,13 +235,15 @@ class Controller:
     """The state of one controller over ``rows`` runs at once.
 
     ``kappa`` holds the rows' attractor step-sizes. Each
-    ``update(e, X, W, sgn, xx)`` call takes the rows' a-priori errors (R,),
-    regressors (R, L), pre-update weights (R, L), their signs (R, L) and
-    regressor energies x.x (R,; None is allowed when the kind's
-    ``uses_xx`` is false), and rewrites ``kappa`` in place. Every state
+    ``update(e, *reductions)`` call takes the rows' a-priori errors (R,)
+    and, in the order of the kind's ``reads``, the rows' reductions (R,)
+    of the regressor and the pre-update weights (see ``Kind``), and
+    rewrites ``kappa`` in place. It never sees a tap vector. Every state
     array has the rows on its last axis, and no row reads another's.
     Callers update under ``np.errstate(all="ignore")``: a zero filter or
     regressor, and a diverging row, pass through inf and NaN on the way.
+    The xi measure and proposed_norm's scale depend on the filter length:
+    ``bind(L)`` before the first update.
     """
 
     def __init__(self, kind: str, params: dict, rows: int):
@@ -233,9 +251,26 @@ class Controller:
         self.spec = KINDS[kind]
         self.params = params
         self.kappa = np.full(rows, params.get("kappa0", 0.0), dtype=np.float64)
+        self.L = None
         if self.spec.init is not None:
             self.spec.init(self, rows)
         self.update = partial(self.spec.update or _hold, self)
+
+    @property
+    def attracts(self) -> bool:
+        """Whether the attractor can ever act: false only for a constant
+        kappa of 0 (lms, or fixed_zap with kappa0=0)."""
+        return self.spec.update is not None or bool(self.kappa.any())
+
+    def bind(self, L: int) -> None:
+        """Resolve the constants that depend on the filter length L."""
+        if L != self.L:
+            self.L = L
+            root = math.sqrt(L)
+            # no configured run has one tap, where xi is undefined
+            _constants(self, self.kappa.size, root=root,
+                       xi_scale=L / (L - root) if L > 1 else math.nan,
+                       norm_scale=root - 1.0)
 
 
 def make_controller(kind: str, params: dict, mu: float, rows: int = 1) -> Controller:

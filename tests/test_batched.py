@@ -132,6 +132,44 @@ class TestInvariance:
         assert together == [apart[k[:2]] for k in together]
 
 
+LMS = AlgorithmConfig("lms", "lms")
+ZAP = AlgorithmConfig("zap", "fixed_zap", {"kappa0": 1e-4})
+ZAP0 = AlgorithmConfig("zap0", "fixed_zap", {"kappa0": 0.0})
+PN = AlgorithmConfig("pn", "proposed_norm", {"alpha": 0.05, "gamma": 0.5})
+
+
+class TestAlgorithmOrder:
+    """The engine runs the rows that never attract (lms, fixed_zap with
+    kappa0=0) first and skips their attractor; no trace may tell."""
+
+    @pytest.mark.parametrize("orders", [
+        ([LMS, ZAP, ZAP0, PN], [PN, LMS, ZAP0, ZAP]),
+        ([LMS, ZAP0], [ZAP0, LMS]),  # only rows that never attract
+        ([ZAP, PN], [PN, ZAP]),  # none
+    ], ids=["mixed", "never", "always"])
+    def test_order_does_not_change_any_trace(self, orders):
+        by_order = []
+        for algorithms in orders:
+            traces = run_all(grid(algorithms=algorithms, record_every=3),
+                             max_workers=1)
+            assert [t.algorithm for t in traces] == [
+                a.name for a in algorithms for _ in range(3)]
+            by_order.append(sorted(trace_key(traces)))
+        assert by_order[0] == by_order[1]
+
+    def test_rows_that_never_attract_record_their_signs(self):
+        # you with kappa0=0 keeps kappa at 0 among the attracting rows,
+        # so its trace is lms's to the bit
+        still = AlgorithmConfig("still", "you", {"kappa0": 0.0, "eta": 0.5,
+                                                 "kappa_min": 1e-5})
+        traces = run_all(grid(algorithms=[LMS, ZAP0, still], record_every=3),
+                         max_workers=1)
+        lms, zap0, twin = traces[:3], traces[3:6], traces[6:]
+        for runs in (zap0, twin):
+            assert [t.samples.tobytes() for t in runs] == [
+                t.samples.tobytes() for t in lms]
+
+
 class TestColumnarTrace:
     def test_record_array_fields(self):
         cfg = grid(N=50, change_at=25, algorithms=ALL_KINDS[:1], seeds=[1])

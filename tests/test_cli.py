@@ -568,6 +568,17 @@ class TestMain:
                      "--seed", "3", "--out", str(tmp_path / "h.txt")]) == 1
         assert "--active" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--type", "dispersive", "--active", "3"],
+        ["--type", "sparse", "--active", "3", "--decay", "1.5"]])
+    def test_gen_channel_flag_of_the_other_generator(self, tmp_path, capsys,
+                                                     flags):
+        dest = tmp_path / "h.txt"
+        assert main(["gen-channel", "--L", "16", *flags, "--seed", "3",
+                     "--out", str(dest)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):
         assert main(["gen-channel", "--L", "16", "--type", "sparse",
                      "--active", "17", "--out", str(tmp_path / "h.txt")]) == 1

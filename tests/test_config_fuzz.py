@@ -42,13 +42,13 @@ def algorithms(draw, name):
 
 
 seeds = st.integers(-3, 2**40)
+paths = st.from_regex(r"[A-Za-z0-9_./]{1,12}", fullmatch=True)
 channels = st.one_of(
     st.builds(ChannelSpec, kind=st.just("sparse"),
               active_count=st.integers(-3, 600), seed=seeds),
     st.builds(ChannelSpec, kind=st.just("dispersive"), seed=seeds,
               decay=st.floats(allow_nan=False)),
-    st.builds(ChannelSpec, kind=st.just("file"),
-              path=st.from_regex(r"[A-Za-z0-9_./]{1,12}", fullmatch=True)))
+    st.builds(ChannelSpec, kind=st.just("file"), path=paths))
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -96,6 +96,24 @@ class TestConfigFuzz:
     @FUZZ
     @given(configs())
     def test_canonical_round_trip(self, cfg):
+        assert parse_config_text(canonical_config_text(cfg)) == cfg
+
+    @FUZZ
+    @given(st.sampled_from(["sparse", "dispersive", "file"]),
+           st.none() | st.integers(-3, 600), st.none() | seeds,
+           st.just(0.0) | st.floats(allow_nan=False), st.none() | paths)
+    def test_channel_spec_of_any_fields_round_trips_or_raises(
+            self, kind, active_count, seed, decay, path):
+        # every field drawn for every kind: a field the kind's config text
+        # cannot carry must be rejected, not dropped
+        try:
+            cfg = ScenarioConfig(
+                L=16, N=100, snr_db=30.0, mu=0.01,
+                channel_before=ChannelSpec(kind, active_count, seed, decay,
+                                           path),
+                algorithms=[AlgorithmConfig("lms", "lms")], seeds=[1])
+        except ValueError:
+            return
         assert parse_config_text(canonical_config_text(cfg)) == cfg
 
     @FUZZ

@@ -37,10 +37,16 @@ def controller(name, rows=1, mu=MU):
 
 
 def update(ctl, e, X, W):
-    # as in both engines: zero filters and regressors, and diverging rows,
-    # pass through inf and NaN silently
+    # the per-row reductions the kind reads, from the raw regressors X and
+    # weights W; as in both engines: zero filters and regressors, and
+    # diverging rows, pass through inf and NaN silently
     with np.errstate(all="ignore"):
-        ctl.update(e, X, W, np.sign(W), np.einsum("sl,sl->s", X, X))
+        sgn = np.sign(W)
+        reductions = {"xx": (X * X).sum(axis=-1), "xs": (X * sgn).sum(axis=-1),
+                      "ww": (W * W).sum(axis=-1),
+                      "ws": np.abs(W).sum(axis=-1)}
+        ctl.bind(X.shape[-1])
+        ctl.update(e, *(reductions[r] for r in ctl.spec.reads))
 
 
 def feed(ctl, e, x, w):
