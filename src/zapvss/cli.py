@@ -13,6 +13,8 @@ from functools import partial
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .channel import save_channel
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       ConfigError, RunTrace, ScenarioConfig, aggregate,
@@ -241,11 +243,13 @@ def emit_aggregate_csv(aggregates: list[AlgorithmAggregate], destination,
                        scenario: str) -> None:
     """Mean misalignment curves, one row per (algorithm, recorded sample)."""
     _check_label(scenario)
-    rows = []
+    rows = [AGGREGATE_HEADER]
     for agg in aggregates:
-        for n, v in zip(agg.n, agg.mean_misalignment_db):
-            rows.append(f"{scenario},{agg.name},{n},{float(v)!r}")
-    _write_chunks(destination, ["\n".join([AGGREGATE_HEADER] + rows) + "\n"])
+        # tolist() yields Python ints and floats: the text is their repr
+        prefix = itertools.repeat(f"{scenario},{agg.name},")
+        rows += map("{}{},{!r}".format, prefix, agg.n.tolist(),
+                    agg.mean_misalignment_db.tolist())
+    _write_chunks(destination, ["\n".join(rows) + "\n"])
 
 
 def emit_svg(aggregates: list[AlgorithmAggregate], destination,
@@ -259,22 +263,17 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
     x0, y0 = left, top
     x1, y1 = width - right, height - bottom
 
-    finite = [v for agg in aggregates
-              for v in agg.mean_misalignment_db if math.isfinite(v)]
+    finite = [np.isfinite(agg.mean_misalignment_db) for agg in aggregates]
+    values = np.concatenate([agg.mean_misalignment_db[keep]
+                             for agg, keep in zip(aggregates, finite)])
     xmax = max((int(agg.n[-1]) for agg in aggregates if agg.n.size), default=1)
     xmax = max(xmax, 1)
-    if finite:
-        ymin, ymax = math.floor(min(finite)), math.ceil(max(finite))
+    if values.size:
+        ymin, ymax = math.floor(values.min()), math.ceil(values.max())
     else:
         ymin, ymax = -1, 1
     if ymin == ymax:
         ymin, ymax = ymin - 1, ymax + 1
-
-    def sx(v):
-        return x0 + (v / xmax) * (x1 - x0)
-
-    def sy(v):
-        return y1 - (v - ymin) / (ymax - ymin) * (y1 - y0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -306,12 +305,12 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 18 {(y0 + y1) / 2:.2f})">'
                  f'misalignment (dB)</text>')
-    for i, agg in enumerate(aggregates):
+    for i, (agg, keep) in enumerate(zip(aggregates, finite)):
         color = _SVG_PALETTE[i % len(_SVG_PALETTE)]
-        pts = " ".join(
-            f"{sx(n):.2f},{sy(v):.2f}"
-            for n, v in zip(agg.n, agg.mean_misalignment_db)
-            if math.isfinite(v))
+        px = x0 + (agg.n[keep] / xmax) * (x1 - x0)
+        py = y1 - ((agg.mean_misalignment_db[keep] - ymin) / (ymax - ymin)
+                   * (y1 - y0))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
         ly = y0 + 14 + 18 * i

@@ -309,17 +309,21 @@ def recovery_time(trace: RunTrace, change_at: int | None,
 
 def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     """Every algorithm of the grid on ``seeds`` in one batched per-sample
-    loop over (algorithm, seed, tap) arrays; returns ``traces[a][i]`` for
+    loop over (seed, algorithm, tap) arrays; returns ``traces[a][i]`` for
     algorithm ``a`` and ``seeds[i]``.
 
     Each row computes what ``run_scenario`` computes, with the same
-    floating-point operations in the same order except for the sums of the
-    dot products and norms, so its curves match the scalar path to rounding.
-    Rows never interact: a row's trace does not depend on which other rows
-    share the batch or where. Each sample computes every row reduction a
-    controller reads once, over the rows whose kinds read it. The rows
-    whose kappa is a constant 0 skip the attractor and take their signs
-    only at the recorded samples, where the metrics are computed.
+    floating-point operations except for the sums of the dot products and
+    norms and the weight update, so its curves match the scalar path to
+    rounding. The update w + mu*e*x - kappa*sign(w) of a seed's rows is one
+    BLAS product, which accumulates mu*e*x - kappa*sign(w) before adding
+    it to w, where ``apply_update`` adds mu*e*x to w first; its last digits
+    depend on the BLAS kernel. Rows never interact: a row's trace does not
+    depend on which other rows share the batch or where. Each sample
+    computes every row reduction a controller reads once, over the rows
+    whose controllers read it. The rows whose kappa is a constant 0 skip
+    the attractor and take their signs only at the recorded samples, where
+    the metrics are computed. A diverged row rests at zero from then on.
     """
     schedule = build_schedule(cfg)
     L, N, mu, every = cfg.L, cfg.N, cfg.mu, cfg.record_every
@@ -327,69 +331,78 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     # each seed's input, reversed and zero-padded: the regressor
     # [x(n), ..., x(n-L+1)] of sample n is the slice xrev[:, N-1-n:N-1-n+L]
     xrev = np.zeros((S, N + L - 1))
-    d = np.empty((N, S))
+    d = np.empty((N, S, 1))
     for i, seed in enumerate(seeds):
         input_seed, noise_seed = derive_stream_seeds(seed)
         x = generate_input(N, input_seed, cfg.sigma_x)
-        d[:, i] = synthesize_desired(x, schedule, cfg.snr_db, noise_seed).d
+        d[:, i, 0] = synthesize_desired(x, schedule, cfg.snr_db, noise_seed).d
         xrev[i, :N] = x[::-1]
 
     ctls = [make_controller(alg.kind, alg.params, mu, rows=S)
             for alg in cfg.algorithms]
-    # engine order: the rows that never attract lead; the others follow in
-    # the order of KINDS, so that the readers of a reduction sit together
+    # engine order: the rows that attract lead, in the order of KINDS so
+    # that the readers of a reduction sit together; the others follow
     kinds = list(KINDS)
-    order = sorted(range(A), key=lambda a: (ctls[a].attracts,
+    order = sorted(range(A), key=lambda a: (not ctls[a].attracts,
                                             kinds.index(ctls[a].kind)))
     ctls = [ctls[a] for a in order]
-    att = slice(sum(not c.attracts for c in ctls), A)
+    R = sum(c.attracts for c in ctls)
 
-    w = np.zeros((A, S, L))
-    sgn = np.zeros((A, S, L))  # sign(w): read by the next update and the metrics
-    tmp = np.empty((A, S, L))
-    kappa, e, mue, e2, mse = (np.zeros((A, S)) for _ in range(5))
+    w = np.zeros((S, A, L))
+    # per seed Z = [x; sign(w) of each row] and C = [mu*e, -kappa on the
+    # diagonal of the attracting rows]: every row's update is C @ Z[:1+R].
+    # numpy hands a one-row product to gemv, which rounds unlike gemm: a
+    # spare zero row keeps a lone row's trace what it is in a larger grid
+    Z = np.zeros((S, 1 + A, L))
+    x, sgn, z_att = Z[:, :1], Z[:, 1:], Z[:, :1 + R]
+    C = np.zeros((S, max(A, 2), 1 + R))
+    c_mue, c_kappa = C[:, :A, 0], np.einsum("sii->si", C[:, :R, 1:])
+    upd = np.empty((S, max(A, 2), L))
+    tmp = upd[:, :A]
+    kappa, e, e2, mse = (np.zeros((S, A)) for _ in range(4))
     # numpy charges less for an operation between two small arrays than
     # for one with a Python float
-    mu_rows, beta_rows, forget_rows = (np.full((A, S), c) for c in
+    mu_rows, beta_rows, forget_rows = (np.full((S, A), c) for c in
                                        (mu, MSE_BETA, 1.0 - MSE_BETA))
     e_flat, ones = e.reshape(-1), np.ones(A * S)
     # the reductions the controllers read, each computed once per sample:
-    # x.x once per seed, the others over the rows from the first reader to
-    # the last, as (left, right, out) with None standing for the regressors
-    need_xx = any("xx" in c.spec.reads for c in ctls)
-    xx = np.zeros(S)
-    red = {"xx": xx}
+    # x.x and x.sign(w) up to the last reader in one vecdot against Z,
+    # w.w and w.sign(w) over the rows from the first reader to the last
+    xz = np.zeros((S, 1 + A))
+    red = {"xx": xz[:, 0], "xs": xz[:, 1:], "ww": np.zeros((S, A)),
+           "ws": np.zeros((S, A))}
+    readers = {r: [i for i, c in enumerate(ctls) if r in c.reads] for r in red}
+    xz_rows = (2 + readers["xs"][-1] if readers["xs"] else
+               1 if readers["xx"] else 0)
     reduce = []
-    for name, (left, right) in {"xs": (None, sgn), "ww": (w, w),
-                                "ws": (w, sgn)}.items():
-        readers = [i for i, c in enumerate(ctls) if name in c.spec.reads]
-        if readers:
-            rows = slice(readers[0], readers[-1] + 1)
-            red[name] = np.zeros((A, S))
-            reduce.append((None if left is None else left[rows], right[rows],
-                           red[name][rows]))
+    for name, right in (("ww", w), ("ws", sgn)):
+        if readers[name]:
+            rows = slice(readers[name][0], readers[name][-1] + 1)
+            reduce.append((w[:, rows], right[:, rows], red[name][:, rows]))
     updates = []
     for i, ctl in enumerate(ctls):
-        kappa[i] = ctl.kappa
-        ctl.kappa = kappa[i]  # updates rewrite it in place: the engine reads it
+        kappa[:, i] = ctl.kappa
+        ctl.kappa = kappa[:, i]  # updates rewrite it in place: the engine reads it
         ctl.bind(L)
         if ctl.spec.update is not None:  # a constant kappa costs nothing
-            updates.append((ctl.update, (e[i],) + tuple(
-                red[r] if r == "xx" else red[r][i] for r in ctl.spec.reads)))
-    live = np.ones((A, S), dtype=bool)
-    stop_at = np.full((A, S), N)
-    rec = np.zeros((-(-N // every), A, S), dtype=SAMPLE_DTYPE)
+            updates.append((ctl.update, (e[:, i],) + tuple(
+                red[r] if r == "xx" else red[r][:, i] for r in ctl.reads)))
+    live = np.ones((S, A), dtype=bool)
+    stop_at = np.full((S, A), N)
+    rec = np.zeros((-(-N // every), S, A), dtype=SAMPLE_DTYPE)
     rec["n"] = np.arange(0, N, every)[:, None, None]
     # the recorded squared distance ||w - h||^2 and twice the sign-match
     # count become dB and a fraction after the loop, with the span's ||h||
     # and active-tap count
     rec_dist, rec_kappa, rec_e, rec_agree, rec_mse = (
         rec[f] for f in SAMPLE_DTYPE.names[1:])
-    w_att, sgn_att, tmp_att, kappa_att = w[att], sgn[att], tmp[att], kappa[att]
-    w_hold, sgn_hold = w[:att.start], sgn[:att.start]
+    w_att, sgn_att, kappa_att = w[:, :R], sgn[:, :R], kappa[:, :R]
+    w_hold, sgn_hold = w[:, R:], sgn[:, R:]
     spans = [(start, stop, ch.taps) for start, stop, ch in schedule.spans(N)]
 
-    # a diverged row runs on as inf/nan, harmlessly: rows never mix
+    # a diverging row passes through inf and NaN on its own until its stop
+    # leaves it at rest: a NaN sign would reach every row of its seed
+    # through the product's zero coefficients
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start, stop, h in spans:
             # h on every row: a same-shape subtraction beats a broadcast one
@@ -397,22 +410,22 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
             active = np.flatnonzero(h)
             h_sign = np.sign(h[active])
             for n in range(start, stop):
-                X = xrev[:, N - 1 - n:N - 1 - n + L]
-                np.vecdot(w, X, out=e)
+                x[:, 0] = xrev[:, N - 1 - n:N - 1 - n + L]
+                np.vecdot(w, x, out=e)
                 np.subtract(d[n], e, out=e)
                 if not math.isfinite(e_flat.dot(ones)):  # inf and NaN propagate
-                    _stop_diverged(w, live & ~np.isfinite(e), live, stop_at, n - 1)
-                if need_xx:
-                    np.vecdot(X, X, out=xx)
+                    _stop_diverged(w, live & ~np.isfinite(e), live, stop_at,
+                                   n - 1, sgn, e, mu_rows)
+                if xz_rows:
+                    np.vecdot(Z[:, :xz_rows], x, out=xz[:, :xz_rows])
                 for left, right, out in reduce:
-                    np.vecdot(X if left is None else left, right, out=out)
+                    np.vecdot(left, right, out=out)
                 for update, args in updates:
                     update(*args)
-                # (w + (mu*e)*x) - kappa*sign(w), rounded as apply_update
-                # rounds it; einsum broadcasts these products faster
-                np.multiply(mu_rows, e, out=mue)
-                w += np.einsum("as,sl->asl", mue, X, out=tmp)
-                w_att -= np.einsum("as,asl->asl", kappa_att, sgn_att, out=tmp_att)
+                np.multiply(mu_rows, e, out=c_mue)
+                np.negative(kappa_att, out=c_kappa)
+                np.matmul(C, z_att, out=upd)
+                w += tmp
                 np.sign(w_att, out=sgn_att)
                 np.multiply(beta_rows, e, out=e2)
                 e2 *= e
@@ -445,20 +458,21 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
         i = order.index(a)
         runs = []
         for s, seed in enumerate(seeds):
-            samples = rec[:-(-stop_at[i, s] // every), i, s].copy()
+            samples = rec[:-(-stop_at[s, i] // every), s, i].copy()
             samples = samples.view(np.recarray)
             final = float(samples.misalignment_db[-1]) if samples.size else math.nan
             runs.append(RunTrace(
                 algorithm=alg.name, seed=seed, samples=samples,
                 final_misalignment_db=final,
-                diverged_at=None if live[i, s] else int(stop_at[i, s])))
+                diverged_at=None if live[s, i] else int(stop_at[s, i])))
         traces.append(runs)
     return traces
 
 
-def _stop_diverged(w, suspect, live, stop_at, n) -> None:
+def _stop_diverged(w, suspect, live, stop_at, n, *rest) -> None:
     """Stop the ``suspect`` rows whose weights are non-finite after the
-    update of sample n, as ``run_scenario`` stops at its DivergenceError.
+    update of sample n, as ``run_scenario`` stops at its DivergenceError,
+    and zero their rows of ``w`` and of each of ``rest``.
 
     A non-finite error only makes a row suspect: a finite w whose dot
     product overflowed gives one too, and diverges one update later.
@@ -468,6 +482,8 @@ def _stop_diverged(w, suspect, live, stop_at, n) -> None:
     rows = tuple(r[bad] for r in rows)
     stop_at[rows] = n
     live[rows] = False
+    for a in (w,) + rest:
+        a[rows] = 0.0
 
 
 def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:

@@ -119,9 +119,11 @@ def _liu_init(ctl, rows: int) -> None:
     ctl.phi = np.zeros(rows)  # forgetting-factor average of the measure
     lam = ctl.params["lambda"]
     _constants(ctl, rows, forget=1.0 - lam, lam=lam)
+    if ctl.params["measure"] == "l1":
+        ctl.reads = ("ws",)
 
 
-def _liu(ctl, e, ws, ww) -> None:
+def _liu(ctl, e, ws, ww=None) -> None:
     """Sparseness gradient: delta = J(w) - phi, where J is the l1 norm
     ``ws`` or the xi sparsity of the weights and phi its running average.
     delta can be negative, so the zero clamp is load-bearing."""
@@ -164,10 +166,11 @@ class Kind:
     ones with their defaults (None: worked out by ``controller_params``),
     its update (None: kappa stays at kappa0), an ``init(ctl, rows)`` that
     adds the state arrays and constants the update keeps, and the per-row
-    reductions the update reads after the a-priori errors e, in its
+    reductions the update may read after the a-priori errors e, in its
     argument order: ``xx`` = x.x, ``xs`` = x.sign(w), ``ww`` = w.w and
     ``ws`` = w.sign(w) = ||w||_1, of the regressor x and the pre-update
-    weights w."""
+    weights w. The init may drop trailing ones that the controller's
+    parameters leave unread (``Controller.reads``)."""
 
     required: tuple[str, ...]
     optional: dict
@@ -236,10 +239,12 @@ class Controller:
 
     ``kappa`` holds the rows' attractor step-sizes. Each
     ``update(e, *reductions)`` call takes the rows' a-priori errors (R,)
-    and, in the order of the kind's ``reads``, the rows' reductions (R,)
-    of the regressor and the pre-update weights (see ``Kind``), and
-    rewrites ``kappa`` in place. It never sees a tap vector. Every state
-    array has the rows on its last axis, and no row reads another's.
+    and, in the order of ``reads`` (the kind's reads, or the leading ones
+    its parameters use; the kind's full ``reads`` are accepted too), the
+    rows' reductions (R,) of the regressor and the pre-update weights (see
+    ``Kind``), and rewrites ``kappa`` in place. It never sees a tap
+    vector. Every state array has the rows on its last axis, and no row
+    reads another's.
     Callers update under ``np.errstate(all="ignore")``: a zero filter or
     regressor, and a diverging row, pass through inf and NaN on the way.
     The xi measure and proposed_norm's scale depend on the filter length:
@@ -252,6 +257,7 @@ class Controller:
         self.params = params
         self.kappa = np.full(rows, params.get("kappa0", 0.0), dtype=np.float64)
         self.L = None
+        self.reads = self.spec.reads
         if self.spec.init is not None:
             self.spec.init(self, rows)
         self.update = partial(self.spec.update or _hold, self)

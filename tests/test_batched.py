@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from zapvss import harness
 from zapvss.cli import emit_csv
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, recovery_time, run_all,
@@ -105,6 +106,34 @@ class TestAgainstScalar:
         for trace in traces:
             assert_matches_scalar(cfg, trace)
 
+    def test_a_stopped_row_rests(self, monkeypatch):
+        # a stopped row rests at zero weights with a finite error, so the
+        # divergence check calls for it no more
+        calls = []
+        stop = harness._stop_diverged
+        monkeypatch.setattr(harness, "_stop_diverged",
+                            lambda *args: calls.append(stop(*args)))
+        traces = run_all(grid(mu=10.0, algorithms=ALL_KINDS[:2]),
+                         max_workers=1)
+        assert all(t.diverged_at is not None for t in traces)
+        assert len(calls) <= len(traces) + 1
+
+    def test_a_row_diverging_alone_leaves_its_seed_clean(self):
+        # kappa0=1e308 overflows only its own rows; their NaN signs must
+        # not reach the other rows of the seed through the shared product
+        wild = AlgorithmConfig("wild", "fixed_zap", {"kappa0": 1e308})
+        cfg = grid(algorithms=[LMS, ZAP, wild, PN], seeds=[1, 2],
+                   record_every=3)
+        traces = run_all(cfg, max_workers=1)
+        assert [t.diverged_at for t in traces] == (
+            [None] * 4 + [6, 20] + [None] * 2)
+        for trace in traces:
+            assert_matches_scalar(cfg, trace)
+        without = run_all(grid(algorithms=[LMS, ZAP, PN], seeds=[1, 2],
+                               record_every=3), max_workers=1)
+        assert trace_key(without) == trace_key(
+            [t for t in traces if t.algorithm != "wild"])
+
 
 class TestInvariance:
     def test_worker_count_and_seed_order(self):
@@ -168,6 +197,41 @@ class TestAlgorithmOrder:
         for runs in (zap0, twin):
             assert [t.samples.tobytes() for t in runs] == [
                 t.samples.tobytes() for t in lms]
+
+
+class TestGridComposition:
+    """Each seed's update is one product whose inner dimension grows with
+    the grid's attracting rows; no trace may tell which rows share it."""
+
+    @pytest.mark.parametrize("L", [16, 512, 2048])
+    def test_trace_does_not_depend_on_the_other_algorithms(self, L):
+        base = [LMS, ZAP, PN]
+        more = base + [ALL_KINDS[2], ALL_KINDS[3], ALL_KINDS[5]]
+        apart = trace_key(run_all(grid(L=L, algorithms=base), max_workers=1))
+        together = trace_key(run_all(grid(L=L, algorithms=more),
+                                     max_workers=1))
+        assert together[:len(apart)] == apart
+        for alg in (ZAP, PN):  # a lone row of C
+            alone = trace_key(run_all(grid(L=L, algorithms=[alg]),
+                                      max_workers=1))
+            assert alone == [k for k in apart if k[0] == alg.name]
+
+
+class TestReductions:
+    def test_an_l1_liu_reads_no_w_dot_w(self, monkeypatch):
+        # the xi measure reads w.w and the l1 measure does not: a grid
+        # whose only reader of it is an l1 liu skips it every sample
+        calls = []
+        vecdot = np.vecdot
+        monkeypatch.setattr(np, "vecdot",
+                            lambda *a, **k: calls.append(1) or vecdot(*a, **k))
+
+        def vecdots(algorithm):
+            calls.clear()
+            run_seeds(grid(N=50, change_at=25, algorithms=[algorithm]), [1])
+            return len(calls)
+
+        assert vecdots(ALL_KINDS[3]) - vecdots(ALL_KINDS[4]) == 50
 
 
 class TestColumnarTrace:

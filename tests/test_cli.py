@@ -428,6 +428,25 @@ class TestEmitSvg:
         with pytest.raises(ValueError):
             emit_svg([], io.StringIO(), title="t")
 
+    def test_points_match_per_point_formatting(self):
+        aggs = tiny_aggregates(n=40)
+        aggs[1].mean_misalignment_db[3] = math.nan
+        buf = io.StringIO()
+        emit_svg(aggs, buf, title="t")
+        polys = ET.fromstring(buf.getvalue()).findall(
+            ".//{http://www.w3.org/2000/svg}polyline")
+        finite = [v for agg in aggs for v in agg.mean_misalignment_db.tolist()
+                  if math.isfinite(v)]
+        ymin, ymax = math.floor(min(finite)), math.ceil(max(finite))
+        # the plot area spans x 70..620 and y 50..540
+        for agg, poly in zip(aggs, polys):
+            want = " ".join(
+                f"{70 + (n / 39) * 550:.2f},"
+                f"{540 - (v - ymin) / (ymax - ymin) * 490:.2f}"
+                for n, v in zip(agg.n.tolist(), agg.mean_misalignment_db.tolist())
+                if math.isfinite(v))
+            assert poly.attrib["points"] == want
+
 
 class TestAggregateCsv:
     def test_long_format_rows(self):
@@ -437,6 +456,14 @@ class TestAggregateCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "scenario,algorithm,n,mean_misalignment_db"
         assert len(lines) == 1 + 3 * 5
+
+    def test_rows_are_the_values_repr(self):
+        aggs = tiny_aggregates(n=5)
+        buf = io.StringIO()
+        emit_aggregate_csv(aggs, buf, scenario="s{0}")
+        assert buf.getvalue().splitlines()[1:] == [
+            f"s{{0}},{agg.name},{n},{float(v)!r}" for agg in aggs
+            for n, v in zip(agg.n, agg.mean_misalignment_db)]
 
     @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\r"])
     def test_bad_scenario_label_rejected(self, label):
