@@ -12,12 +12,11 @@ from .cli import (ConfigError, canonical_config_text, emit_csv, emit_svg,
 from .filtercore import DivergenceError, apply_update, predict_error, step
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
-                      compare, derive_stream_seeds, recovery_time, run_all,
+                      derive_stream_seeds, recovery_time, run_all,
                       run_scenario)
 from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
                       smoothed_mse, sparsity_xi)
-from .signal import (ChannelSchedule, DesiredSignal, generate_input,
-                     synthesize_desired)
+from .signal import DesiredSignal, generate_input, synthesize_desired
 from .stepsize import (KINDS, Controller, controller_params,
                        make_controller)
 
@@ -30,10 +29,10 @@ __all__ = [
     "parse_config", "parse_config_text",
     "DivergenceError", "apply_update", "predict_error", "step",
     "AlgorithmAggregate", "AlgorithmConfig", "ChannelSpec", "RunTrace",
-    "ScenarioConfig", "aggregate", "build_schedule", "compare",
+    "ScenarioConfig", "aggregate", "build_schedule",
     "derive_stream_seeds", "recovery_time", "run_all", "run_scenario",
     "SAMPLE_DTYPE", "misalignment_db", "sign_agreement", "smoothed_mse",
     "sparsity_xi",
-    "ChannelSchedule", "DesiredSignal", "generate_input", "synthesize_desired",
+    "DesiredSignal", "generate_input", "synthesize_desired",
     "KINDS", "Controller", "controller_params", "make_controller",
 ]

@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import save_channel
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
-                      ConfigError, RunTrace, ScenarioConfig, aggregate,
-                      fan_out, run_all)
+                      RECOVERY_MARGIN_DB, ConfigError, RunTrace,
+                      ScenarioConfig, aggregate, fan_out, run_all)
 from .stepsize import PARAMS
 
 CSV_HEADER = "scenario,algorithm,seed,n,e,kappa,misalignment_db,sign_agreement,smoothed_mse"
@@ -329,15 +329,13 @@ def _json_number(v: float) -> float | None:
 
 
 def _cmd_run(args) -> int:
-    if not args.margin_db > 0.0:
-        raise ConfigError(f"--margin-db must be > 0, got {args.margin_db}")
     scenario = Path(args.config).stem
     _check_label(scenario)
     cfg = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     traces = run_all(cfg)
-    aggs = aggregate(cfg, traces, margin_db=args.margin_db)
+    aggs = aggregate(cfg, traces)
     emit_csv(traces, outdir / f"{scenario}_trace.csv", scenario)
     emit_aggregate_csv(aggs, outdir / f"{scenario}_aggregate.csv", scenario)
     emit_svg(aggs, outdir / f"{scenario}.svg", title=scenario)
@@ -348,7 +346,7 @@ def _cmd_run(args) -> int:
             "snr_reference": "empirical clean echo power",
             "seed_aggregation": "pointwise mean of per-seed dB curves",
             "misalignment_recorded": "after each update, against the channel active at that sample",
-            "recovery_margin_db": args.margin_db,
+            "recovery_margin_db": RECOVERY_MARGIN_DB,
         },
         "summary": [
             {
@@ -392,20 +390,23 @@ def _cmd_gen_channel(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1 like any bad input: 2 means a run diverged
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zapvss",
         description="Sparse adaptive-filter simulations with variable "
                     "zero-attractor step-sizes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("run", "run all (algorithm, seed) pairs; write CSV and SVG"),
-            ("compare", "alias of run, emphasizing the aggregate outputs")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="scenario config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--margin-db", type=float, default=3.0,
-                       help="recovery margin above the pre-change steady state")
+    run = sub.add_parser(
+        "run", help="run all (algorithm, seed) pairs; write CSV and SVG")
+    run.add_argument("--config", required=True, help="scenario config file")
+    run.add_argument("--out", default=".", help="output directory")
     gen = sub.add_parser("gen-channel", help="generate and save a channel file")
     gen.add_argument("--L", type=int, required=True)
     gen.add_argument("--type", choices=("sparse", "dispersive"), required=True)
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     gen.add_argument("--out", required=True, help="destination channel file")
     args = parser.parse_args(argv)
     try:
-        if args.command in ("run", "compare"):
+        if args.command == "run":
             return _cmd_run(args)
         return _cmd_gen_channel(args)
     except ConfigError as err:

@@ -17,11 +17,12 @@ from .channel import Channel, generate_dispersive, generate_sparse, load_channel
 from .filtercore import DivergenceError, step
 from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
                       smoothed_mse)
-from .signal import ChannelSchedule, generate_input, synthesize_desired
+from .signal import generate_input, synthesize_desired
 from .stepsize import KINDS, controller_params, make_controller
 
-MSE_BETA = 0.01      # smoothing constant for the recorded error power
-RECOVERY_HOLD = 100  # samples the recovery margin must hold
+MSE_BETA = 0.01          # smoothing constant for the recorded error power
+RECOVERY_MARGIN_DB = 3.0  # recovered: back within this of the pre-change floor
+RECOVERY_HOLD = 100      # samples the recovery margin must hold
 # algorithm names go into CSV rows and config text unquoted
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
@@ -213,12 +214,14 @@ class AlgorithmAggregate:
     max_kappa: float
 
 
-def build_schedule(cfg: ScenarioConfig) -> ChannelSchedule:
-    before = cfg.channel_before.realize(cfg.L)
+def build_schedule(cfg: ScenarioConfig) -> list[tuple[int, int, np.ndarray]]:
+    """The echo path as ``(start, stop, taps)`` spans covering [0, N): one
+    span, or two split at ``change_at``."""
+    before = cfg.channel_before.realize(cfg.L).taps
     if cfg.change_at is None:
-        return ChannelSchedule(((0, before),))
-    after = cfg.channel_after.realize(cfg.L)
-    return ChannelSchedule(((0, before), (cfg.change_at, after)))
+        return [(0, cfg.N, before)]
+    after = cfg.channel_after.realize(cfg.L).taps
+    return [(0, cfg.change_at, before), (cfg.change_at, cfg.N, after)]
 
 
 def derive_stream_seeds(seed: int) -> tuple[int, int]:
@@ -240,10 +243,10 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
     alg = next((a for a in cfg.algorithms if a.name == algorithm), None)
     if alg is None:
         raise ValueError(f"unknown algorithm name {algorithm!r}")
-    schedule = build_schedule(cfg)
+    spans = build_schedule(cfg)
     input_seed, noise_seed = derive_stream_seeds(seed)
     x = generate_input(cfg.N, input_seed, cfg.sigma_x)
-    desired = synthesize_desired(x, schedule, cfg.snr_db, noise_seed)
+    desired = synthesize_desired(x, spans, cfg.snr_db, noise_seed)
     controller = make_controller(alg.kind, alg.params, cfg.mu)
 
     L, every = cfg.L, cfg.record_every
@@ -252,18 +255,20 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
     samples = np.zeros(-(-cfg.N // every), SAMPLE_DTYPE).view(np.recarray)
     mse = 0.0
     diverged_at = None
-    for n in range(cfg.N):
-        r = xp[n:n + L][::-1]
-        try:
-            e, kappa, w = step(w, r, desired.d[n], cfg.mu, controller)
-        except DivergenceError:
-            diverged_at = n
+    for start, stop, h in spans:
+        for n in range(start, stop):
+            r = xp[n:n + L][::-1]
+            try:
+                e, kappa, w = step(w, r, desired.d[n], cfg.mu, controller)
+            except DivergenceError:
+                diverged_at = n
+                break
+            mse = smoothed_mse(mse, e, MSE_BETA)
+            if n % every == 0:
+                samples[n // every] = (n, misalignment_db(h, w), kappa, e,
+                                       sign_agreement(h, w), mse)
+        if diverged_at is not None:
             break
-        mse = smoothed_mse(mse, e, MSE_BETA)
-        if n % every == 0:
-            h = schedule.channel_at(n).taps
-            samples[n // every] = (n, misalignment_db(h, w), kappa, e,
-                                   sign_agreement(h, w), mse)
     if diverged_at is not None:  # keep the rows recorded before it
         samples = samples[:-(-diverged_at // every)]
     final = float(samples.misalignment_db[-1]) if samples.size else math.nan
@@ -279,22 +284,19 @@ def tail_mean(trace: RunTrace, name: str, end: int) -> float:
     return float(np.mean(pre[-max(1, math.ceil(0.1 * pre.size)):]))
 
 
-def recovery_time(trace: RunTrace, change_at: int | None,
-                  margin_db: float = 3.0) -> int | None:
+def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
     """Samples from change_at to the first recorded sample n from which the
-    trace stays within ``margin_db`` of its pre-change floor
+    trace stays within ``RECOVERY_MARGIN_DB`` of its pre-change floor
     (``tail_mean`` of the misalignment before change_at) at every recorded
     sample in [n, n + RECOVERY_HOLD). The rows, one per ``n[1] - n[0]``
     samples, must cover that span. None when it never recovers.
     """
     if change_at is None:
         raise ValueError("change_at is required")
-    if not margin_db > 0.0:
-        raise ValueError(f"margin_db must be > 0, got {margin_db}")
     ns = trace.sample_indices()
     if not (ns.size and ns[0] < change_at <= ns[-1]):
         raise ValueError(f"change_at={change_at} outside the recorded trace")
-    threshold = tail_mean(trace, "misalignment_db", change_at) + margin_db
+    threshold = tail_mean(trace, "misalignment_db", change_at) + RECOVERY_MARGIN_DB
     post = ns >= change_at
     post_ns = ns[post]
     # misses[i]: how many of the first i post-change rows miss the margin
@@ -325,7 +327,7 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     the attractor and take their signs only at the recorded samples, where
     the metrics are computed. A diverged row rests at zero from then on.
     """
-    schedule = build_schedule(cfg)
+    spans = build_schedule(cfg)
     L, N, mu, every = cfg.L, cfg.N, cfg.mu, cfg.record_every
     A, S = len(cfg.algorithms), len(seeds)
     # each seed's input, reversed and zero-padded: the regressor
@@ -335,7 +337,7 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     for i, seed in enumerate(seeds):
         input_seed, noise_seed = derive_stream_seeds(seed)
         x = generate_input(N, input_seed, cfg.sigma_x)
-        d[:, i, 0] = synthesize_desired(x, schedule, cfg.snr_db, noise_seed).d
+        d[:, i, 0] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
         xrev[i, :N] = x[::-1]
 
     ctls = [make_controller(alg.kind, alg.params, mu, rows=S)
@@ -398,7 +400,6 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
         rec[f] for f in SAMPLE_DTYPE.names[1:])
     w_att, sgn_att, kappa_att = w[:, :R], sgn[:, :R], kappa[:, :R]
     w_hold, sgn_hold = w[:, R:], sgn[:, R:]
-    spans = [(start, stop, ch.taps) for start, stop, ch in schedule.spans(N)]
 
     # a diverging row passes through inf and NaN on its own until its stop
     # leaves it at rest: a NaN sign would reach every row of its seed
@@ -548,8 +549,7 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunTrac
             for chunk in results for t in chunk[a]]
 
 
-def aggregate(cfg: ScenarioConfig, traces: list[RunTrace],
-              margin_db: float = 3.0) -> list[AlgorithmAggregate]:
+def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggregate]:
     """Per-algorithm pointwise dB-mean curves, floors and recovery
     summaries (see ``AlgorithmAggregate``).
 
@@ -570,8 +570,7 @@ def aggregate(cfg: ScenarioConfig, traces: list[RunTrace],
             ns = np.array([], dtype=np.int64)
             mean_curve = np.array([])
         times = ([] if cfg.change_at is None else
-                 [recovery_time(t, cfg.change_at, margin_db)
-                  for t in included])
+                 [recovery_time(t, cfg.change_at) for t in included])
         reached = [t for t in times if t is not None]
         out.append(AlgorithmAggregate(
             name=alg.name, n=ns, mean_misalignment_db=mean_curve,
@@ -594,9 +593,3 @@ def aggregate(cfg: ScenarioConfig, traces: list[RunTrace],
 
 def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else math.nan
-
-
-def compare(cfg: ScenarioConfig, margin_db: float = 3.0,
-            max_workers: int | None = None) -> list[AlgorithmAggregate]:
-    """Run the whole grid and aggregate per algorithm."""
-    return aggregate(cfg, run_all(cfg, max_workers), margin_db)

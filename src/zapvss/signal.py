@@ -1,5 +1,5 @@
-"""White Gaussian input and the SNR-calibrated desired signal with a
-scheduled echo-path change."""
+"""White Gaussian input and the SNR-calibrated desired signal with an
+abrupt echo-path change."""
 
 from __future__ import annotations
 
@@ -7,53 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import Channel
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelSchedule:
-    """Ordered (start_index, channel) segments covering the whole run.
-
-    The first segment must start at 0, start indices must strictly
-    increase, and every channel must share one length.
-    """
-
-    segments: tuple
-
-    def __post_init__(self):
-        segs = tuple((int(start), ch) for start, ch in self.segments)
-        if not segs:
-            raise ValueError("a schedule needs at least one segment")
-        if segs[0][0] != 0:
-            raise ValueError("the first segment must start at index 0")
-        starts = [start for start, _ in segs]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("segment start indices must strictly increase")
-        L = segs[0][1].L
-        if any(ch.L != L for _, ch in segs):
-            raise ValueError("all channels in a schedule must share one length")
-        object.__setattr__(self, "segments", segs)
-
-    @property
-    def L(self) -> int:
-        return self.segments[0][1].L
-
-    def channel_at(self, n: int) -> Channel:
-        active = self.segments[0][1]
-        for start, ch in self.segments:
-            if n < start:
-                break
-            active = ch
-        return active
-
-    def spans(self, N: int):
-        """Yield (start, stop, channel) slices covering [0, N)."""
-        starts = [start for start, _ in self.segments] + [N]
-        for (start, ch), stop in zip(self.segments, starts[1:]):
-            if start >= N:
-                break
-            yield start, min(stop, N), ch
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +28,13 @@ def generate_input(N: int, seed: int, sigma_x: float = 1.0) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(N) * sigma_x
 
 
-def synthesize_desired(x, schedule: ChannelSchedule, snr_db: float,
+def synthesize_desired(x, spans, snr_db: float,
                        noise_seed: int) -> DesiredSignal:
-    """Filter x through the scheduled channels and add white Gaussian noise.
+    """Filter x through the echo path and add white Gaussian noise.
+
+    ``spans`` is the echo path as ``(start, stop, taps)`` slices covering
+    [0, len(x)), as ``harness.build_schedule`` returns it: sample n of the
+    clean echo is the output of the taps whose span holds n.
 
     The noise power is calibrated against the empirical power of the full
     clean sequence, mean(clean^2) / 10^(snr_db/10), so the realized SNR of
@@ -91,8 +48,8 @@ def synthesize_desired(x, schedule: ChannelSchedule, snr_db: float,
         raise ValueError(f"snr_db must be a real value or +inf, got {snr_db}")
     N = x.size
     clean = np.empty(N)
-    for start, stop, ch in schedule.spans(N):
-        clean[start:stop] = np.convolve(x, ch.taps)[start:stop]
+    for start, stop, taps in spans:
+        clean[start:stop] = np.convolve(x, taps)[start:stop]
     if math.isinf(snr_db):
         return DesiredSignal(d=clean.copy(), clean=clean, noise_variance=0.0)
     noise_variance = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)

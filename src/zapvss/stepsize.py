@@ -39,24 +39,24 @@ def _open_unit(v) -> bool:
 
 
 def _positive(v) -> bool:
-    return v > 0.0
+    return v > 0.0 and math.isfinite(v)
 
 
 # config key -> (type, check, what the check demands)
 PARAMS: dict[str, tuple[type, Callable, str]] = {
     "kappa0": (float, lambda v: v >= 0.0 and math.isfinite(v), ">= 0 and finite"),
     "eta": (float, _open_unit, "in (0,1)"),
-    "kappa_min": (float, _positive, "> 0"),
+    "kappa_min": (float, _positive, "> 0 and finite"),
     "beta": (float, _open_unit, "in (0,1)"),
     "window": (int, lambda v: v >= 1, "an integer >= 1"),
-    "tolerance": (float, _positive, "> 0"),
+    "tolerance": (float, _positive, "> 0 and finite"),
     "cooldown": (int, lambda v: v >= 0, "an integer >= 0"),
     "lambda": (float, _open_unit, "in (0,1)"),
     "alpha": (float, _open_unit, "in (0,1)"),
-    "gamma": (float, _positive, "> 0"),
+    "gamma": (float, _positive, "> 0 and finite"),
     "measure": (str, lambda v: v in MEASURES, "'l1' or 'xi'"),
-    "kappa_max": (float, _positive, "> 0"),
-    "w2_floor": (float, _positive, "> 0"),
+    "kappa_max": (float, _positive, "> 0 and finite"),
+    "w2_floor": (float, _positive, "> 0 and finite"),
 }
 
 

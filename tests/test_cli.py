@@ -485,12 +485,6 @@ class TestMain:
         assert (out / "grid_aggregate.csv").exists()
         assert "grid lms" in capsys.readouterr().out
 
-    def test_compare_alias(self, tmp_path):
-        cfg_path = tmp_path / "grid.cfg"
-        cfg_path.write_text(MINIMAL)
-        assert main(["compare", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o")]) == 0
-
     def test_run_deterministic_outputs(self, tmp_path):
         cfg_path = tmp_path / "grid.cfg"
         cfg_path.write_text(MINIMAL)
@@ -508,6 +502,15 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_infinite_controller_param_exit_code(self, tmp_path, capsys):
+        # gamma=inf would parse as a float and diverge at the first sample
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(FULL.replace("gamma=0.5", "gamma=inf"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "gamma must be > 0 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_no_recorded_sample_after_change_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "grid.cfg"
@@ -547,6 +550,7 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         meta = json.loads((out / "grid_meta.json").read_text())
+        assert meta["conventions"]["recovery_margin_db"] == 3.0
         cfg = parse_config_text(FULL)
         for entry, agg in zip(meta["summary"],
                               aggregate(cfg, run_all(cfg, max_workers=1))):
@@ -617,12 +621,24 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_margin_is_config_error(self, tmp_path, capsys):
-        cfg_path = tmp_path / "grid.cfg"
-        cfg_path.write_text(FULL)
-        assert main(["run", "--config", str(cfg_path), "--margin-db", "0",
-                     "--out", str(tmp_path / "o")]) == 1
-        assert "--margin-db" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        [], ["run"], ["compare", "--config", "grid.cfg"],
+        ["run", "--config", "grid.cfg", "--margin-db", "3"],
+        ["gen-channel", "--L", "16", "--type", "bogus", "--out", "h.txt"],
+        ["gen-channel", "--L", "x", "--type", "sparse", "--out", "h.txt"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # 2 is the code of a diverged run; argparse would use it here
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert "usage: zapvss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: zapvss" in capsys.readouterr().out
 
     def test_program_fault_is_internal_error(self, tmp_path, capsys,
                                              monkeypatch):

@@ -8,11 +8,11 @@ from zapvss.filtercore import DivergenceError, predict_error, step
 from oracles import (oracle_delta_l1, oracle_delta_projected,
                      proposed_l1_delta, residual_error)
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
-                            ScenarioConfig, aggregate, build_schedule, compare,
+                            ScenarioConfig, aggregate, build_schedule,
                             derive_stream_seeds, recovery_time, run_all,
                             run_scenario)
 from zapvss.metrics import SAMPLE_DTYPE
-from zapvss.signal import ChannelSchedule, generate_input, synthesize_desired
+from zapvss.signal import generate_input, synthesize_desired
 from zapvss.stepsize import make_controller
 
 
@@ -94,8 +94,8 @@ class TestScenarioConfig:
         save_channel(generate_sparse(16, 4, 21), path)
         cfg = small_config(
             channel_before=ChannelSpec(kind="file", path=str(path)))
-        sched = build_schedule(cfg)
-        assert sched.L == 16
+        [(_, _, taps)] = build_schedule(cfg)
+        assert np.array_equal(taps, generate_sparse(16, 4, 21).taps)
 
     def test_file_channel_length_mismatch(self, tmp_path):
         from zapvss.channel import save_channel
@@ -105,6 +105,19 @@ class TestScenarioConfig:
             channel_before=ChannelSpec(kind="file", path=str(path)))
         with pytest.raises(ValueError, match="L=8"):
             build_schedule(cfg)
+
+    @pytest.mark.parametrize("change_at", [None, 70])
+    def test_schedule_spans_cover_the_run(self, change_at):
+        after = ChannelSpec(kind="sparse", active_count=4, seed=3)
+        cfg = small_config(change_at=change_at,
+                           channel_after=after if change_at else None)
+        spans = build_schedule(cfg)
+        # contiguous spans from 0 to N, split at the change if there is one
+        bounds = [0, cfg.N] if change_at is None else [0, change_at, cfg.N]
+        assert ([(start, stop) for start, stop, _ in spans]
+                == list(zip(bounds, bounds[1:])))
+        for (_, _, taps), spec in zip(spans, [cfg.channel_before, after]):
+            assert np.array_equal(taps, spec.realize(cfg.L).taps)
 
 
 class TestRunScenario:
@@ -145,10 +158,10 @@ class TestRunScenario:
     def test_diverged_at_is_the_first_failing_step(self, record_every):
         # at mu=2.5 seed 4 diverges inside the run
         cfg = small_config(mu=2.5, N=400, seeds=[4], record_every=record_every)
-        schedule = build_schedule(cfg)
+        spans = build_schedule(cfg)
         input_seed, noise_seed = derive_stream_seeds(4)
         x = generate_input(cfg.N, input_seed)
-        des = synthesize_desired(x, schedule, cfg.snr_db, noise_seed)
+        des = synthesize_desired(x, spans, cfg.snr_db, noise_seed)
         xp = np.concatenate([np.zeros(cfg.L - 1), x])
         w = np.zeros(cfg.L)
         ctl = make_controller("lms", {}, cfg.mu)
@@ -240,10 +253,9 @@ class TestNoiseFreeEquivalence:
         # observable estimate must reproduce the oracle at every sample
         L, K, N, mu = 64, 4, 400, 0.005
         ch = generate_sparse(L, K, 7)
-        sched = ChannelSchedule(((0, ch),))
         input_seed, noise_seed = derive_stream_seeds(0)
         x = generate_input(N, input_seed)
-        des = synthesize_desired(x, sched, math.inf, noise_seed)
+        des = synthesize_desired(x, [(0, N, ch.taps)], math.inf, noise_seed)
         xp = np.concatenate([np.zeros(L - 1), x])
         w = np.zeros(L)
         ctl = make_controller("proposed_l1", {"alpha": 0.05, "gamma": 1e-3,
@@ -264,17 +276,17 @@ class TestRecoveryTime:
     def test_immediate_recovery(self):
         mis = [-30.0] * 200 + [-29.5] * 200
         trace = make_trace(mis)
-        assert recovery_time(trace, change_at=200, margin_db=3.0) == 0
+        assert recovery_time(trace, change_at=200) == 0
 
     def test_never_recovered(self):
         mis = [-30.0] * 200 + [0.0] * 200
         trace = make_trace(mis)
-        assert recovery_time(trace, change_at=200, margin_db=3.0) is None
+        assert recovery_time(trace, change_at=200) is None
 
     def test_hand_built_crossing(self):
         mis = [-30.0] * 2000 + [-10.0] * 1234 + [-28.0] * 800
         trace = make_trace(mis)
-        assert recovery_time(trace, change_at=2000, margin_db=3.0) == 1234
+        assert recovery_time(trace, change_at=2000) == 1234
 
     def test_short_dips_do_not_count(self):
         # a 50-sample dip below threshold is not a recovery; the real one
@@ -282,12 +294,12 @@ class TestRecoveryTime:
         mis = [-30.0] * 500 + [-10.0] * 100 + [-29.0] * 50 + [-10.0] * 150 \
             + [-29.0] * 400
         trace = make_trace(mis)
-        assert recovery_time(trace, change_at=500, margin_db=3.0) == 300
+        assert recovery_time(trace, change_at=500) == 300
 
     def test_respects_recorded_indices(self):
         mis = [-30.0] * 100 + [-10.0] * 10 + [-29.0] * 200
         trace = make_trace(mis, step_n=5)  # record_every=5 style trace
-        assert recovery_time(trace, change_at=500, margin_db=3.0) == 50
+        assert recovery_time(trace, change_at=500) == 50
 
     @pytest.mark.parametrize("every", [1, 10, 20])
     def test_hold_counts_samples_not_rows(self, every):
@@ -297,7 +309,7 @@ class TestRecoveryTime:
             channel_before=ChannelSpec(kind="sparse", active_count=2, seed=3),
             channel_after=ChannelSpec(kind="sparse", active_count=2, seed=4),
             seeds=[1, 2])
-        agg = compare(cfg, max_workers=1)[0]
+        agg = aggregate(cfg, run_all(cfg, max_workers=1))[0]
         assert agg.not_recovered == 0
         assert None not in agg.recovery_times
         if every == 1:
@@ -307,23 +319,17 @@ class TestRecoveryTime:
         # recovered from n=550 on, but the rows end before n=650
         trace = make_trace([-30.0] * 100 + [-10.0] * 10 + [-29.0] * 19,
                            step_n=5)
-        assert recovery_time(trace, change_at=500, margin_db=3.0) is None
+        assert recovery_time(trace, change_at=500) is None
         trace = make_trace([-30.0] * 100 + [-10.0] * 10 + [-29.0] * 20,
                            step_n=5)
-        assert recovery_time(trace, change_at=500, margin_db=3.0) == 50
+        assert recovery_time(trace, change_at=500) == 50
 
     def test_missing_change_rejected(self):
         trace = make_trace([-30.0] * 100)
         with pytest.raises(ValueError):
-            recovery_time(trace, None, 3.0)
+            recovery_time(trace, None)
         with pytest.raises(ValueError):
-            recovery_time(trace, 100, 3.0)  # nothing recorded after change
-
-    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan])
-    def test_margin_must_be_positive(self, margin):
-        trace = make_trace([-30.0] * 200)
-        with pytest.raises(ValueError, match="margin_db"):
-            recovery_time(trace, 100, margin_db=margin)
+            recovery_time(trace, 100)  # nothing recorded after change
 
 
 class TestAggregation:
@@ -399,7 +405,7 @@ class TestAggregation:
             algorithms=[AlgorithmConfig("b", "lms"),
                         AlgorithmConfig("a", "fixed_zap", {"kappa0": 1e-5})],
             seeds=[1, 2])
-        aggs = compare(cfg, max_workers=1)
+        aggs = aggregate(cfg, run_all(cfg, max_workers=1))
         assert [a.name for a in aggs] == ["b", "a"]
 
     def test_recovery_aggregation(self):
@@ -407,7 +413,7 @@ class TestAggregation:
             N=2000, change_at=1000,
             channel_after=ChannelSpec(kind="sparse", active_count=4, seed=33),
             seeds=[1, 2])
-        aggs = compare(cfg, margin_db=3.0, max_workers=1)
+        aggs = aggregate(cfg, run_all(cfg, max_workers=1))
         assert aggs[0].mean_recovery_time is not None
         assert aggs[0].not_recovered == 0
 

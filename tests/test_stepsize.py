@@ -58,10 +58,10 @@ def feed(ctl, e, x, w):
 
 
 def drive(kind, e, x, w, **params):
-    """The first kappa from kappa0=0 with alpha*gamma = 1 and no clamp:
-    the kind's drive delta itself, clamped at 0."""
+    """The first kappa from kappa0=0 with alpha*gamma = 1 and a ceiling no
+    drive reaches: the kind's drive delta itself, clamped at 0."""
     ctl = make_controller(kind, {"alpha": 0.5, "gamma": 2.0,
-                                 "kappa_max": math.inf, **params}, MU)
+                                 "kappa_max": 1e300, **params}, MU)
     return feed(ctl, e, x, w)
 
 
@@ -245,6 +245,8 @@ class TestConvergenceDetector:
             you(window=0)
         with pytest.raises(ValueError, match="tolerance"):
             you(tolerance=0.0)
+        with pytest.raises(ValueError, match="tolerance must be > 0 and finite"):
+            you(tolerance=math.inf)
 
 
 class TestYouVss:
@@ -278,6 +280,8 @@ class TestYouVss:
             you(eta=1.2)
         with pytest.raises(ValueError, match="kappa_min"):
             you(kappa_min=0.0)
+        with pytest.raises(ValueError, match="kappa_min must be > 0 and finite"):
+            you(kappa_min=math.inf)
 
 
 def liu(phi0=0.0, **params):
@@ -344,6 +348,10 @@ class TestLiuVss:
             liu(**{"lambda": 0.5}, alpha=0.0, gamma=1.0)
         with pytest.raises(ValueError, match="measure"):
             liu(**{"lambda": 0.5}, alpha=0.5, gamma=1.0, measure="l2")
+        with pytest.raises(ValueError, match="gamma must be > 0 and finite"):
+            liu(**{"lambda": 0.5}, alpha=0.5, gamma=math.inf)
+        with pytest.raises(ValueError, match="kappa_max must be > 0 and finite"):
+            liu(**{"lambda": 0.5}, alpha=0.5, gamma=1.0, kappa_max=math.inf)
 
 
 class TestProposedControllers:
@@ -373,6 +381,12 @@ class TestProposedControllers:
         ctl = make_controller("proposed_l1", {"alpha": 0.9, "gamma": 1e6,
                                               "kappa_max": 0.5}, MU)
         assert feed(ctl, 10.0, [1.0, 1.0], [1.0, 1.0]) == 0.5
+
+    @pytest.mark.parametrize("w2_floor", [0.0, math.inf])
+    def test_w2_floor_must_be_positive_and_finite(self, w2_floor):
+        with pytest.raises(ValueError, match="w2_floor must be > 0 and finite"):
+            make_controller("proposed_norm", {"alpha": 0.5, "gamma": 1.0,
+                                              "w2_floor": w2_floor}, MU)
 
 
 class TestMakeController:
@@ -421,7 +435,7 @@ class TestMakeController:
         with pytest.raises(ValueError, match="window must be an integer"):
             controller_params("you", {"kappa0": 1e-4, "eta": 0.5,
                                       "kappa_min": 1e-6, "window": 50.0}, 0.01)
-        with pytest.raises(ValueError, match="gamma must be > 0, got 'big'"):
+        with pytest.raises(ValueError, match="gamma must be > 0 and finite, got 'big'"):
             controller_params("proposed_l1", {"alpha": 0.1, "gamma": "big"},
                               0.01)
 
