@@ -31,8 +31,7 @@ AGGREGATE_HEADER = "scenario,algorithm,n,mean_misalignment_db"
 # comma-separated ints); every default and rule is the config dataclasses'
 _SCENARIO_KEYS = (
     ("L", int), ("N", int), ("snr_db", float), ("mu", float),
-    ("sigma_x", float), ("change_at", int), ("record_every", int),
-    ("seeds", list),
+    ("change_at", int), ("record_every", int), ("seeds", list),
 )
 _CHANNEL_KEYS = {  # file= holds ChannelSpec.path
     "sparse": (("kind", str), ("active_count", int), ("seed", int)),
@@ -124,7 +123,7 @@ def _parse_channel(hline: int, kv: dict) -> ChannelSpec:
         args["path"] = args.pop("file")
     try:
         return ChannelSpec(**args)
-    except ValueError as err:
+    except ConfigError as err:
         raise ConfigError(f"line {hline}: {err}") from None
 
 
@@ -159,10 +158,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     args.update(channel_before=_parse_channel(*before), algorithms=algorithms,
                 channel_after=_parse_channel(*after) if after else None)
     _require(ScenarioConfig, args, "[scenario]")
-    try:
-        return ScenarioConfig(**args)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return ScenarioConfig(**args)
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -380,10 +376,8 @@ def _cmd_run(args) -> int:
 def _cmd_gen_channel(args) -> int:
     if args.type == "sparse" and args.active is None:
         raise ConfigError("--active is required for --type sparse")
-    try:
-        spec = ChannelSpec(args.type, args.active, args.seed, args.decay)
-    except ValueError as err:  # a flag of the other generator
-        raise ConfigError(str(err)) from None
+    # a flag of the other generator raises ConfigError
+    spec = ChannelSpec(args.type, args.active, args.seed, args.decay)
     ch = spec.realize(args.L)
     save_channel(ch, args.out)
     print(f"wrote {args.type} channel L={args.L} seed={args.seed} to {args.out}")

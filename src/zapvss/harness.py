@@ -40,7 +40,7 @@ _CHANNEL_FIELDS = {"sparse": ("active_count", "seed"),
 @dataclass
 class ChannelSpec:
     """How to obtain a channel: generator parameters or a file path. A
-    field that does not apply to the kind must keep its default."""
+    field its kind does not use must keep its default, else ConfigError."""
 
     kind: str  # 'sparse' | 'dispersive' | 'file'
     active_count: int | None = None
@@ -51,19 +51,19 @@ class ChannelSpec:
     def __post_init__(self):
         used = _CHANNEL_FIELDS.get(self.kind)
         if used is None:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+            raise ConfigError(f"unknown channel kind {self.kind!r}")
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if f.name in used and value is None:
-                raise ValueError(f"a {self.kind} channel requires {f.name}")
+                raise ConfigError(f"a {self.kind} channel requires {f.name}")
             if f.name not in used and value != f.default:
-                raise ValueError(f"a {self.kind} channel takes no {f.name}, "
-                                 f"got {value!r}")
+                raise ConfigError(f"a {self.kind} channel takes no {f.name}, "
+                                  f"got {value!r}")
         # the config text could not carry such a path back
         if self.path is not None and (self.path != self.path.strip()
                                       or len(self.path.splitlines()) > 1):
-            raise ValueError(f"channel file path {self.path!r} must be one "
-                             f"line without leading or trailing whitespace")
+            raise ConfigError(f"channel file path {self.path!r} must be one "
+                              f"line without leading or trailing whitespace")
 
     def realize(self, L: int) -> Channel:
         """The channel for filter length L. Generator arguments it cannot
@@ -95,7 +95,8 @@ class AlgorithmConfig:
 
 @dataclass
 class ScenarioConfig:
-    """Full experiment description for one comparison grid."""
+    """Full experiment description for one comparison grid; a value that
+    breaks a rule raises ConfigError."""
 
     L: int
     N: int
@@ -106,55 +107,52 @@ class ScenarioConfig:
     seeds: list[int]
     channel_after: ChannelSpec | None = None
     change_at: int | None = None
-    sigma_x: float = 1.0
     record_every: int = 1
 
     def __post_init__(self):
         if self.L <= 1:
-            raise ValueError(f"L must be > 1, got {self.L}")
+            raise ConfigError(f"L must be > 1, got {self.L}")
         if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+            raise ConfigError(f"N must be >= 1, got {self.N}")
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be > 0 and finite, got {self.mu}")
-        if not (self.sigma_x > 0.0 and math.isfinite(self.sigma_x)):
-            raise ValueError(f"sigma_x must be > 0, got {self.sigma_x}")
+            raise ConfigError(f"mu must be > 0 and finite, got {self.mu}")
         if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be real or +inf, got {self.snr_db}")
+            raise ConfigError(f"snr_db must be real or +inf, got {self.snr_db}")
         if self.change_at is not None:
             if not 0 < self.change_at < self.N:
-                raise ValueError(
+                raise ConfigError(
                     f"change_at must be in (0, N={self.N}), got {self.change_at}")
             if self.channel_after is None:
-                raise ValueError("change_at requires a channel_after spec")
+                raise ConfigError("change_at requires a channel_after spec")
             # recovery is measured on the samples recorded from change_at on
             every = self.record_every
             if -(-self.change_at // every) * every >= self.N:
-                raise ValueError(
+                raise ConfigError(
                     f"record_every={self.record_every} records no sample in "
                     f"[change_at={self.change_at}, N={self.N})")
         elif self.channel_after is not None:
-            raise ValueError("channel_after requires change_at")
+            raise ConfigError("channel_after requires change_at")
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
-            raise ValueError(f"duplicate seed in {self.seeds}")
+            raise ConfigError(f"duplicate seed in {self.seeds}")
         if not self.algorithms:
-            raise ValueError("at least one algorithm is required")
+            raise ConfigError("at least one algorithm is required")
         names = [a.name for a in self.algorithms]
         for alg in self.algorithms:
             if not _NAME_RE.fullmatch(alg.name):
-                raise ValueError(f"algorithm name {alg.name!r} may only use "
-                                 f"letters, digits, '_', '.', '-'")
+                raise ConfigError(f"algorithm name {alg.name!r} may only use "
+                                  f"letters, digits, '_', '.', '-'")
             if names.count(alg.name) > 1:
-                raise ValueError(f"duplicate algorithm name '{alg.name}'")
+                raise ConfigError(f"duplicate algorithm name '{alg.name}'")
             try:
                 controller_params(alg.kind, alg.params, self.mu)
             except ValueError as err:
-                raise ValueError(f"[algorithm] '{alg.name}': {err}") from None
+                raise ConfigError(f"[algorithm] '{alg.name}': {err}") from None
 
 
 @dataclass
@@ -177,15 +175,6 @@ class RunTrace:
         if isinstance(self.samples, np.ndarray):
             return self.samples[name]
         return np.array([getattr(s, name) for s in self.samples])
-
-    def sample_indices(self) -> np.ndarray:
-        return self.column("n").astype(np.int64, copy=False)
-
-    def misalignment_curve(self) -> np.ndarray:
-        return self.column("misalignment_db")
-
-    def kappa_curve(self) -> np.ndarray:
-        return self.column("kappa")
 
 
 @dataclass
@@ -245,7 +234,7 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
         raise ValueError(f"unknown algorithm name {algorithm!r}")
     spans = build_schedule(cfg)
     input_seed, noise_seed = derive_stream_seeds(seed)
-    x = generate_input(cfg.N, input_seed, cfg.sigma_x)
+    x = generate_input(cfg.N, input_seed)
     desired = synthesize_desired(x, spans, cfg.snr_db, noise_seed)
     controller = make_controller(alg.kind, alg.params, cfg.mu)
 
@@ -279,7 +268,7 @@ def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
 def tail_mean(trace: RunTrace, name: str, end: int) -> float:
     """Mean of field ``name`` over the last 10% of the rows recorded
     before sample ``end`` (at least one row)."""
-    ns = trace.sample_indices()
+    ns = trace.column("n")
     pre = trace.column(name)[ns < end]
     return float(np.mean(pre[-max(1, math.ceil(0.1 * pre.size)):]))
 
@@ -293,7 +282,7 @@ def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
     """
     if change_at is None:
         raise ValueError("change_at is required")
-    ns = trace.sample_indices()
+    ns = trace.column("n")
     if not (ns.size and ns[0] < change_at <= ns[-1]):
         raise ValueError(f"change_at={change_at} outside the recorded trace")
     threshold = tail_mean(trace, "misalignment_db", change_at) + RECOVERY_MARGIN_DB
@@ -301,7 +290,7 @@ def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
     post_ns = ns[post]
     # misses[i]: how many of the first i post-change rows miss the margin
     misses = np.concatenate(([0], np.cumsum(
-        ~(trace.misalignment_curve()[post] <= threshold))))
+        ~(trace.column("misalignment_db")[post] <= threshold))))
     window_end = np.searchsorted(post_ns, post_ns + RECOVERY_HOLD)
     covered = post_ns + RECOVERY_HOLD <= ns[-1] + (ns[1] - ns[0])
     held = (misses[window_end] == misses[:-1]) & covered
@@ -336,7 +325,7 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     d = np.empty((N, S, 1))
     for i, seed in enumerate(seeds):
         input_seed, noise_seed = derive_stream_seeds(seed)
-        x = generate_input(N, input_seed, cfg.sigma_x)
+        x = generate_input(N, input_seed)
         d[:, i, 0] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
         xrev[i, :N] = x[::-1]
 
@@ -563,8 +552,8 @@ def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggr
         diverged = [(t.seed, t.diverged_at) for t in runs
                     if t.diverged_at is not None]
         if included:
-            ns = included[0].sample_indices()
-            curves = np.vstack([t.misalignment_curve() for t in included])
+            ns = included[0].column("n")
+            curves = np.vstack([t.column("misalignment_db") for t in included])
             mean_curve = curves.mean(axis=0)
         else:
             ns = np.array([], dtype=np.int64)
@@ -586,7 +575,7 @@ def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggr
                                       for t in included]),
             floor_sign_agreement=_mean_or_nan(
                 [tail_mean(t, "sign_agreement", end) for t in included]),
-            max_kappa=max((float(np.max(t.kappa_curve())) for t in included),
+            max_kappa=max((float(np.max(t.column("kappa"))) for t in included),
                           default=math.nan)))
     return out
 

@@ -18,14 +18,12 @@ class DesiredSignal:
     noise_variance: float
 
 
-def generate_input(N: int, seed: int, sigma_x: float = 1.0) -> np.ndarray:
-    """N i.i.d. normal(0, sigma_x^2) samples, deterministic in (N, seed,
-    sigma_x); the sigma_x=s output is exactly s times the sigma_x=1 output."""
+def generate_input(N: int, seed: int) -> np.ndarray:
+    """N i.i.d. standard normal samples, deterministic in (N, seed). The
+    input has unit power: ``mu`` carries the only power scale."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not (sigma_x > 0.0 and math.isfinite(sigma_x)):
-        raise ValueError(f"sigma_x must be > 0, got {sigma_x}")
-    return np.random.default_rng(seed).standard_normal(N) * sigma_x
+    return np.random.default_rng(seed).standard_normal(N)
 
 
 def synthesize_desired(x, spans, snr_db: float,

@@ -33,15 +33,15 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _steady_db(trace, change_at):
-    ns = trace.sample_indices()
-    mis = trace.misalignment_curve()
+    ns = trace.column("n")
+    mis = trace.column("misalignment_db")
     pre = mis[ns < change_at]
     tail = max(1, math.ceil(0.1 * pre.size))
     return float(np.mean(pre[-tail:]))
 
 
 def _sign_tail(trace, change_at):
-    ns = trace.sample_indices()
+    ns = trace.column("n")
     sig = np.array([s.sign_agreement for s in trace.samples])
     pre = sig[ns < change_at]
     tail = max(1, math.ceil(0.1 * pre.size))
@@ -195,7 +195,7 @@ def test_criterion_7_robustness(sparse_grid, dispersive_grid):
                                  ("dispersive", dispersive_grid)):
         # kappa sanity over every run of criteria 4-6
         for t in traces:
-            kappas = t.kappa_curve()
+            kappas = t.column("kappa")
             if not (np.all(kappas >= 0.0) and np.all(np.isfinite(kappas))):
                 problems.append(f"{label}:{t.algorithm}:{t.seed} bad kappa")
 
@@ -204,7 +204,7 @@ def test_criterion_7_robustness(sparse_grid, dispersive_grid):
         sched = build_schedule(cfg)
         for seed in cfg.seeds:
             input_seed, noise_seed = derive_stream_seeds(seed)
-            x = generate_input(cfg.N, input_seed, cfg.sigma_x)
+            x = generate_input(cfg.N, input_seed)
             des = synthesize_desired(x, sched, cfg.snr_db, noise_seed)
             noise = des.d - des.clean
             realized = 10.0 * math.log10(

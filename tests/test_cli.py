@@ -45,7 +45,6 @@ L=16
 N=300
 snr_db=30
 mu=0.01
-sigma_x=1.0
 change_at=150
 record_every=1
 seeds=1,2
@@ -82,7 +81,6 @@ class TestParseConfig:
         cfg = parse_config_text(MINIMAL)
         assert cfg.L == 16 and cfg.N == 50
         assert cfg.record_every == 1
-        assert cfg.sigma_x == 1.0
         assert cfg.change_at is None and cfg.channel_after is None
         assert cfg.seeds == [1, 2]
         assert cfg.algorithms[0].kind == "lms"
@@ -98,9 +96,12 @@ class TestParseConfig:
         assert math.isinf(cfg.snr_db)
 
     def test_unknown_scenario_key_named(self):
-        bad = MINIMAL.replace("mu=0.01", "mu=0.01\nunknown_key=3")
-        with pytest.raises(ConfigError, match="unknown_key"):
-            parse_config_text(bad)
+        # the input has unit power, so no key sets it: mu carries the scale
+        for key in ("unknown_key", "sigma_x"):
+            bad = MINIMAL.replace("mu=0.01", f"mu=0.01\n{key}=1.0")
+            with pytest.raises(ConfigError, match=rf"^line 6: unknown key "
+                               rf"'{key}' in \[scenario\]$"):
+                parse_config_text(bad)
 
     def test_unknown_algorithm_key_named(self):
         bad = MINIMAL + "rho=1\n"
@@ -187,8 +188,8 @@ class TestParseConfig:
         # pins the key order and the written defaults, which a round trip
         # alone would not notice
         assert canonical_config_text(parse_config_text(FULL)) == (
-            "[scenario]\nL=16\nN=300\nsnr_db=30.0\nmu=0.01\nsigma_x=1.0\n"
-            "change_at=150\nrecord_every=1\nseeds=1,2\n\n"
+            "[scenario]\nL=16\nN=300\nsnr_db=30.0\nmu=0.01\nchange_at=150\n"
+            "record_every=1\nseeds=1,2\n\n"
             "[channel.before]\nkind=sparse\nactive_count=4\nseed=21\n\n"
             "[channel.after]\nkind=sparse\nactive_count=4\nseed=33\n\n"
             "[algorithm]\nname=lms\nkind=lms\n\n"
@@ -198,8 +199,8 @@ class TestParseConfig:
 
     def test_canonical_text_minimal(self):
         assert canonical_config_text(parse_config_text(MINIMAL)) == (
-            "[scenario]\nL=16\nN=50\nsnr_db=30.0\nmu=0.01\nsigma_x=1.0\n"
-            "record_every=1\nseeds=1,2\n\n"
+            "[scenario]\nL=16\nN=50\nsnr_db=30.0\nmu=0.01\nrecord_every=1\n"
+            "seeds=1,2\n\n"
             "[channel.before]\nkind=sparse\nactive_count=4\nseed=21\n\n"
             "[algorithm]\nname=lms\nkind=lms\n")
 

@@ -70,7 +70,7 @@ def configs(draw):
         L=draw(st.integers(2, 10**5)), N=N,
         snr_db=draw(st.floats(allow_nan=False).filter(
             lambda v: v != -math.inf)),
-        mu=draw(positive), sigma_x=draw(positive),
+        mu=draw(positive),
         record_every=record_every, change_at=change_at,
         channel_before=draw(channels),
         channel_after=draw(channels) if change else None,

@@ -7,10 +7,10 @@ from zapvss.channel import generate_sparse
 from zapvss.filtercore import DivergenceError, predict_error, step
 from oracles import (oracle_delta_l1, oracle_delta_projected,
                      proposed_l1_delta, residual_error)
-from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
-                            ScenarioConfig, aggregate, build_schedule,
-                            derive_stream_seeds, recovery_time, run_all,
-                            run_scenario)
+from zapvss.harness import (AlgorithmConfig, ChannelSpec, ConfigError,
+                            RunTrace, ScenarioConfig, aggregate,
+                            build_schedule, derive_stream_seeds,
+                            recovery_time, run_all, run_scenario)
 from zapvss.metrics import SAMPLE_DTYPE
 from zapvss.signal import generate_input, synthesize_desired
 from zapvss.stepsize import make_controller
@@ -83,6 +83,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="whitespace"):
             ChannelSpec(kind="file", path=path)
 
+    @pytest.mark.parametrize("build", [
+        lambda: small_config(mu=0.0),
+        lambda: small_config(algorithms=[AlgorithmConfig("a", "nlms")]),
+        lambda: ChannelSpec(kind="sparse", seed=3)])
+    def test_rules_raise_config_error(self, build):
+        # a rule raises ConfigError where it lives, so no caller re-wraps it
+        with pytest.raises(ConfigError):
+            build()
+
     def test_bad_controller_params_fail_fast(self):
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             small_config(algorithms=[AlgorithmConfig(
@@ -142,8 +151,9 @@ class TestRunScenario:
                 "pn", "proposed_norm", {"alpha": 0.05, "gamma": 0.1})])
         a = run_scenario(cfg, "pn", 1)
         b = run_scenario(cfg, "pn", 1)
-        assert np.array_equal(a.misalignment_curve(), b.misalignment_curve())
-        assert np.array_equal(a.kappa_curve(), b.kappa_curve())
+        assert np.array_equal(a.column("misalignment_db"),
+                              b.column("misalignment_db"))
+        assert np.array_equal(a.column("kappa"), b.column("kappa"))
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -197,7 +207,7 @@ class TestRunScenario:
             ])
         for alg in cfg.algorithms:
             trace = run_scenario(cfg, alg.name, 1)
-            kappas = trace.kappa_curve()
+            kappas = trace.column("kappa")
             assert np.all(kappas >= 0.0)
             assert np.all(np.isfinite(kappas))
             assert trace.diverged_at is None
@@ -208,7 +218,7 @@ class TestRunScenario:
             change_at=200,
             channel_after=ChannelSpec(kind="sparse", active_count=4, seed=33))
         trace = run_scenario(cfg, "lms", 1)
-        curve = trace.misalignment_curve()
+        curve = trace.column("misalignment_db")
         # converged to the first channel, then the change resets the mismatch
         assert curve[199] < -20.0
         assert curve[200] > curve[199] + 10.0
@@ -338,7 +348,7 @@ class TestAggregation:
         traces = run_all(cfg, max_workers=1)
         aggs = aggregate(cfg, traces)
         assert np.array_equal(aggs[0].mean_misalignment_db,
-                              traces[0].misalignment_curve())
+                              traces[0].column("misalignment_db"))
 
     def test_duplicate_seeds_equal_single(self):
         # a config rejects a repeated seed, so repeat the run by hand
@@ -373,7 +383,7 @@ class TestAggregation:
         assert aggs[0].included_seeds == [1]
         assert aggs[0].diverged == [(2, 10)]
         assert np.array_equal(aggs[0].mean_misalignment_db,
-                              good.misalignment_curve())
+                              good.column("misalignment_db"))
 
     def test_floor_covers_whole_run_without_change(self):
         cfg = small_config(

@@ -1,4 +1,10 @@
+import re
+from pathlib import Path
+
 import zapvss
+from zapvss.cli import _SCENARIO_KEYS, parse_config_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_export_resolves_and_is_unique():
@@ -6,3 +12,14 @@ def test_every_export_resolves_and_is_unique():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(zapvss, name)]
     assert not missing
+
+
+def test_readme_config_example_names_every_scenario_key():
+    # the example explains its values in notes after them, which a config
+    # file does not take: strip them, then it must parse as it stands
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    text = re.sub(r"[ \t]+#.*", "", block)
+    parse_config_text(text)
+    scenario = text.split("[scenario]\n")[1].split("\n[")[0]
+    keys = [line.partition("=")[0] for line in scenario.split("\n") if line]
+    assert keys == [key for key, _ in _SCENARIO_KEYS]

@@ -21,23 +21,15 @@ def _one_span(x, taps):
 class TestGenerateInput:
     def test_sample_variance_near_unit(self):
         # chi-square bound at N=1e4: sample variance within ~4 sigma of 1
-        x = generate_input(10_000, seed=1, sigma_x=1.0)
+        x = generate_input(10_000, seed=1)
         assert 0.94 <= float(np.var(x)) <= 1.06
 
     def test_determinism(self):
         assert np.array_equal(generate_input(100, 7), generate_input(100, 7))
 
-    def test_sigma_scales_exactly(self):
-        assert np.array_equal(generate_input(100, 3, sigma_x=2.0),
-                              2.0 * generate_input(100, 3, sigma_x=1.0))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             generate_input(0, 1)
-
-    def test_bad_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            generate_input(10, 1, sigma_x=0.0)
 
 
 class TestRegressorAt:
