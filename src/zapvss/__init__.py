@@ -9,13 +9,10 @@ from .channel import (Channel, ChannelFormatError, generate_dispersive,
                       generate_sparse, load_channel, save_channel)
 from .cli import (ConfigError, canonical_config_text, emit_csv, emit_svg,
                   parse_config, parse_config_text)
-from .filtercore import DivergenceError, apply_update, predict_error, step
+from .filtercore import SAMPLE_DTYPE
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
-                      derive_stream_seeds, recovery_time, run_all,
-                      run_scenario)
-from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
-                      smoothed_mse, sparsity_xi)
+                      derive_stream_seeds, recovery_time, run_all, run_seeds)
 from .signal import DesiredSignal, generate_input, synthesize_desired
 from .stepsize import (KINDS, Controller, controller_params,
                        make_controller)
@@ -27,12 +24,10 @@ __all__ = [
     "load_channel", "save_channel",
     "ConfigError", "canonical_config_text", "emit_csv", "emit_svg",
     "parse_config", "parse_config_text",
-    "DivergenceError", "apply_update", "predict_error", "step",
+    "SAMPLE_DTYPE",
     "AlgorithmAggregate", "AlgorithmConfig", "ChannelSpec", "RunTrace",
     "ScenarioConfig", "aggregate", "build_schedule",
-    "derive_stream_seeds", "recovery_time", "run_all", "run_scenario",
-    "SAMPLE_DTYPE", "misalignment_db", "sign_agreement", "smoothed_mse",
-    "sparsity_xi",
+    "derive_stream_seeds", "recovery_time", "run_all", "run_seeds",
     "DesiredSignal", "generate_input", "synthesize_desired",
     "KINDS", "Controller", "controller_params", "make_controller",
 ]

@@ -1,5 +1,6 @@
-"""Scenario runner: the batched grid engine, the scalar single-run
-reference, multi-seed aggregation and recovery-time measurement."""
+"""Scenario config, the grid runner over the seed-chunk pool, multi-seed
+aggregation and recovery-time measurement. The per-sample recursion is
+``filtercore``'s."""
 
 from __future__ import annotations
 
@@ -14,13 +15,10 @@ from functools import partial
 import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
-from .filtercore import DivergenceError, step
-from .metrics import (SAMPLE_DTYPE, misalignment_db, sign_agreement,
-                      smoothed_mse)
+from .filtercore import run_rows
 from .signal import generate_input, synthesize_desired
-from .stepsize import KINDS, controller_params, make_controller
+from .stepsize import controller_params, make_controller
 
-MSE_BETA = 0.01          # smoothing constant for the recorded error power
 RECOVERY_MARGIN_DB = 3.0  # recovered: back within this of the pre-change floor
 RECOVERY_HOLD = 100      # samples the recovery margin must hold
 # algorithm names go into CSV rows and config text unquoted
@@ -159,9 +157,9 @@ class ScenarioConfig:
 class RunTrace:
     """Recorded time series for one (algorithm, seed) run.
 
-    ``samples`` is a record array of SAMPLE_DTYPE (what ``run_all`` and
-    ``run_scenario`` return) or a hand-built sequence of rows with those
-    fields as attributes.
+    ``samples`` is a record array of ``filtercore.SAMPLE_DTYPE`` (what
+    ``run_all`` returns) or a hand-built sequence of rows with those fields
+    as attributes.
     """
 
     algorithm: str
@@ -219,52 +217,6 @@ def derive_stream_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def run_scenario(cfg: ScenarioConfig, algorithm: str, seed: int) -> RunTrace:
-    """One deterministic run of one algorithm on one seed.
-
-    Per sample: regressor, a-priori error, controller kappa, weight update,
-    then metrics of the updated weights against the channel active at that
-    sample, recorded every ``record_every`` samples. Weights start at zero.
-    A divergence stops the run and is recorded in ``diverged_at``. This is
-    the plain reference that the batched ``run_seeds`` is tested against;
-    both drive the same controller update, here over one row.
-    """
-    alg = next((a for a in cfg.algorithms if a.name == algorithm), None)
-    if alg is None:
-        raise ValueError(f"unknown algorithm name {algorithm!r}")
-    spans = build_schedule(cfg)
-    input_seed, noise_seed = derive_stream_seeds(seed)
-    x = generate_input(cfg.N, input_seed)
-    desired = synthesize_desired(x, spans, cfg.snr_db, noise_seed)
-    controller = make_controller(alg.kind, alg.params, cfg.mu)
-
-    L, every = cfg.L, cfg.record_every
-    xp = np.concatenate([np.zeros(L - 1), x])
-    w = np.zeros(L)
-    samples = np.zeros(-(-cfg.N // every), SAMPLE_DTYPE).view(np.recarray)
-    mse = 0.0
-    diverged_at = None
-    for start, stop, h in spans:
-        for n in range(start, stop):
-            r = xp[n:n + L][::-1]
-            try:
-                e, kappa, w = step(w, r, desired.d[n], cfg.mu, controller)
-            except DivergenceError:
-                diverged_at = n
-                break
-            mse = smoothed_mse(mse, e, MSE_BETA)
-            if n % every == 0:
-                samples[n // every] = (n, misalignment_db(h, w), kappa, e,
-                                       sign_agreement(h, w), mse)
-        if diverged_at is not None:
-            break
-    if diverged_at is not None:  # keep the rows recorded before it
-        samples = samples[:-(-diverged_at // every)]
-    final = float(samples.misalignment_db[-1]) if samples.size else math.nan
-    return RunTrace(algorithm=algorithm, seed=seed, samples=samples,
-                    final_misalignment_db=final, diverged_at=diverged_at)
-
-
 def tail_mean(trace: RunTrace, name: str, end: int) -> float:
     """Mean of field ``name`` over the last 10% of the rows recorded
     before sample ``end`` (at least one row)."""
@@ -300,180 +252,32 @@ def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
 
 def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
     """Every algorithm of the grid on ``seeds`` in one batched per-sample
-    loop over (seed, algorithm, tap) arrays; returns ``traces[a][i]`` for
-    algorithm ``a`` and ``seeds[i]``.
-
-    Each row computes what ``run_scenario`` computes, with the same
-    floating-point operations except for the sums of the dot products and
-    norms and the weight update, so its curves match the scalar path to
-    rounding. The update w + mu*e*x - kappa*sign(w) of a seed's rows is one
-    BLAS product, which accumulates mu*e*x - kappa*sign(w) before adding
-    it to w, where ``apply_update`` adds mu*e*x to w first; its last digits
-    depend on the BLAS kernel. Rows never interact: a row's trace does not
-    depend on which other rows share the batch or where. Each sample
-    computes every row reduction a controller reads once, over the rows
-    whose controllers read it. The rows whose kappa is a constant 0 skip
-    the attractor and take their signs only at the recorded samples, where
-    the metrics are computed. A diverged row rests at zero from then on.
-    """
+    loop (``filtercore.run_rows``); returns ``traces[a][i]`` for algorithm
+    ``a`` and ``seeds[i]``. ``run_seeds(cfg, [seed])`` is one run of each
+    algorithm: a trace does not depend on which seeds share the batch."""
     spans = build_schedule(cfg)
-    L, N, mu, every = cfg.L, cfg.N, cfg.mu, cfg.record_every
-    A, S = len(cfg.algorithms), len(seeds)
-    # each seed's input, reversed and zero-padded: the regressor
-    # [x(n), ..., x(n-L+1)] of sample n is the slice xrev[:, N-1-n:N-1-n+L]
-    xrev = np.zeros((S, N + L - 1))
-    d = np.empty((N, S, 1))
+    x = np.empty((len(seeds), cfg.N))
+    d = np.empty((cfg.N, len(seeds)))
     for i, seed in enumerate(seeds):
         input_seed, noise_seed = derive_stream_seeds(seed)
-        x = generate_input(N, input_seed)
-        d[:, i, 0] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
-        xrev[i, :N] = x[::-1]
-
-    ctls = [make_controller(alg.kind, alg.params, mu, rows=S)
+        x[i] = generate_input(cfg.N, input_seed)
+        d[:, i] = synthesize_desired(x[i], spans, cfg.snr_db, noise_seed).d
+    ctls = [make_controller(alg.kind, alg.params, cfg.mu, rows=len(seeds))
             for alg in cfg.algorithms]
-    # engine order: the rows that attract lead, in the order of KINDS so
-    # that the readers of a reduction sit together; the others follow
-    kinds = list(KINDS)
-    order = sorted(range(A), key=lambda a: (not ctls[a].attracts,
-                                            kinds.index(ctls[a].kind)))
-    ctls = [ctls[a] for a in order]
-    R = sum(c.attracts for c in ctls)
-
-    w = np.zeros((S, A, L))
-    # per seed Z = [x; sign(w) of each row] and C = [mu*e, -kappa on the
-    # diagonal of the attracting rows]: every row's update is C @ Z[:1+R].
-    # numpy hands a one-row product to gemv, which rounds unlike gemm: a
-    # spare zero row keeps a lone row's trace what it is in a larger grid
-    Z = np.zeros((S, 1 + A, L))
-    x, sgn, z_att = Z[:, :1], Z[:, 1:], Z[:, :1 + R]
-    C = np.zeros((S, max(A, 2), 1 + R))
-    c_mue, c_kappa = C[:, :A, 0], np.einsum("sii->si", C[:, :R, 1:])
-    upd = np.empty((S, max(A, 2), L))
-    tmp = upd[:, :A]
-    kappa, e, e2, mse = (np.zeros((S, A)) for _ in range(4))
-    # numpy charges less for an operation between two small arrays than
-    # for one with a Python float
-    mu_rows, beta_rows, forget_rows = (np.full((S, A), c) for c in
-                                       (mu, MSE_BETA, 1.0 - MSE_BETA))
-    e_flat, ones = e.reshape(-1), np.ones(A * S)
-    # the reductions the controllers read, each computed once per sample:
-    # x.x and x.sign(w) up to the last reader in one vecdot against Z,
-    # w.w and w.sign(w) over the rows from the first reader to the last
-    xz = np.zeros((S, 1 + A))
-    red = {"xx": xz[:, 0], "xs": xz[:, 1:], "ww": np.zeros((S, A)),
-           "ws": np.zeros((S, A))}
-    readers = {r: [i for i, c in enumerate(ctls) if r in c.reads] for r in red}
-    xz_rows = (2 + readers["xs"][-1] if readers["xs"] else
-               1 if readers["xx"] else 0)
-    reduce = []
-    for name, right in (("ww", w), ("ws", sgn)):
-        if readers[name]:
-            rows = slice(readers[name][0], readers[name][-1] + 1)
-            reduce.append((w[:, rows], right[:, rows], red[name][:, rows]))
-    updates = []
-    for i, ctl in enumerate(ctls):
-        kappa[:, i] = ctl.kappa
-        ctl.kappa = kappa[:, i]  # updates rewrite it in place: the engine reads it
-        ctl.bind(L)
-        if ctl.spec.update is not None:  # a constant kappa costs nothing
-            updates.append((ctl.update, (e[:, i],) + tuple(
-                red[r] if r == "xx" else red[r][:, i] for r in ctl.reads)))
-    live = np.ones((S, A), dtype=bool)
-    stop_at = np.full((S, A), N)
-    rec = np.zeros((-(-N // every), S, A), dtype=SAMPLE_DTYPE)
-    rec["n"] = np.arange(0, N, every)[:, None, None]
-    # the recorded squared distance ||w - h||^2 and twice the sign-match
-    # count become dB and a fraction after the loop, with the span's ||h||
-    # and active-tap count
-    rec_dist, rec_kappa, rec_e, rec_agree, rec_mse = (
-        rec[f] for f in SAMPLE_DTYPE.names[1:])
-    w_att, sgn_att, kappa_att = w[:, :R], sgn[:, :R], kappa[:, :R]
-    w_hold, sgn_hold = w[:, R:], sgn[:, R:]
-
-    # a diverging row passes through inf and NaN on its own until its stop
-    # leaves it at rest: a NaN sign would reach every row of its seed
-    # through the product's zero coefficients
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start, stop, h in spans:
-            # h on every row: a same-shape subtraction beats a broadcast one
-            h_rows = np.broadcast_to(h, w.shape).copy()
-            active = np.flatnonzero(h)
-            h_sign = np.sign(h[active])
-            for n in range(start, stop):
-                x[:, 0] = xrev[:, N - 1 - n:N - 1 - n + L]
-                np.vecdot(w, x, out=e)
-                np.subtract(d[n], e, out=e)
-                if not math.isfinite(e_flat.dot(ones)):  # inf and NaN propagate
-                    _stop_diverged(w, live & ~np.isfinite(e), live, stop_at,
-                                   n - 1, sgn, e, mu_rows)
-                if xz_rows:
-                    np.vecdot(Z[:, :xz_rows], x, out=xz[:, :xz_rows])
-                for left, right, out in reduce:
-                    np.vecdot(left, right, out=out)
-                for update, args in updates:
-                    update(*args)
-                np.multiply(mu_rows, e, out=c_mue)
-                np.negative(kappa_att, out=c_kappa)
-                np.matmul(C, z_att, out=upd)
-                w += tmp
-                np.sign(w_att, out=sgn_att)
-                np.multiply(beta_rows, e, out=e2)
-                e2 *= e
-                mse *= forget_rows
-                mse += e2
-                if n % every == 0:
-                    i = n // every
-                    np.sign(w_hold, out=sgn_hold)
-                    np.subtract(w, h_rows, out=tmp)
-                    np.vecdot(tmp, tmp, out=rec_dist[i])
-                    rec_kappa[i] = kappa
-                    rec_e[i] = e
-                    # on the active taps, sgn.sign(h) + sgn.sgn counts
-                    # each match twice and each mismatch or zero not at all
-                    s = sgn if active.size == L else sgn[:, :, active]
-                    np.add(np.vecdot(s, h_sign), np.vecdot(s, s), out=rec_agree[i])
-                    rec_mse[i] = mse
-        _stop_diverged(w, live, live, stop_at, N - 1)
-        for start, stop, h in spans:
-            rows = slice(-(-start // every), -(-stop // every))
-            mis = rec_dist[rows]
-            np.sqrt(mis, out=mis)
-            mis /= float(np.linalg.norm(h))
-            np.log10(mis, out=mis)
-            mis *= 20.0
-            rec_agree[rows] /= 2 * np.count_nonzero(h)
-
+    every = cfg.record_every
     traces = []
-    for a, alg in enumerate(cfg.algorithms):
-        i = order.index(a)
+    for alg, (rec, stop_at) in zip(cfg.algorithms, run_rows(
+            x, d, spans, cfg.mu, ctls, every)):
         runs = []
         for s, seed in enumerate(seeds):
-            samples = rec[:-(-stop_at[s, i] // every), s, i].copy()
-            samples = samples.view(np.recarray)
+            samples = rec[:-(-stop_at[s] // every), s].copy().view(np.recarray)
             final = float(samples.misalignment_db[-1]) if samples.size else math.nan
             runs.append(RunTrace(
                 algorithm=alg.name, seed=seed, samples=samples,
                 final_misalignment_db=final,
-                diverged_at=None if live[s, i] else int(stop_at[s, i])))
+                diverged_at=int(stop_at[s]) if stop_at[s] < cfg.N else None))
         traces.append(runs)
     return traces
-
-
-def _stop_diverged(w, suspect, live, stop_at, n, *rest) -> None:
-    """Stop the ``suspect`` rows whose weights are non-finite after the
-    update of sample n, as ``run_scenario`` stops at its DivergenceError,
-    and zero their rows of ``w`` and of each of ``rest``.
-
-    A non-finite error only makes a row suspect: a finite w whose dot
-    product overflowed gives one too, and diverges one update later.
-    """
-    rows = np.nonzero(suspect)
-    bad = ~np.isfinite(w[rows]).all(axis=-1)
-    rows = tuple(r[bad] for r in rows)
-    stop_at[rows] = n
-    live[rows] = False
-    for a in (w,) + rest:
-        a[rows] = 0.0
 
 
 def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:

@@ -17,9 +17,9 @@ sample:
 ``KINDS`` is the one table of them: each kind's config keys, their defaults
 and its update. ``PARAMS`` holds each key's type and rule, and
 ``controller_params`` is the one place that applies them. A controller
-advances many runs (rows) at once; the scalar reference drives one row.
-An update reads per-row values that its caller reduces from the regressor
-and the weights (``Kind.reads``), never a tap vector.
+advances many runs (rows) at once. An update reads per-row values that
+its caller reduces from the regressor and the weights (``Kind.reads``),
+never a tap vector.
 """
 
 from __future__ import annotations
@@ -240,11 +240,10 @@ class Controller:
     ``kappa`` holds the rows' attractor step-sizes. Each
     ``update(e, *reductions)`` call takes the rows' a-priori errors (R,)
     and, in the order of ``reads`` (the kind's reads, or the leading ones
-    its parameters use; the kind's full ``reads`` are accepted too), the
-    rows' reductions (R,) of the regressor and the pre-update weights (see
-    ``Kind``), and rewrites ``kappa`` in place. It never sees a tap
-    vector. Every state array has the rows on its last axis, and no row
-    reads another's.
+    its parameters use), the rows' reductions (R,) of the regressor and
+    the pre-update weights (see ``Kind``), and rewrites ``kappa`` in
+    place. It never sees a tap vector. Every state array has the rows on
+    its last axis, and no row reads another's.
     Callers update under ``np.errstate(all="ignore")``: a zero filter or
     regressor, and a diverging row, pass through inf and NaN on the way.
     The xi measure and proposed_norm's scale depend on the filter length:
@@ -256,7 +255,6 @@ class Controller:
         self.spec = KINDS[kind]
         self.params = params
         self.kappa = np.full(rows, params.get("kappa0", 0.0), dtype=np.float64)
-        self.L = None
         self.reads = self.spec.reads
         if self.spec.init is not None:
             self.spec.init(self, rows)
@@ -270,13 +268,11 @@ class Controller:
 
     def bind(self, L: int) -> None:
         """Resolve the constants that depend on the filter length L."""
-        if L != self.L:
-            self.L = L
-            root = math.sqrt(L)
-            # no configured run has one tap, where xi is undefined
-            _constants(self, self.kappa.size, root=root,
-                       xi_scale=L / (L - root) if L > 1 else math.nan,
-                       norm_scale=root - 1.0)
+        root = math.sqrt(L)
+        # no configured run has one tap, where xi is undefined
+        _constants(self, self.kappa.size, root=root,
+                   xi_scale=L / (L - root) if L > 1 else math.nan,
+                   norm_scale=root - 1.0)
 
 
 def make_controller(kind: str, params: dict, mu: float, rows: int = 1) -> Controller:

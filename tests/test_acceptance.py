@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import oracle_delta_projected, proposed_l1_delta
+from oracles import (misalignment_db, oracle_delta_projected, predict_error,
+                     proposed_l1_delta, sparsity_xi, step)
 from zapvss.channel import generate_sparse
 from zapvss.cli import emit_csv, parse_config
-from zapvss.filtercore import predict_error, step
-from zapvss.harness import (aggregate, derive_stream_seeds, recovery_time,
-                            run_all)
-from zapvss.metrics import misalignment_db, sparsity_xi
+from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
+                            aggregate, build_schedule, derive_stream_seeds,
+                            recovery_time, run_all, run_seeds)
 from zapvss.signal import generate_input, synthesize_desired
 from zapvss.stepsize import make_controller
 
@@ -69,33 +69,68 @@ def _mean_recovery(cfg, traces, name):
     return float(np.mean(times))
 
 
+def _plain_recursion(regressors, ds, mu, kappa):
+    """The error/update recursion with plain python floats: yields the
+    a-priori error and the updated weights of each sample."""
+    L = len(regressors[0])
+    w_ref = [0.0] * L
+    for x, d in zip(regressors, ds):
+        e_ref = d - sum(x[i] * w_ref[i] for i in range(L))
+        sgn = [0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0) for v in w_ref]
+        w_ref = [w_ref[i] + mu * x[i] * e_ref - kappa * sgn[i]
+                 for i in range(L)]
+        yield e_ref, w_ref
+
+
 def test_criterion_1_trajectory_oracle():
     # library trajectories must match a plain-python recomputation of the
-    # error/update recursion, written independently of the numpy path
+    # error/update recursion, written independently of the numpy path:
+    # the scalar oracle step by step, then the shipped batched engine
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     steps, L, mu, kappa = 100, 4, 0.05, 0.01
     xs = rng.standard_normal((steps, L))
     ds = rng.standard_normal(steps)
 
-    w_ref = [0.0] * L
     w = np.zeros(L)
     ctl = make_controller("fixed_zap", {"kappa0": kappa}, mu)
     worst = 0.0
-    for n in range(steps):
-        x = xs[n].tolist()
-        e_ref = ds[n] - sum(x[i] * w_ref[i] for i in range(L))
-        sgn = [0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0) for v in w_ref]
-        w_ref = [w_ref[i] + mu * x[i] * e_ref - kappa * sgn[i]
-                 for i in range(L)]
+    for n, (e_ref, w_ref) in enumerate(
+            _plain_recursion(xs.tolist(), ds.tolist(), mu, kappa)):
         e, _, w = step(w, xs[n], ds[n], mu, ctl)
         worst = max(worst, abs(e - e_ref) / max(1.0, abs(e_ref)))
         num = float(np.linalg.norm(w - np.array(w_ref)))
         den = max(1.0, float(np.linalg.norm(w_ref)))
         worst = max(worst, num / den)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
-    _report("1", ok, f"max rel err {worst:.2e}, {elapsed:.3f} s")
+
+    # run_seeds records every sample's error and misalignment; recompute
+    # both from the same input and desired streams
+    cfg = ScenarioConfig(
+        L=L, N=steps, snr_db=30.0, mu=mu,
+        channel_before=ChannelSpec(kind="sparse", active_count=2, seed=5),
+        algorithms=[AlgorithmConfig("zap", "fixed_zap", {"kappa0": kappa})],
+        seeds=[3])
+    [[trace]] = run_seeds(cfg, cfg.seeds)
+    spans = build_schedule(cfg)
+    h = spans[0][2].tolist()
+    input_seed, noise_seed = derive_stream_seeds(cfg.seeds[0])
+    x = generate_input(steps, input_seed)
+    d = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d.tolist()
+    x = x.tolist()
+    windows = [[x[n - i] if n >= i else 0.0 for i in range(L)]
+               for n in range(steps)]
+    assert trace.diverged_at is None and len(trace.samples) == steps
+    worst_db = 0.0
+    for row, (e_ref, w_ref) in zip(trace.samples,
+                                   _plain_recursion(windows, d, mu, kappa)):
+        worst = max(worst, abs(row.error - e_ref) / max(1.0, abs(e_ref)))
+        dist = math.sqrt(sum((h[i] - w_ref[i]) ** 2 for i in range(L)))
+        mis_ref = 20.0 * math.log10(dist / math.sqrt(sum(v * v for v in h)))
+        worst_db = max(worst_db, abs(row.misalignment_db - mis_ref))
+    ok = worst <= 1e-12 and worst_db <= 1e-9 and elapsed < 1.0
+    _report("1", ok, f"max rel err {worst:.2e}, engine misalignment "
+            f"{worst_db:.2e} dB, {elapsed:.3f} s")
 
 
 def test_criterion_2_closed_form_metrics():
@@ -200,7 +235,6 @@ def test_criterion_7_robustness(sparse_grid, dispersive_grid):
                 problems.append(f"{label}:{t.algorithm}:{t.seed} bad kappa")
 
         # realized SNR within +-0.2 dB of the configured 30 dB
-        from zapvss.harness import build_schedule
         sched = build_schedule(cfg)
         for seed in cfg.seeds:
             input_seed, noise_seed = derive_stream_seeds(seed)

@@ -9,12 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zapvss import harness
+from oracles import run_scenario
+from zapvss import filtercore
 from zapvss.cli import emit_csv
+from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, recovery_time, run_all,
-                            run_scenario, run_seeds)
-from zapvss.metrics import SAMPLE_DTYPE
+                            run_seeds)
 
 MIS_TOL_DB = 1e-9
 # kappa, error and smoothed MSE: relative, with an absolute floor for
@@ -110,8 +111,8 @@ class TestAgainstScalar:
         # a stopped row rests at zero weights with a finite error, so the
         # divergence check calls for it no more
         calls = []
-        stop = harness._stop_diverged
-        monkeypatch.setattr(harness, "_stop_diverged",
+        stop = filtercore._stop_diverged
+        monkeypatch.setattr(filtercore, "_stop_diverged",
                             lambda *args: calls.append(stop(*args)))
         traces = run_all(grid(mu=10.0, algorithms=ALL_KINDS[:2]),
                          max_workers=1)

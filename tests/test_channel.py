@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import sparsity_xi
 from zapvss.channel import (Channel, ChannelFormatError, generate_dispersive,
                             generate_sparse, load_channel, save_channel)
-from zapvss.metrics import sparsity_xi
 
 
 def _xi_direct(taps):

@@ -12,13 +12,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import run_scenario
 from zapvss.channel import generate_dispersive, generate_sparse, load_channel
 from zapvss.cli import (ConfigError, canonical_config_text, emit_aggregate_csv,
                         emit_csv, emit_svg, main, parse_config,
                         parse_config_text)
+from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
-                            ScenarioConfig, aggregate, run_all, run_scenario)
-from zapvss.metrics import SAMPLE_DTYPE
+                            ScenarioConfig, aggregate, run_all)
 
 MINIMAL = """\
 [scenario]

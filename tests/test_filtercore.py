@@ -1,12 +1,15 @@
+"""The scalar reference recursion of ``oracles.py`` (``step``,
+``predict_error``, ``apply_update``), which the batched engine
+``zapvss.filtercore`` is tested against."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import sign_vec
-from zapvss.filtercore import (DivergenceError, apply_update, predict_error,
-                               step)
+from oracles import (DivergenceError, apply_update, predict_error, sign_vec,
+                     step)
 from zapvss.stepsize import make_controller
 
 finite_vectors = hnp.arrays(

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import norms
-from zapvss.metrics import (misalignment_db, sign_agreement, smoothed_mse,
-                            sparsity_xi)
+from oracles import (misalignment_db, norms, sign_agreement, smoothed_mse,
+                     sparsity_xi)
 
 
 class TestNorms:

@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -23,3 +24,18 @@ def test_readme_config_example_names_every_scenario_key():
     scenario = text.split("[scenario]\n")[1].split("\n[")[0]
     keys = [line.partition("=")[0] for line in scenario.split("\n") if line]
     assert keys == [key for key, _ in _SCENARIO_KEYS]
+
+
+def test_the_names_the_benchmark_reaches_into_exist():
+    # perfbench/ traces the public functions of these three modules and
+    # calls the names below; a rename in the package would break it, not
+    # a test
+    modules = {name: importlib.import_module(f"zapvss.{name}")
+               for name in ("harness", "filtercore", "cli")}
+    wanted = {"harness": ("build_schedule", "run_all", "resolve_workers",
+                          "make_controller", "RunTrace", "recovery_time"),
+              "cli": ("main", "parse_config", "parse_config_text")}
+    missing = [f"{module}.{name}" for module, names in wanted.items()
+               for name in names
+               if not callable(getattr(modules[module], name, None))]
+    assert not missing

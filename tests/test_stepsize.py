@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (ScalarController, kappa_smooth, proposed_l1_delta,
-                     proposed_norm_delta)
-from zapvss.filtercore import DivergenceError, step
+from oracles import (DivergenceError, ScalarController, kappa_smooth,
+                     proposed_l1_delta, proposed_norm_delta, step)
 from zapvss.harness import AlgorithmConfig, ChannelSpec, ScenarioConfig
 from zapvss.stepsize import KINDS, controller_params, make_controller
 
