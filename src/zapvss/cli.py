@@ -5,9 +5,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
+import os
+import platform
 import sys
 from functools import partial
 from pathlib import Path
@@ -16,9 +19,11 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .channel import save_channel
+from .filtercore import build_info
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RECOVERY_MARGIN_DB, ConfigError, RunTrace,
-                      ScenarioConfig, aggregate, fan_out, run_all)
+                      ScenarioConfig, aggregate, fan_out, resolve_workers,
+                      run_all, timed)
 from .stepsize import PARAMS
 
 CSV_HEADER = "scenario,algorithm,seed,n,e,kappa,misalignment_db,sign_agreement,smoothed_mse"
@@ -39,7 +44,7 @@ _CHANNEL_KEYS = {  # file= holds ChannelSpec.path
     "file": (("file", str),),
 }
 _ALGORITHM_KEYS = (("name", str), ("kind", str))  # then the params, sorted
-_PARAM_KEYS = tuple((key, typ) for key, (typ, _, _) in PARAMS.items())
+_PARAM_KEYS = tuple((key, spec[0]) for key, spec in PARAMS.items())
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                 "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
@@ -324,17 +329,44 @@ def _json_number(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
+def _build_block(cfg: ScenarioConfig) -> dict:
+    from . import __version__
+
+    return {
+        "zapvss": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        **{f"kernel_{key}": value for key, value in build_info().items()},
+        "cpu_count": os.cpu_count(),
+        "workers": resolve_workers(len(cfg.seeds)),
+        "config_sha256": hashlib.sha256(
+            canonical_config_text(cfg).encode()).hexdigest(),
+    }
+
+
 def _cmd_run(args) -> int:
     scenario = Path(args.config).stem
     _check_label(scenario)
     cfg = parse_config(args.config)
+    # the mean-square stability bound of LMS on unit-power input
+    bound = 2.0 / (cfg.L + 2)
+    if cfg.mu >= bound:
+        print(f"warning: mu={cfg.mu!r} is at or above 2/(L+2) = {bound:.6g}, "
+              f"the mean-square stability bound for unit-power input; the "
+              f"runs may diverge", file=sys.stderr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    traces = run_all(cfg)
-    aggs = aggregate(cfg, traces)
-    emit_csv(traces, outdir / f"{scenario}_trace.csv", scenario)
-    emit_aggregate_csv(aggs, outdir / f"{scenario}_aggregate.csv", scenario)
-    emit_svg(aggs, outdir / f"{scenario}.svg", title=scenario)
+    timings = {}
+    with timed(timings, "run_all_s"):
+        traces = run_all(cfg, timings=timings)
+    with timed(timings, "aggregate_s"):
+        aggs = aggregate(cfg, traces)
+    with timed(timings, "emit_csv_s"):
+        emit_csv(traces, outdir / f"{scenario}_trace.csv", scenario)
+    with timed(timings, "emit_aggregate_csv_s"):
+        emit_aggregate_csv(aggs, outdir / f"{scenario}_aggregate.csv", scenario)
+    with timed(timings, "emit_svg_s"):
+        emit_svg(aggs, outdir / f"{scenario}.svg", title=scenario)
     meta = {
         "scenario": scenario,
         "config": canonical_config_text(cfg),
@@ -360,6 +392,10 @@ def _cmd_run(args) -> int:
             }
             for a in aggs
         ],
+        # synthesis_s and engine_s are summed over the worker processes;
+        # the others are wall seconds of this process
+        "timings": timings,
+        "build": _build_block(cfg),
     }
     (outdir / f"{scenario}_meta.json").write_text(
         json.dumps(meta, indent=2, allow_nan=False) + "\n")

@@ -7,8 +7,10 @@ from __future__ import annotations
 import math
 import os
 import re
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -250,24 +252,40 @@ def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
     return int(post_ns[hits[0]] - change_at) if hits.size else None
 
 
-def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
-    """Every algorithm of the grid on ``seeds`` in one batched per-sample
-    loop (``filtercore.run_rows``); returns ``traces[a][i]`` for algorithm
+@contextmanager
+def timed(timings: dict, stage: str):
+    """Add the seconds the block takes to ``timings[stage]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
+
+
+def run_seeds(cfg: ScenarioConfig, seeds: list[int],
+              timings: dict | None = None) -> list[list[RunTrace]]:
+    """Every algorithm of the grid on ``seeds`` in one call of the kernel
+    per seed (``filtercore.run_rows``); returns ``traces[a][i]`` for algorithm
     ``a`` and ``seeds[i]``. ``run_seeds(cfg, [seed])`` is one run of each
-    algorithm: a trace does not depend on which seeds share the batch."""
+    algorithm: a trace does not depend on which seeds share the batch.
+    Adds the seconds of stream synthesis and of the loop to ``timings``
+    under "synthesis_s" and "engine_s"."""
+    timings = {} if timings is None else timings
     spans = build_schedule(cfg)
     x = np.empty((len(seeds), cfg.N))
     d = np.empty((cfg.N, len(seeds)))
-    for i, seed in enumerate(seeds):
-        input_seed, noise_seed = derive_stream_seeds(seed)
-        x[i] = generate_input(cfg.N, input_seed)
-        d[:, i] = synthesize_desired(x[i], spans, cfg.snr_db, noise_seed).d
-    ctls = [make_controller(alg.kind, alg.params, cfg.mu, rows=len(seeds))
+    with timed(timings, "synthesis_s"):
+        for i, seed in enumerate(seeds):
+            input_seed, noise_seed = derive_stream_seeds(seed)
+            x[i] = generate_input(cfg.N, input_seed)
+            d[:, i] = synthesize_desired(x[i], spans, cfg.snr_db, noise_seed).d
+    ctls = [make_controller(alg.kind, alg.params, cfg.mu)
             for alg in cfg.algorithms]
     every = cfg.record_every
+    with timed(timings, "engine_s"):
+        rows = run_rows(x, d, spans, cfg.mu, ctls, every)
     traces = []
-    for alg, (rec, stop_at) in zip(cfg.algorithms, run_rows(
-            x, d, spans, cfg.mu, ctls, every)):
+    for alg, (rec, stop_at) in zip(cfg.algorithms, rows):
         runs = []
         for s, seed in enumerate(seeds):
             samples = rec[:-(-stop_at[s] // every), s].copy().view(np.recarray)
@@ -278,6 +296,11 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int]) -> list[list[RunTrace]]:
                 diverged_at=int(stop_at[s]) if stop_at[s] < cfg.N else None))
         traces.append(runs)
     return traces
+
+
+def _run_chunk(cfg: ScenarioConfig, seeds: list[int]):
+    timings = {}
+    return run_seeds(cfg, seeds, timings), timings
 
 
 def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
@@ -325,19 +348,26 @@ def fan_out(fn, items: list, max_workers: int | None = None):
         pool.shutdown(cancel_futures=True)
 
 
-def run_all(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunTrace]:
+def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
+            timings: dict | None = None) -> list[RunTrace]:
     """Every (algorithm, seed) run of the grid, in config order.
 
     The seed list is split into one contiguous chunk per worker; each chunk
     runs every algorithm in one batched loop (``run_seeds``), the chunks
     side by side through ``fan_out``. No trace depends on the chunking or
-    on scheduling.
+    on scheduling. Adds the chunks' stage seconds, summed over the workers,
+    to ``timings`` (see ``run_seeds``).
     """
+    timings = {} if timings is None else timings
     seeds = cfg.seeds
     k = resolve_workers(len(seeds), max_workers)
     chunks = [seeds[i * len(seeds) // k:(i + 1) * len(seeds) // k]
               for i in range(k)]
-    results = list(fan_out(partial(run_seeds, cfg), chunks, k))
+    results = []
+    for traces, chunk_timings in fan_out(partial(_run_chunk, cfg), chunks, k):
+        results.append(traces)
+        for stage, seconds in chunk_timings.items():
+            timings[stage] = timings.get(stage, 0.0) + seconds
     return [t for a in range(len(cfg.algorithms))
             for chunk in results for t in chunk[a]]
 

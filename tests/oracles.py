@@ -1,26 +1,37 @@
-"""Plain-Python references for the test suite.
+"""References for the test suite.
 
 The vector helpers (sign, regressor window, norms) restate by hand what
-the vectorized engine computes with slices and reductions. The
-ground-truth oracles need the true channel, which a running filter never
-sees. The controller references recompute each kind's kappa one
-sample at a time with scalar arithmetic, independently of the vectorized
-updates in ``zapvss.stepsize``, so those updates have a reference that
-shares none of their code. ``step`` and ``run_scenario`` are the scalar
-reference of the batched engine ``zapvss.filtercore.run_rows``: one run,
-one sample at a time, with the metrics recomputed from the weights.
+the engine computes with reductions. The ground-truth oracles need the
+true channel, which a running filter never sees.
+
+Two references check the compiled kernel ``zapvss.filtercore.run_rows``:
+
+* the numpy engine, the batched per-sample loop that the kernel replaced:
+  vectorized controller updates over many rows (``make_controller``) and
+  ``numpy_run_rows``/``numpy_run_seeds``, with the kernel's signature;
+* the scalar reference ``step`` and ``run_scenario``: one run, one sample
+  at a time, with the metrics recomputed from the weights.
+
+The controller references (``ScalarController``) recompute each kind's
+kappa one sample at a time with scalar arithmetic, so the vectorized
+updates have a reference that shares none of their code.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+from unittest import mock
 
 import numpy as np
 
+from zapvss import harness
 from zapvss.channel import Channel
 from zapvss.filtercore import MSE_BETA, SAMPLE_DTYPE
 from zapvss.harness import RunTrace, build_schedule, derive_stream_seeds
 from zapvss.signal import generate_input, synthesize_desired
-from zapvss.stepsize import make_controller
+from zapvss.stepsize import KINDS, controller_params
 
 
 class DivergenceError(RuntimeError):
@@ -323,3 +334,352 @@ class ScalarController:
         kappa = kappa_smooth(self.kappa, delta, p["alpha"], p["gamma"])
         self.kappa = min(kappa, p["kappa_max"])
         return self.kappa
+
+
+# ---- the numpy engine --------------------------------------------------
+
+def _constants(ctl, rows: int, **values: float) -> None:
+    """Set each value as an attribute of ``rows`` copies: numpy charges
+    less for an operation between two small arrays than for one with a
+    Python float."""
+    for name, value in values.items():
+        setattr(ctl, name, np.full(rows, value))
+
+
+def _you_init(ctl, rows: int) -> None:
+    # the detector's smoothed error power and its last ``window`` values
+    p = ctl.params
+    ctl.mse = np.zeros(rows)
+    ctl.history = np.zeros((p["window"], rows))
+    ctl.cooldown_left = np.zeros(rows, dtype=np.int64)
+    ctl.t = 0
+    _constants(ctl, rows, forget=1.0 - p["beta"], beta=p["beta"],
+               tolerance=p["tolerance"])
+
+
+def _you(ctl, e) -> None:
+    """Decay on convergence: a plateau of the smoothed error power over the
+    last ``window`` samples (relative change below ``tolerance``, at most
+    once per ``cooldown`` samples) multiplies kappa by eta until kappa <=
+    kappa_min freezes it for good. The frozen step-size is what makes this
+    scheme blind to later path changes."""
+    p = ctl.params
+    slot = ctl.history[ctl.t % p["window"]]  # written window samples ago
+    ctl.mse = mse = ctl.forget * ctl.mse + ctl.beta * e * e
+    cooling = ctl.cooldown_left > 0
+    ctl.cooldown_left -= cooling
+    if ctl.t >= p["window"]:  # a full window first: the transient never fires
+        # a zero slot gives inf or NaN here, so it never fires either
+        event = np.abs(mse - slot) / slot < ctl.tolerance
+        event &= ~cooling
+        if event.any():
+            ctl.cooldown_left[event] = p["cooldown"]
+            ctl.kappa[event & (ctl.kappa > p["kappa_min"])] *= p["eta"]
+    slot[...] = mse
+    ctl.t += 1
+
+
+def _smooth_init(ctl, rows: int) -> None:
+    p = ctl.params
+    _constants(ctl, rows, keep=1.0 - p["alpha"], gain=p["alpha"] * p["gamma"],
+               kappa_max=p["kappa_max"])
+
+
+def _smooth(ctl, delta) -> None:
+    """kappa <- (1-alpha)*kappa + alpha*gamma*delta, clamped to
+    [0, kappa_max]; a NaN drive leaves kappa at 0 rather than NaN."""
+    kappa = ctl.keep * ctl.kappa + ctl.gain * delta
+    np.fmin(np.fmax(0.0, kappa), ctl.kappa_max, out=ctl.kappa)
+
+
+def _liu_init(ctl, rows: int) -> None:
+    _smooth_init(ctl, rows)
+    ctl.phi = np.zeros(rows)  # forgetting-factor average of the measure
+    lam = ctl.params["lambda"]
+    _constants(ctl, rows, forget=1.0 - lam, lam=lam)
+    if ctl.params["measure"] == "l1":
+        ctl.reads = ("ws",)
+
+
+def _liu(ctl, e, ws, ww=None) -> None:
+    """Sparseness gradient: delta = J(w) - phi, where J is the l1 norm
+    ``ws`` or the xi sparsity of the weights and phi its running average.
+    delta can be negative, so the zero clamp is load-bearing."""
+    j = ws
+    if ctl.params["measure"] == "xi":
+        xi = ctl.xi_scale * (1.0 - j / (ctl.root * np.sqrt(ww)))
+        # the zero vector's xi is 0/0: it has no sparsity and drives nothing
+        j = np.fmin(1.0, np.fmax(0.0, xi))
+    delta = j - ctl.phi
+    ctl.phi = ctl.forget * ctl.phi + ctl.lam * j
+    _smooth(ctl, delta)
+
+
+def _l1_delta(e, xx, xs) -> np.ndarray:
+    """Estimated l1 sparseness distance |e * x.sign(w)| / (x.x). A zero
+    regressor carries no information: its 0/0 (x.sign(w) is 0 too) yields
+    0."""
+    return np.fmax(np.abs(e * xs) / xx, 0.0)
+
+
+def _proposed_l1(ctl, e, xx, xs) -> None:
+    _smooth(ctl, _l1_delta(e, xx, xs))
+
+
+def _norm_init(ctl, rows: int) -> None:
+    _smooth_init(ctl, rows)
+    _constants(ctl, rows, w2_floor=ctl.params["w2_floor"])
+
+
+def _proposed_norm(ctl, e, xx, xs, ww) -> None:
+    """The l1 estimate divided by (sqrt(L)-1)*||w||, with ||w|| floored at
+    ``w2_floor`` so the early near-zero filter cannot blow the ratio up."""
+    scale = np.maximum(np.sqrt(ww), ctl.w2_floor) * ctl.norm_scale
+    _smooth(ctl, _l1_delta(e, xx, xs) / scale)
+
+
+@dataclass(frozen=True)
+class NumpyKind:
+    """A kind's vectorized update (None: kappa stays at kappa0), an
+    ``init(ctl, rows)`` that adds the state arrays and constants the update
+    keeps, and the per-row reductions the update may read after the
+    a-priori errors e, in its argument order: ``xx`` = x.x, ``xs`` =
+    x.sign(w), ``ww`` = w.w and ``ws`` = w.sign(w) = ||w||_1, of the
+    regressor x and the pre-update weights w. The init may drop trailing
+    ones that the controller's parameters leave unread
+    (``NumpyController.reads``)."""
+
+    update: Callable | None = None
+    init: Callable | None = None
+    reads: tuple[str, ...] = ()
+
+
+NUMPY_KINDS = {
+    "lms": NumpyKind(),
+    "fixed_zap": NumpyKind(),
+    "you": NumpyKind(_you, _you_init),
+    "liu": NumpyKind(_liu, _liu_init, ("ws", "ww")),
+    "proposed_l1": NumpyKind(_proposed_l1, _smooth_init, ("xx", "xs")),
+    "proposed_norm": NumpyKind(_proposed_norm, _norm_init, ("xx", "xs", "ww")),
+}
+
+
+def _hold(ctl, e) -> None:
+    """The update of a constant kappa."""
+
+
+class NumpyController:
+    """The state of one controller over ``rows`` runs at once.
+
+    ``kappa`` holds the rows' attractor step-sizes. Each
+    ``update(e, *reductions)`` call takes the rows' a-priori errors (R,)
+    and, in the order of ``reads`` (the kind's reads, or the leading ones
+    its parameters use), the rows' reductions (R,) of the regressor and
+    the pre-update weights (see ``NumpyKind``), and rewrites ``kappa`` in
+    place. It never sees a tap vector. Every state array has the rows on
+    its last axis, and no row reads another's.
+    Callers update under ``np.errstate(all="ignore")``: a zero filter or
+    regressor, and a diverging row, pass through inf and NaN on the way.
+    The xi measure and proposed_norm's scale depend on the filter length:
+    ``bind(L)`` before the first update.
+    """
+
+    def __init__(self, kind: str, params: dict, rows: int):
+        self.kind = kind
+        self.spec = NUMPY_KINDS[kind]
+        self.params = params
+        self.kappa = np.full(rows, params.get("kappa0", 0.0), dtype=np.float64)
+        self.reads = self.spec.reads
+        if self.spec.init is not None:
+            self.spec.init(self, rows)
+        self.update = partial(self.spec.update or _hold, self)
+
+    @property
+    def attracts(self) -> bool:
+        """Whether the attractor can ever act: false only for a constant
+        kappa of 0 (lms, or fixed_zap with kappa0=0)."""
+        return self.spec.update is not None or bool(self.kappa.any())
+
+    def bind(self, L: int) -> None:
+        """Resolve the constants that depend on the filter length L."""
+        root = math.sqrt(L)
+        # no configured run has one tap, where xi is undefined
+        _constants(self, self.kappa.size, root=root,
+                   xi_scale=L / (L - root) if L > 1 else math.nan,
+                   norm_scale=root - 1.0)
+
+
+def make_controller(kind: str, params: dict, mu: float,
+                    rows: int = 1) -> NumpyController:
+    """A fresh controller of ``kind`` over ``rows`` runs, from config
+    parameters (see ``controller_params``)."""
+    return NumpyController(kind, controller_params(kind, params, mu), rows)
+
+
+def numpy_run_seeds(cfg, seeds):
+    """``zapvss.harness.run_seeds`` with the numpy engine in place of the
+    kernel."""
+    with mock.patch.object(harness, "run_rows", numpy_run_rows):
+        return harness.run_seeds(cfg, seeds)
+
+
+def numpy_run_rows(x, d, spans, mu: float, ctls, every: int):
+    """``zapvss.filtercore.run_rows`` in numpy: every controller of
+    ``ctls`` (``zapvss.stepsize.Controller``s) on each of the S input
+    sequences ``x`` (S, N), with the desired signal ``d`` (N, S), in one
+    per-sample loop over (sequence, controller, tap) arrays. Each
+    controller advances S rows. ``spans`` is the echo path as ``(start, stop, taps)`` slices
+    covering [0, N). Per sample: regressor, a-priori error, controller
+    kappa, the update w + mu*e*x - kappa*sign(w) from zero weights, then
+    the metrics of the updated weights against the taps of the span, every
+    ``every`` samples. Returns, per controller, its rows' records (ceil(N /
+    every), S) of SAMPLE_DTYPE and the sample (S,) of each row's diverging
+    update, N for a row that never diverged.
+
+    The update of a sequence's rows is one BLAS product, which accumulates
+    mu*e*x - kappa*sign(w) before adding it to w; its last digits depend on
+    the BLAS kernel. Rows never interact: a row's records do not depend on
+    which other rows share the batch or where. Each sample computes every
+    row reduction a controller reads once, over the rows whose controllers
+    read it. The rows whose kappa is a constant 0 skip the attractor and
+    take their signs only at the recorded samples. A diverged row rests at
+    zero from then on.
+    """
+    S, N = x.shape
+    L, A = spans[0][2].size, len(ctls)
+    ctls = [NumpyController(c.kind, c.params, S) for c in ctls]
+    # each input reversed and zero-padded: the regressor
+    # [x(n), ..., x(n-L+1)] of sample n is the slice xrev[:, N-1-n:N-1-n+L]
+    xrev = np.zeros((S, N + L - 1))
+    xrev[:, :N] = x[:, ::-1]
+    d = d[:, :, None]
+    # engine order: the rows that attract lead, in the order of KINDS so
+    # that the readers of a reduction sit together; the others follow
+    kinds = list(KINDS)
+    order = sorted(range(A), key=lambda a: (not ctls[a].attracts,
+                                            kinds.index(ctls[a].kind)))
+    ctls = [ctls[a] for a in order]
+    R = sum(c.attracts for c in ctls)
+
+    w = np.zeros((S, A, L))
+    # per sequence Z = [x; sign(w) of each row] and C = [mu*e, -kappa on
+    # the diagonal of the attracting rows]: every row's update is
+    # C @ Z[:1+R]. numpy hands a one-row product to gemv, which rounds
+    # unlike gemm: a spare zero row keeps a lone row's trace what it is in
+    # a larger grid
+    Z = np.zeros((S, 1 + A, L))
+    reg, sgn, z_att = Z[:, :1], Z[:, 1:], Z[:, :1 + R]
+    C = np.zeros((S, max(A, 2), 1 + R))
+    c_mue, c_kappa = C[:, :A, 0], np.einsum("sii->si", C[:, :R, 1:])
+    upd = np.empty((S, max(A, 2), L))
+    tmp = upd[:, :A]
+    kappa, e, e2, mse = (np.zeros((S, A)) for _ in range(4))
+    # numpy charges less for an operation between two small arrays than
+    # for one with a Python float
+    mu_rows, beta_rows, forget_rows = (np.full((S, A), c) for c in
+                                       (mu, MSE_BETA, 1.0 - MSE_BETA))
+    e_flat, ones = e.reshape(-1), np.ones(A * S)
+    # the reductions the controllers read, each computed once per sample:
+    # x.x and x.sign(w) up to the last reader in one vecdot against Z,
+    # w.w and w.sign(w) over the rows from the first reader to the last
+    xz = np.zeros((S, 1 + A))
+    red = {"xx": xz[:, 0], "xs": xz[:, 1:], "ww": np.zeros((S, A)),
+           "ws": np.zeros((S, A))}
+    readers = {r: [i for i, c in enumerate(ctls) if r in c.reads] for r in red}
+    xz_rows = (2 + readers["xs"][-1] if readers["xs"] else
+               1 if readers["xx"] else 0)
+    reduce = []
+    for name, right in (("ww", w), ("ws", sgn)):
+        if readers[name]:
+            rows = slice(readers[name][0], readers[name][-1] + 1)
+            reduce.append((w[:, rows], right[:, rows], red[name][:, rows]))
+    updates = []
+    for i, ctl in enumerate(ctls):
+        kappa[:, i] = ctl.kappa
+        ctl.kappa = kappa[:, i]  # updates rewrite it in place: the engine reads it
+        ctl.bind(L)
+        if ctl.spec.update is not None:  # a constant kappa costs nothing
+            updates.append((ctl.update, (e[:, i],) + tuple(
+                red[r] if r == "xx" else red[r][:, i] for r in ctl.reads)))
+    live = np.ones((S, A), dtype=bool)
+    stop_at = np.full((S, A), N)
+    rec = np.zeros((-(-N // every), S, A), dtype=SAMPLE_DTYPE)
+    rec["n"] = np.arange(0, N, every)[:, None, None]
+    # the recorded squared distance ||w - h||^2 and twice the sign-match
+    # count become dB and a fraction after the loop, with the span's ||h||
+    # and active-tap count
+    rec_dist, rec_kappa, rec_e, rec_agree, rec_mse = (
+        rec[f] for f in SAMPLE_DTYPE.names[1:])
+    w_att, sgn_att, kappa_att = w[:, :R], sgn[:, :R], kappa[:, :R]
+    w_hold, sgn_hold = w[:, R:], sgn[:, R:]
+
+    # a diverging row passes through inf and NaN on its own until its stop
+    # leaves it at rest: a NaN sign would reach every row of its sequence
+    # through the product's zero coefficients
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start, stop, h in spans:
+            # h on every row: a same-shape subtraction beats a broadcast one
+            h_rows = np.broadcast_to(h, w.shape).copy()
+            active = np.flatnonzero(h)
+            h_sign = np.sign(h[active])
+            for n in range(start, stop):
+                reg[:, 0] = xrev[:, N - 1 - n:N - 1 - n + L]
+                np.vecdot(w, reg, out=e)
+                np.subtract(d[n], e, out=e)
+                if not math.isfinite(e_flat.dot(ones)):  # inf and NaN propagate
+                    _stop_diverged(w, live & ~np.isfinite(e), live, stop_at,
+                                   n - 1, sgn, e, mu_rows)
+                if xz_rows:
+                    np.vecdot(Z[:, :xz_rows], reg, out=xz[:, :xz_rows])
+                for left, right, out in reduce:
+                    np.vecdot(left, right, out=out)
+                for update, args in updates:
+                    update(*args)
+                np.multiply(mu_rows, e, out=c_mue)
+                np.negative(kappa_att, out=c_kappa)
+                np.matmul(C, z_att, out=upd)
+                w += tmp
+                np.sign(w_att, out=sgn_att)
+                np.multiply(beta_rows, e, out=e2)
+                e2 *= e
+                mse *= forget_rows
+                mse += e2
+                if n % every == 0:
+                    i = n // every
+                    np.sign(w_hold, out=sgn_hold)
+                    np.subtract(w, h_rows, out=tmp)
+                    np.vecdot(tmp, tmp, out=rec_dist[i])
+                    rec_kappa[i] = kappa
+                    rec_e[i] = e
+                    # on the active taps, sgn.sign(h) + sgn.sgn counts
+                    # each match twice and each mismatch or zero not at all
+                    s = sgn if active.size == L else sgn[:, :, active]
+                    np.add(np.vecdot(s, h_sign), np.vecdot(s, s), out=rec_agree[i])
+                    rec_mse[i] = mse
+        _stop_diverged(w, live, live, stop_at, N - 1)
+        for start, stop, h in spans:
+            rows = slice(-(-start // every), -(-stop // every))
+            mis = rec_dist[rows]
+            np.sqrt(mis, out=mis)
+            mis /= float(np.linalg.norm(h))
+            np.log10(mis, out=mis)
+            mis *= 20.0
+            rec_agree[rows] /= 2 * np.count_nonzero(h)
+    return [(rec[:, :, i], stop_at[:, i]) for i in map(order.index, range(A))]
+
+
+def _stop_diverged(w, suspect, live, stop_at, n, *rest) -> None:
+    """Stop the ``suspect`` rows whose weights are non-finite after the
+    update of sample n, and zero their rows of ``w`` and of each of
+    ``rest``.
+
+    A non-finite error only makes a row suspect: a finite w whose dot
+    product overflowed gives one too, and diverges one update later.
+    """
+    rows = np.nonzero(suspect)
+    bad = ~np.isfinite(w[rows]).all(axis=-1)
+    rows = tuple(r[bad] for r in rows)
+    stop_at[rows] = n
+    live[rows] = False
+    for a in (w,) + rest:
+        a[rows] = 0.0

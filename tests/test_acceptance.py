@@ -14,15 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (misalignment_db, oracle_delta_projected, predict_error,
-                     proposed_l1_delta, sparsity_xi, step)
+from oracles import (make_controller, misalignment_db, oracle_delta_projected,
+                     predict_error, proposed_l1_delta, sparsity_xi, step)
 from zapvss.channel import generate_sparse
 from zapvss.cli import emit_csv, parse_config
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
                             aggregate, build_schedule, derive_stream_seeds,
                             recovery_time, run_all, run_seeds)
 from zapvss.signal import generate_input, synthesize_desired
-from zapvss.stepsize import make_controller
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

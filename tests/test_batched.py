@@ -1,5 +1,7 @@
 """The batched grid engine against the scalar ``run_scenario`` reference,
-and the invariance of its output under chunking and seed order."""
+and the invariance of its output under chunking and seed order. The tests
+of the numpy engine's own divergence rest and reductions run the numpy
+reference, ``oracles.numpy_run_seeds``."""
 
 import copy
 import io
@@ -9,8 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import run_scenario
-from zapvss import filtercore
+import oracles
+from oracles import numpy_run_seeds, run_scenario
 from zapvss.cli import emit_csv
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
@@ -108,14 +110,14 @@ class TestAgainstScalar:
             assert_matches_scalar(cfg, trace)
 
     def test_a_stopped_row_rests(self, monkeypatch):
-        # a stopped row rests at zero weights with a finite error, so the
-        # divergence check calls for it no more
+        # in the numpy engine a stopped row rests at zero weights with a
+        # finite error, so the divergence check calls for it no more
         calls = []
-        stop = filtercore._stop_diverged
-        monkeypatch.setattr(filtercore, "_stop_diverged",
+        stop = oracles._stop_diverged
+        monkeypatch.setattr(oracles, "_stop_diverged",
                             lambda *args: calls.append(stop(*args)))
-        traces = run_all(grid(mu=10.0, algorithms=ALL_KINDS[:2]),
-                         max_workers=1)
+        cfg = grid(mu=10.0, algorithms=ALL_KINDS[:2])
+        traces = [t for runs in numpy_run_seeds(cfg, cfg.seeds) for t in runs]
         assert all(t.diverged_at is not None for t in traces)
         assert len(calls) <= len(traces) + 1
 
@@ -169,8 +171,9 @@ PN = AlgorithmConfig("pn", "proposed_norm", {"alpha": 0.05, "gamma": 0.5})
 
 
 class TestAlgorithmOrder:
-    """The engine runs the rows that never attract (lms, fixed_zap with
-    kappa0=0) first and skips their attractor; no trace may tell."""
+    """The rows that never attract (lms, fixed_zap with kappa0=0) skip
+    their attractor; no trace may tell, nor the order of the
+    algorithms."""
 
     @pytest.mark.parametrize("orders", [
         ([LMS, ZAP, ZAP0, PN], [PN, LMS, ZAP0, ZAP]),
@@ -201,8 +204,7 @@ class TestAlgorithmOrder:
 
 
 class TestGridComposition:
-    """Each seed's update is one product whose inner dimension grows with
-    the grid's attracting rows; no trace may tell which rows share it."""
+    """No trace may tell which rows share its sequence's kernel call."""
 
     @pytest.mark.parametrize("L", [16, 512, 2048])
     def test_trace_does_not_depend_on_the_other_algorithms(self, L):
@@ -221,7 +223,8 @@ class TestGridComposition:
 class TestReductions:
     def test_an_l1_liu_reads_no_w_dot_w(self, monkeypatch):
         # the xi measure reads w.w and the l1 measure does not: a grid
-        # whose only reader of it is an l1 liu skips it every sample
+        # whose only reader of it is an l1 liu skips it every sample in
+        # the numpy engine
         calls = []
         vecdot = np.vecdot
         monkeypatch.setattr(np, "vecdot",
@@ -229,7 +232,8 @@ class TestReductions:
 
         def vecdots(algorithm):
             calls.clear()
-            run_seeds(grid(N=50, change_at=25, algorithms=[algorithm]), [1])
+            numpy_run_seeds(grid(N=50, change_at=25, algorithms=[algorithm]),
+                            [1])
             return len(calls)
 
         assert vecdots(ALL_KINDS[3]) - vecdots(ALL_KINDS[4]) == 50

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import math
@@ -578,6 +579,41 @@ class TestMain:
                         "max_kappa"):
                 assert entry[key] is None
 
+    def test_meta_reports_stage_timings_and_build(self, tmp_path):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FULL)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        meta = json.loads((out / "grid_meta.json").read_text())
+        timings = meta["timings"]
+        assert set(timings) == {"synthesis_s", "engine_s", "run_all_s",
+                                "aggregate_s", "emit_csv_s",
+                                "emit_aggregate_csv_s", "emit_svg_s"}
+        assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
+        build = meta["build"]
+        assert set(build) == {"zapvss", "numpy", "python", "kernel_compiler",
+                              "kernel_flags", "cpu_count", "workers",
+                              "config_sha256"}
+        assert build["numpy"] == np.__version__
+        assert "-ffp-contract=off" in build["kernel_flags"]
+        assert build["workers"] >= 1
+        assert build["config_sha256"] == hashlib.sha256(
+            meta["config"].encode()).hexdigest()
+
+    @pytest.mark.parametrize("mu, warned", [("0.11", False), ("0.12", True),
+                                            ("50", True)])
+    def test_stability_warning(self, tmp_path, capsys, mu, warned):
+        # 2/(L+2) = 0.111 for L=16; the exit code stays that of the runs
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FULL.replace("mu=0.01", f"mu={mu}"))
+        code = main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == (2 if mu == "50" else 0)
+        err = capsys.readouterr().err
+        assert ("warning: mu=" in err) == warned
+        if warned:
+            assert "2/(L+2) = 0.111111" in err
+
     def test_gen_channel_round_trip(self, tmp_path):
         dest = tmp_path / "h.txt"
         code = main(["gen-channel", "--L", "32", "--type", "sparse",
@@ -644,7 +680,7 @@ class TestMain:
 
     def test_program_fault_is_internal_error(self, tmp_path, capsys,
                                              monkeypatch):
-        def broken(cfg):
+        def broken(cfg, **kwargs):
             raise ValueError("boom")
 
         monkeypatch.setattr("zapvss.cli.run_all", broken)

@@ -28,7 +28,7 @@ _CANDIDATES = {
 
 
 def param_values(key):
-    typ, ok, _ = PARAMS[key]
+    typ, ok = PARAMS[key][:2]
     return _CANDIDATES[typ].filter(ok)
 
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (DivergenceError, apply_update, predict_error, sign_vec,
-                     step)
-from zapvss.stepsize import make_controller
+from oracles import (DivergenceError, apply_update, make_controller,
+                     predict_error, sign_vec, step)
 
 finite_vectors = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=16),

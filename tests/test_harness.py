@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from zapvss.channel import generate_sparse
-from oracles import (DivergenceError, oracle_delta_l1, oracle_delta_projected,
-                     predict_error, proposed_l1_delta, residual_error,
-                     run_scenario, step)
+from oracles import (DivergenceError, make_controller, oracle_delta_l1,
+                     oracle_delta_projected, predict_error, proposed_l1_delta,
+                     residual_error, run_scenario, step)
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ConfigError,
                             RunTrace, ScenarioConfig, aggregate,
                             build_schedule, derive_stream_seeds,
                             recovery_time, run_all)
 from zapvss.signal import generate_input, synthesize_desired
-from zapvss.stepsize import make_controller
 
 
 def small_config(**overrides):

@@ -1,0 +1,173 @@
+"""The compiled kernel against both references, and its build.
+
+The kernel (``zapvss.filtercore.run_rows``) is checked against the numpy
+engine it replaced (``oracles.numpy_run_seeds``) and against the scalar
+``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
+kind, filter lengths that leave a tail of the kernel's eight summation
+lanes, several ``record_every`` and runs that diverge.
+"""
+
+import ctypes
+import shutil
+import subprocess
+
+import numpy as np
+import pytest
+
+from oracles import numpy_run_seeds, run_scenario
+from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
+                          assert_matches_scalar, grid, trace_key)
+from zapvss import filtercore
+from zapvss.cli import main
+from zapvss.harness import ChannelSpec, recovery_time, run_all, run_seeds
+from zapvss.stepsize import make_controller
+
+
+def small_grid(L, **overrides):
+    active = min(L - 1, 4)
+    return grid(**{"L": L, "N": 240, "change_at": 120, "seeds": [1, 2],
+                   "channel_before": ChannelSpec(
+                       kind="sparse", active_count=active, seed=21),
+                   "channel_after": ChannelSpec(
+                       kind="sparse", active_count=active, seed=33),
+                   **overrides})
+
+
+def assert_matches_numpy(kernel, reference):
+    assert [(t.algorithm, t.seed, t.diverged_at, len(t.samples))
+            for t in kernel] == [(t.algorithm, t.seed, t.diverged_at,
+                                  len(t.samples)) for t in reference]
+    for got, want in zip(kernel, reference):
+        assert np.array_equal(got.column("n"), want.column("n"))
+        np.testing.assert_allclose(got.column("misalignment_db"),
+                                   want.column("misalignment_db"),
+                                   rtol=0.0, atol=MIS_TOL_DB)
+        for name in ("kappa", "error", "smoothed_mse"):
+            np.testing.assert_allclose(got.column(name), want.column(name),
+                                       rtol=REL_TOL, atol=ABS_TOL,
+                                       err_msg=name)
+        np.testing.assert_array_equal(got.column("sign_agreement"),
+                                      want.column("sign_agreement"))
+
+
+def numpy_traces(cfg):
+    return [t for runs in numpy_run_seeds(cfg, cfg.seeds) for t in runs]
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 7])
+@pytest.mark.parametrize("L", [2, 3, 17])
+def test_every_kind_matches_both_references(L, record_every):
+    cfg = small_grid(L, record_every=record_every)
+    kernel = run_all(cfg, max_workers=1)
+    assert {t.algorithm for t in kernel} == {a.name for a in ALL_KINDS}
+    assert_matches_numpy(kernel, numpy_traces(cfg))
+    for trace in kernel:
+        assert_matches_scalar(cfg, trace)
+        assert recovery_time(trace, cfg.change_at) == recovery_time(
+            run_scenario(cfg, trace.algorithm, trace.seed), cfg.change_at)
+
+
+def test_rows_diverging_at_different_samples():
+    # mu = 10 is 90 times the stability bound 2/(L+2) of L=16
+    cfg = small_grid(16, mu=10.0, N=400, change_at=200, seeds=[1, 2, 3],
+                     record_every=3)
+    kernel = run_all(cfg, max_workers=1)
+    stops = [t.diverged_at for t in kernel]
+    assert None not in stops and len(set(stops)) == 3
+    assert_matches_numpy(kernel, numpy_traces(cfg))
+    for trace in kernel:
+        assert_matches_scalar(cfg, trace)
+
+
+def test_a_trace_does_not_depend_on_its_batch():
+    # seed 4 diverges at this mu; the others do not
+    cfg = grid(mu=2.5, seeds=[1, 2, 4], record_every=3)
+    together = run_seeds(cfg, cfg.seeds)
+    for i, seed in enumerate(cfg.seeds):
+        alone = run_seeds(cfg, [seed])
+        assert [trace_key([runs[0]]) for runs in alone] == [
+            trace_key([runs[i]]) for runs in together]
+
+
+def test_run_rows_checks_the_shapes_it_hands_the_kernel():
+    h = np.ones(4)
+    x, d = np.zeros((2, 10)), np.zeros((10, 2))
+    ctl = [make_controller("lms", {}, 0.01)]
+    assert filtercore.run_rows(x, d, [(0, 10, h)], 0.01, ctl, 1)
+    for bad in ((x, d.T, [(0, 10, h)], 1), (x, d, [(0, 10, h)], 0),
+                (x, d, [(0, 9, h)], 1), (x, d, [(0, 5, h), (6, 10, h)], 1),
+                (x, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
+        with pytest.raises(ValueError, match="run_rows needs"):
+            filtercore.run_rows(*bad[:3], 0.01, ctl, bad[3])
+
+
+def test_kernel_source_compiles_without_warnings():
+    cc = shutil.which(filtercore.CC)
+    done = subprocess.run(
+        [cc, *filtercore.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-fsyntax-only", str(filtercore.SOURCE)],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def marker_source(path, value):
+    # build() compiles any source; a small one keeps these tests fast
+    path.write_text(f"int zap_marker(void) {{ return {value}; }}\n")
+    return path
+
+
+def test_a_library_of_another_source_is_rebuilt(tmp_path, monkeypatch):
+    old, new = marker_source(tmp_path / "old.c", 1), marker_source(
+        tmp_path / "new.c", 7)
+    cache = tmp_path / "c"
+    stale = filtercore.build(old, [cache])
+    fresh = filtercore.build(new, [cache])
+    assert fresh != stale and fresh.parent == stale.parent == cache
+    assert ctypes.CDLL(str(fresh)).zap_marker() == 7
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [stale.name, fresh.name])  # no temporary file left behind
+
+    # a library of the same source, flags and compiler loads as it is
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran on a cached source")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert filtercore.build(new, [cache]) == fresh
+
+
+def test_an_unwritable_cache_falls_back_to_the_next(tmp_path):
+    blocked = tmp_path / "file"
+    blocked.write_text("")  # a file: no directory can be made under it
+    built = filtercore.build(marker_source(tmp_path / "m.c", 1),
+                             [blocked / "cache", tmp_path / "user"])
+    assert built.parent == tmp_path / "user"
+
+
+def test_a_failed_build_is_a_program_fault(tmp_path, monkeypatch, capsys):
+    broken = tmp_path / "broken.c"
+    broken.write_text("this is not C\n")
+    with pytest.raises(filtercore.KernelBuildError,
+                       match="-ffp-contract=off") as failed:
+        filtercore.build(broken, [tmp_path / "c"])
+    assert str(broken) in str(failed.value)
+    assert not list((tmp_path / "c").iterdir())
+
+    monkeypatch.setattr(filtercore, "CC", "zapvss-no-such-cc")
+    with pytest.raises(filtercore.KernelBuildError,
+                       match="zapvss-no-such-cc") as missing:
+        filtercore.build(caches=[tmp_path / "c"])
+
+    # a build that failed at import surfaces when the kernel is first
+    # needed, which `zapvss run` reports as an internal error
+    monkeypatch.setattr(filtercore, "_kernel", missing.value)
+    monkeypatch.setenv("ZAPVSS_THREADS", "1")
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text("[scenario]\nL=4\nN=10\nsnr_db=30\nmu=0.01\n"
+                        "seeds=1\n[channel.before]\nkind=sparse\n"
+                        "active_count=1\nseed=1\n[algorithm]\nname=lms\n"
+                        "kind=lms\n")
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: KernelBuildError" in err
+    assert "zapvss-no-such-cc" in err

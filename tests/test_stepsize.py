@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (DivergenceError, ScalarController, kappa_smooth,
-                     proposed_l1_delta, proposed_norm_delta, step)
+                     make_controller, proposed_l1_delta, proposed_norm_delta,
+                     step)
 from zapvss.harness import AlgorithmConfig, ChannelSpec, ScenarioConfig
-from zapvss.stepsize import KINDS, controller_params, make_controller
+from zapvss.stepsize import KINDS, controller_params
 
 MU = 100.0  # a kappa_max default far above every kappa below: no clamping
 

@@ -3,12 +3,13 @@
 The input has unit power and the noise is calibrated to the SNR, so
 scaling both echo paths by c scales the ideal weights, the errors and
 the noise by c. A run stays the same run if every parameter in weight
-units is scaled by c too: ``kappa0``, ``kappa_min``, ``kappa_max``,
-``w2_floor``, and ``gamma`` where the drive is dimensionless
-(``proposed_norm``, and ``liu`` on the xi measure). Every other key is
-dimensionless, and ``mu`` is in units of 1/(input power). For a power of
-two c every scaled operation is exact, so the misalignment must be
-bit-identical and kappa exactly c times the base kappa.
+units (the unit column of ``zapvss.stepsize.PARAMS``, read through
+``param_unit``) is scaled by c too: ``kappa0``, ``kappa_min``,
+``kappa_max``, ``w2_floor``, and ``gamma`` where the drive is
+dimensionless (``proposed_norm``, and ``liu`` on the xi measure). Every
+other key is dimensionless, and ``mu`` is in units of 1/(input power).
+For a power of two c every scaled operation is exact, so the misalignment
+must be bit-identical and kappa exactly c times the base kappa.
 """
 
 import numpy as np
@@ -17,8 +18,7 @@ import pytest
 from zapvss.channel import Channel, generate_sparse, save_channel
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
                             run_all)
-
-WEIGHT_KEYS = ("kappa0", "kappa_min", "kappa_max", "w2_floor")
+from zapvss.stepsize import PARAMS, param_unit
 
 # kappa_max and w2_floor are set because their defaults, mu and 1e-2, are
 # not in weight units: a default guard would not scale with the path
@@ -43,16 +43,24 @@ ALGORITHMS = [
 ]
 
 
-def _gamma_in_weight_units(alg):
-    return alg.kind == "proposed_norm" or (
-        alg.kind == "liu" and alg.params.get("measure", "xi") == "xi")
-
-
 def _scaled(alg, c):
-    params = {key: value * c if key in WEIGHT_KEYS or (
-        key == "gamma" and _gamma_in_weight_units(alg)) else value
-        for key, value in alg.params.items()}
+    params = {key: value * c
+              if param_unit(alg.kind, key, alg.params) == "weight" else value
+              for key, value in alg.params.items()}
     return AlgorithmConfig(alg.name, alg.kind, params)
+
+
+def test_the_unit_column():
+    assert {key for key, spec in PARAMS.items() if spec[3] == "weight"} == {
+        "kappa0", "kappa_min", "kappa_max", "w2_floor"}
+    assert {spec[3] for spec in PARAMS.values()} == {
+        "weight", "none", "weight/drive"}
+    gamma = {(alg.kind, alg.params.get("measure")):
+             param_unit(alg.kind, "gamma", alg.params)
+             for alg in ALGORITHMS if "gamma" in alg.params}
+    assert gamma == {("liu", None): "weight", ("liu", "l1"): "none",
+                     ("proposed_l1", None): "none",
+                     ("proposed_norm", None): "weight"}
 
 
 def _grid(tmp_path, c):
