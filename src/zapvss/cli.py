@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -12,18 +11,17 @@ import math
 import os
 import platform
 import sys
-from functools import partial
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .channel import save_channel
-from .filtercore import build_info
+from .filtercore import build_info, format_rows
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RECOVERY_MARGIN_DB, ConfigError, RunTrace,
-                      ScenarioConfig, aggregate, fan_out, resolve_workers,
-                      run_all, timed)
+                      ScenarioConfig, aggregate, resolve_workers, run_all,
+                      timed)
 from .stepsize import PARAMS
 
 CSV_HEADER = "scenario,algorithm,seed,n,e,kappa,misalignment_db,sign_agreement,smoothed_mse"
@@ -221,36 +219,28 @@ def _check_label(scenario: str) -> None:
 
 
 def _trace_rows(trace: RunTrace, scenario: str) -> str:
-    # tolist() yields Python floats, so the text is their shortest repr
-    prefix = f"{scenario},{trace.algorithm},{trace.seed},"
-    columns = [trace.column(name).tolist() for name in CSV_FIELDS]
-    return "".join(f"{prefix}{n},{e!r},{k!r},{m!r},{a!r},{q!r}\n"
-                   for n, e, k, m, a, q in zip(*columns))
+    return format_rows(f"{scenario},{trace.algorithm},{trace.seed},",
+                       trace.column("n"),
+                       [trace.column(name) for name in CSV_FIELDS[1:]])
 
 
 def emit_csv(traces: list[RunTrace], destination, scenario: str) -> None:
-    """Per-sample trace CSV, rows sorted by (algorithm, seed, n), full
-    decimal precision; byte-identical for identical inputs at any worker
-    count. Each run's rows are formatted through ``fan_out`` and written
-    here in order, a few runs at a time."""
+    """Per-sample trace CSV, rows sorted by (algorithm, seed, n), each value
+    the shortest text that parses back to it; byte-identical for identical
+    inputs. Each run's rows are formatted and written in turn."""
     _check_label(scenario)
     ordered = sorted(traces, key=lambda t: (t.algorithm, t.seed))
-    texts = fan_out(partial(_trace_rows, scenario=scenario), ordered)
-    with contextlib.closing(texts):  # a failed write stops the pool too
-        _write_chunks(destination, itertools.chain([CSV_HEADER + "\n"], texts))
+    _write_chunks(destination, itertools.chain(
+        [CSV_HEADER + "\n"], (_trace_rows(t, scenario) for t in ordered)))
 
 
 def emit_aggregate_csv(aggregates: list[AlgorithmAggregate], destination,
                        scenario: str) -> None:
     """Mean misalignment curves, one row per (algorithm, recorded sample)."""
     _check_label(scenario)
-    rows = [AGGREGATE_HEADER]
-    for agg in aggregates:
-        # tolist() yields Python ints and floats: the text is their repr
-        prefix = itertools.repeat(f"{scenario},{agg.name},")
-        rows += map("{}{},{!r}".format, prefix, agg.n.tolist(),
-                    agg.mean_misalignment_db.tolist())
-    _write_chunks(destination, ["\n".join(rows) + "\n"])
+    _write_chunks(destination, [AGGREGATE_HEADER + "\n"] + [
+        format_rows(f"{scenario},{agg.name},", agg.n,
+                    [agg.mean_misalignment_db]) for agg in aggregates])
 
 
 def emit_svg(aggregates: list[AlgorithmAggregate], destination,

@@ -1,5 +1,6 @@
 /* The per-sample recursion of the sign-attracted LMS filter and its six
- * step-size controllers, one call per input sequence (see filtercore.py).
+ * step-size controllers, one call per input sequence, and the text of the
+ * CSV rows (see filtercore.py).
  *
  * Every sum over the taps runs in LANES fixed accumulators, lane j taking
  * taps j, j + LANES, ..., the tail included, and the lanes are added in one
@@ -9,6 +10,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define LANES 8
 
@@ -264,4 +266,314 @@ int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
     }
     free(xx);
     return status;
+}
+
+/* ---- CSV rows ----
+ *
+ * A double is written as the shortest decimal that parses back to it, laid
+ * out as Python's repr(float) lays it out. The digits come from Ryu (Ulf
+ * Adams, "Ryu: fast float-to-string conversion", PLDI 2018): the interval of
+ * decimals that round to the double is scaled by a 128-bit approximation of
+ * a power of 5, and digits are removed while the interval still holds a
+ * shorter decimal; of the shortest, the one nearest the double is taken,
+ * ties to even. The power-of-5 tables are computed with exact integers by
+ * filtercore.py and handed over by zap_format_init. */
+
+#define POW5_BITCOUNT 125  /* filtercore.POW5_BITCOUNT */
+
+typedef unsigned __int128 u128;
+
+/* POW5_INV[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1 for q < 342 and
+ * POW5[i] = 5^i scaled to 125 bits (truncated) for i < 326, as (low, high)
+ * words; a double reads q <= 290 and i <= 325 */
+static const uint64_t (*POW5_INV)[2], (*POW5)[2];
+/* "00", "01", ..., "99", and POW10[i] = 10^i */
+static char DIGIT_PAIRS[200];
+static uint64_t POW10[20];
+
+void zap_format_init(const uint64_t *pow5_inv, const uint64_t *pow5) {
+    POW5_INV = (const uint64_t (*)[2])pow5_inv;
+    POW5 = (const uint64_t (*)[2])pow5;
+    for (int i = 0; i < 100; i++) {
+        DIGIT_PAIRS[2 * i] = (char)('0' + i / 10);
+        DIGIT_PAIRS[2 * i + 1] = (char)('0' + i % 10);
+    }
+    POW10[0] = 1;
+    for (int i = 1; i < 20; i++)
+        POW10[i] = 10 * POW10[i - 1];
+}
+
+/* bitlen(5^e) for 0 <= e <= 3528 */
+static inline int32_t pow5bits(int32_t e) {
+    return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/* floor(log10(2^e)) for 0 <= e <= 1650 */
+static inline uint32_t log10_pow2(int32_t e) {
+    return ((uint32_t)e * 78913) >> 18;
+}
+
+/* floor(log10(5^e)) for 0 <= e <= 2620 */
+static inline uint32_t log10_pow5(int32_t e) {
+    return ((uint32_t)e * 732923) >> 20;
+}
+
+static inline int multiple_of_pow5(uint64_t v, uint32_t p) {
+    uint32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+static inline int multiple_of_pow2(uint64_t v, uint32_t p) {
+    return (v & ((1ull << p) - 1)) == 0;
+}
+
+static inline uint64_t mul_shift(uint64_t m, const uint64_t mul[2], int32_t j) {
+    u128 b0 = (u128)m * mul[0], b2 = (u128)m * mul[1];
+    return (uint64_t)(((b0 >> 64) + b2) >> (j - 64));
+}
+
+/* The shortest decimal *digits * 10^*exp10 that rounds to the finite,
+ * nonzero double of these fields. It has no trailing zero: one digit less
+ * would then lie in the interval too. */
+static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits,
+                     int32_t *exp10) {
+    int32_t e2;
+    uint64_t m2;
+    /* two more bits for the bounds */
+    if (exponent == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = mantissa;
+    } else {
+        e2 = (int32_t)exponent - 1023 - 52 - 2;
+        m2 = (1ull << 52) | mantissa;
+    }
+    /* round-half-even parsing reaches the bounds of an even mantissa */
+    const int accept_bounds = (m2 & 1) == 0;
+    const uint64_t mv = 4 * m2;
+    /* the lower bound is nearer when the mantissa is a power of two */
+    const uint32_t mm_shift = mantissa != 0 || exponent <= 1;
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        const uint32_t q = log10_pow2(e2) - (e2 > 3);
+        const int32_t i = -e2 + (int32_t)q + POW5_BITCOUNT + pow5bits((int32_t)q) - 1;
+        e10 = (int32_t)q;
+        vr = mul_shift(mv, POW5_INV[q], i);
+        vp = mul_shift(mv + 2, POW5_INV[q], i);
+        vm = mul_shift(mv - 1 - mm_shift, POW5_INV[q], i);
+        if (q <= 21) {
+            /* at most one of mv, mp and mm is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - (pow5bits(i) - POW5_BITCOUNT);
+        e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, POW5[i], j);
+        vp = mul_shift(mv + 2, POW5[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, POW5[i], j);
+        if (q <= 1) {
+            /* mv = 4 * m2 has at least two trailing zero bits */
+            vr_zeros = 1;
+            if (accept_bounds)
+                vm_zeros = mm_shift == 1;
+            else
+                --vp;
+        } else if (q < 63) {
+            vr_zeros = multiple_of_pow2(mv, q);
+        }
+    }
+    int32_t removed = 0;
+    uint64_t out;
+    if (vm_zeros || vr_zeros) {
+        /* the rare general case: the bounds or the value may be exact */
+        uint32_t last = 0;
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros)
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* exactly half way: round to even */
+        out = vr + ((vr == vm && (!accept_bounds || !vm_zeros)) || last >= 5);
+    } else {
+        int round_up = 0;
+        if (vp / 100 > vm / 100) {
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        out = vr + (vr == vm || round_up);
+    }
+    *digits = out;
+    *exp10 = e10 + removed;
+}
+
+/* the eight decimal digits of v < 10^8 at p, in two independent halves */
+static inline void eight_digits(char *p, uint32_t v) {
+    const uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(p, DIGIT_PAIRS + 2 * (hi / 100), 2);
+    memcpy(p + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    memcpy(p + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
+    memcpy(p + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
+}
+
+/* the decimal digits of v, the last one just before end */
+static inline void digits_before(char *end, uint64_t v) {
+    while (v >= 100000000) {
+        end -= 8;
+        eight_digits(end, (uint32_t)(v % 100000000));
+        v /= 100000000;
+    }
+    uint32_t w = (uint32_t)v;
+    while (w >= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (w % 100), 2);
+        w /= 100;
+    }
+    if (w >= 10)
+        memcpy(end - 2, DIGIT_PAIRS + 2 * w, 2);
+    else
+        end[-1] = (char)('0' + w);
+}
+
+/* the number of decimal digits of v, one for 0 */
+static inline int digit_count(uint64_t v) {
+    /* 1233 / 4096 ~ log10(2): n is the count or one less. v | 1 counts 0 as
+     * one digit and compares with an even 10^n as v does. */
+    int n = ((64 - __builtin_clzll(v | 1)) * 1233) >> 12;
+    return n + ((v | 1) >= POW10[n]);
+}
+
+static char *put_uint(char *p, uint64_t v) {
+    int n = digit_count(v);
+    digits_before(p + n, v);
+    return p + n;
+}
+
+static char *put_int(char *p, int64_t v) {
+    if (v < 0) {
+        *p++ = '-';
+        return put_uint(p, -(uint64_t)v);
+    }
+    return put_uint(p, (uint64_t)v);
+}
+
+/* repr(v), at most 24 characters */
+static char *put_double(char *p, double v) {
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    const uint64_t mantissa = bits & ((1ull << 52) - 1);
+    const uint32_t exponent = (uint32_t)((bits >> 52) & 0x7ff);
+    if (exponent == 0x7ff) {
+        if (mantissa) {
+            memcpy(p, "nan", 3);
+            return p + 3;
+        }
+        if (bits >> 63)
+            *p++ = '-';
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (exponent == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    uint64_t digits;
+    int32_t exp10;
+    shortest(mantissa, exponent, &digits, &exp10);
+    const int n = digit_count(digits);
+    /* the value is 0.d1d2...dn * 10^point */
+    const int32_t point = exp10 + n;
+    if (point <= -4 || point > 16) {
+        /* d1.d2...dn, the digits first written one place to the right */
+        digits_before(p + 1 + n, digits);
+        p[0] = p[1];
+        if (n > 1) {
+            p[1] = '.';
+            p += n + 1;
+        } else {
+            p += 1;
+        }
+        int32_t e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e < 10)
+            *p++ = '0';
+        return put_uint(p, (uint64_t)e);
+    }
+    if (point <= 0) {
+        memcpy(p, "0.000", (size_t)(2 - point));
+        p += 2 - point;
+        digits_before(p + n, digits);
+        return p + n;
+    }
+    if (point < n) {
+        /* the digits one place to the right, then the first point moved back */
+        digits_before(p + 1 + n, digits);
+        memmove(p, p + 1, (size_t)point);
+        p[point] = '.';
+        return p + n + 1;
+    }
+    digits_before(p + n, digits);
+    p += n;
+    memset(p, '0', (size_t)(point - n));
+    p += point - n;
+    memcpy(p, ".0", 2);
+    return p + 2;
+}
+
+/* Rows r = 0..rows-1 of "<prefix><n[r]>,<v[0][r]>,...,<v[cols-1][r]>\n",
+ * v[j][r] = values[j * rows + r], written to out, which holds at least
+ * rows * (plen + 21 + 25 * cols) bytes. Returns the bytes written. */
+int64_t zap_format_rows(const char *prefix, int64_t plen, int64_t rows,
+                        const int64_t *n, int64_t cols, const double *values,
+                        char *out) {
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        memcpy(p, prefix, (size_t)plen);
+        p = put_int(p + plen, n[r]);
+        for (int64_t j = 0; j < cols; j++) {
+            *p++ = ',';
+            p = put_double(p, values[j * rows + r]);
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -1,6 +1,7 @@
 """The filter recursion: the sign-attracted LMS update of many runs (rows),
 each advanced sample by sample with its controller and recorded metrics,
-in one compiled kernel (``filtercore.c``).
+in one compiled kernel (``filtercore.c``), and the text of the CSV rows it
+records (``format_rows``), written by the same library.
 
 The kernel is built with the system C compiler when this module is first
 imported and cached under a name that hashes its source, the flags, the
@@ -41,6 +42,12 @@ CC = "cc"
 # no fast-math and no contraction: the kernel's fixed summation order then
 # fixes every result
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+# the scale of the formatter's power-of-5 table entries (see pow5_tables)
+POW5_BITCOUNT = 125
+# the longest text of one row's integer and line break, and of one double
+# and its comma ("-2.2250738585072014e-308")
+ROW_BYTES = 21
+VALUE_BYTES = 25
 
 
 class KernelBuildError(RuntimeError):
@@ -110,6 +117,22 @@ def build(source: Path = SOURCE, caches: list[Path] | None = None) -> Path:
                            f"kernel among {', '.join(map(str, caches))}")
 
 
+def pow5_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The formatter's power-of-5 tables as (low, high) 64-bit word pairs,
+    from exact integers: ``inv[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q)
+    + 1`` for q < 342 and ``pow5[i] = floor(5^i * 2^125 / 2^bitlen(5^i))``,
+    5^i to 125 significant bits, for i < 326 (Ryu's double tables)."""
+    inv = [(1 << ((5**q).bit_length() - 1 + POW5_BITCOUNT)) // 5**q + 1
+           for q in range(342)]
+    pow5 = [(5**i << POW5_BITCOUNT) >> (5**i).bit_length() for i in range(326)]
+    return tuple(np.array([(v & (2**64 - 1), v >> 64) for v in table],
+                          dtype=np.uint64) for table in (inv, pow5))
+
+
+# the library keeps pointers into these: they live as long as the module
+_POW5_TABLES = pow5_tables()
+
+
 def _load():
     """The kernel's library, or the KernelBuildError that stopped it."""
     try:
@@ -124,6 +147,11 @@ def _load():
     lib.zap_run.argtypes = [i64, i64, p, p, i64, p, p, p, p, f64, i64, p, f64,
                             i64, p, i64, p]
     lib.zap_compiler.restype = ctypes.c_char_p
+    lib.zap_format_init.restype = None
+    lib.zap_format_init.argtypes = [p, p]
+    lib.zap_format_init(*(t.ctypes.data for t in _POW5_TABLES))
+    lib.zap_format_rows.restype = i64
+    lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, p, p]
     return lib
 
 
@@ -205,3 +233,24 @@ def run_rows(x, d, spans, mu: float, ctls, every: int):
         if status != 0:
             raise MemoryError("the filter kernel ran out of memory")
     return [(rec[a].T, stop_at[:, a]) for a in range(A)]
+
+
+def format_rows(prefix: str, n, columns) -> str:
+    """One text line per entry of ``n``: ``prefix``, then n[r] and each of
+    ``columns`` at r, comma-separated. The integers read as int64 and are
+    written as ``str(int)`` writes them; the values read as float64 and are
+    written as ``repr(float)`` writes them, the shortest text that parses
+    back to the same double."""
+    lib = _library()
+    n = np.ascontiguousarray(n, dtype=np.int64)
+    values = np.ascontiguousarray(columns, dtype=np.float64)
+    # the library trusts these shapes
+    if n.ndim != 1 or values.ndim != 2 or values.shape[1] != n.size:
+        raise ValueError("format_rows needs n of shape (rows,) and columns "
+                         "of shape (cols, rows)")
+    head = prefix.encode("utf-8", "surrogatepass")
+    out = np.empty(n.size * (len(head) + ROW_BYTES + VALUE_BYTES * len(values)),
+                   dtype=np.uint8)
+    used = lib.zap_format_rows(head, len(head), n.size, n.ctypes.data,
+                               len(values), values.ctypes.data, out.ctypes.data)
+    return str(out[:used], "utf-8", "surrogatepass")

@@ -8,7 +8,6 @@ import math
 import os
 import re
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -321,55 +320,37 @@ def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
     return max(1, min(max_workers, n_tasks))
 
 
-def fan_out(fn, items: list, max_workers: int | None = None):
-    """Yield ``fn(item)`` for each of ``items``, in input order.
-
-    The calls run on ``resolve_workers(len(items), max_workers)`` worker
-    processes, at most two per worker ahead of the caller, so only a few
-    results wait in memory at once; ``fn``, the items and the results must
-    pickle. With one worker this is a plain ``map`` in this process. The
-    pool shuts down when the generator is exhausted or closed or a call
-    raises, cancelling the calls not yet started.
-    """
-    k = resolve_workers(len(items), max_workers)
-    if k == 1:
-        yield from map(fn, items)
-        return
-    pool = ProcessPoolExecutor(max_workers=k)
-    try:
-        pending = deque()
-        for item in items:
-            if len(pending) == 2 * k:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
             timings: dict | None = None) -> list[RunTrace]:
     """Every (algorithm, seed) run of the grid, in config order.
 
-    The seed list is split into one contiguous chunk per worker; each chunk
-    runs every algorithm in one batched loop (``run_seeds``), the chunks
-    side by side through ``fan_out``. No trace depends on the chunking or
-    on scheduling. Adds the chunks' stage seconds, summed over the workers,
-    to ``timings`` (see ``run_seeds``).
+    The seed list is split into one contiguous chunk per worker of
+    ``resolve_workers``; each chunk runs every algorithm in one batched
+    loop (``run_seeds``), the chunks side by side in a process pool, or in
+    this process with one worker; a failing chunk shuts the pool down at
+    once. No trace depends on the chunking or on scheduling. Adds the
+    chunks' stage seconds, summed over the workers, to ``timings`` (see
+    ``run_seeds``).
     """
     timings = {} if timings is None else timings
     seeds = cfg.seeds
     k = resolve_workers(len(seeds), max_workers)
     chunks = [seeds[i * len(seeds) // k:(i + 1) * len(seeds) // k]
               for i in range(k)]
-    results = []
-    for traces, chunk_timings in fan_out(partial(_run_chunk, cfg), chunks, k):
-        results.append(traces)
+    run_chunk = partial(_run_chunk, cfg)
+    if k == 1:
+        results = list(map(run_chunk, chunks))
+    else:
+        pool = ProcessPoolExecutor(max_workers=k)
+        try:
+            results = list(pool.map(run_chunk, chunks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    for _, chunk_timings in results:
         for stage, seconds in chunk_timings.items():
             timings[stage] = timings.get(stage, 0.0) + seconds
     return [t for a in range(len(cfg.algorithms))
-            for chunk in results for t in chunk[a]]
+            for traces, _ in results for t in traces[a]]
 
 
 def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggregate]:

@@ -47,7 +47,12 @@ def synthesize_desired(x, spans, snr_db: float,
     N = x.size
     clean = np.empty(N)
     for start, stop, taps in spans:
-        clean[start:stop] = np.convolve(x, taps)[start:stop]
+        # the span's outputs read the L - 1 samples before it; a slice of at
+        # least L samples keeps np.convolve from swapping its operands, so
+        # every output sums in the order of the full convolution
+        lo = max(0, start - taps.size + 1)
+        clean[start:stop] = np.convolve(
+            x[lo:max(stop, lo + taps.size)], taps)[start - lo:stop - lo]
     if math.isinf(snr_db):
         return DesiredSignal(d=clean.copy(), clean=clean, noise_variance=0.0)
     noise_variance = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)

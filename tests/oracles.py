@@ -12,6 +12,10 @@ Two references check the compiled kernel ``zapvss.filtercore.run_rows``:
 * the scalar reference ``step`` and ``run_scenario``: one run, one sample
   at a time, with the metrics recomputed from the weights.
 
+The trace CSV rows that the compiled formatter writes
+(``zapvss.filtercore.format_rows``) have ``trace_rows``: f-strings of
+Python's ``repr``.
+
 The controller references (``ScalarController``) recompute each kind's
 kappa one sample at a time with scalar arithmetic, so the vectorized
 updates have a reference that shares none of their code.
@@ -28,6 +32,7 @@ import numpy as np
 
 from zapvss import harness
 from zapvss.channel import Channel
+from zapvss.cli import CSV_FIELDS
 from zapvss.filtercore import MSE_BETA, SAMPLE_DTYPE
 from zapvss.harness import RunTrace, build_schedule, derive_stream_seeds
 from zapvss.signal import generate_input, synthesize_desired
@@ -186,6 +191,15 @@ def run_scenario(cfg, algorithm: str, seed: int) -> RunTrace:
     final = float(samples.misalignment_db[-1]) if samples.size else math.nan
     return RunTrace(algorithm=algorithm, seed=seed, samples=samples,
                     final_misalignment_db=final, diverged_at=diverged_at)
+
+
+def trace_rows(trace: RunTrace, scenario: str) -> str:
+    """One run's trace CSV rows, each value as Python's repr writes it."""
+    # tolist() yields Python floats, so the text is their shortest repr
+    prefix = f"{scenario},{trace.algorithm},{trace.seed},"
+    columns = [trace.column(name).tolist() for name in CSV_FIELDS]
+    return "".join(f"{prefix}{n},{e!r},{k!r},{m!r},{a!r},{q!r}\n"
+                   for n, e, k, m, a, q in zip(*columns))
 
 
 def sign_vec(w) -> np.ndarray:

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from oracles import (make_controller, misalignment_db, oracle_delta_projected,
-                     predict_error, proposed_l1_delta, sparsity_xi, step)
+                     predict_error, proposed_l1_delta, sparsity_xi, step,
+                     trace_rows)
 from zapvss.channel import generate_sparse
-from zapvss.cli import emit_csv, parse_config
+from zapvss.cli import CSV_HEADER, emit_csv, parse_config
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
                             aggregate, build_schedule, derive_stream_seeds,
                             recovery_time, run_all, run_seeds)
@@ -272,3 +273,19 @@ def test_aggregate_reports_the_criteria_tails(sparse_grid, dispersive_grid):
     assert pn.floor_sign_agreement == np.mean(
         [_sign_tail(t, cfg.change_at) for t in traces
          if t.algorithm == "proposed_norm"])
+
+
+def test_trace_csv_equals_the_repr_oracle(sparse_grid, dispersive_grid,
+                                          tmp_path):
+    # the compiled formatter writes each shipped grid's CSV as the f-string
+    # and repr rows of the oracle would, compared one run at a time
+    for label, (cfg, traces) in (("sparse", sparse_grid[:2]),
+                                 ("dispersive", dispersive_grid)):
+        path = tmp_path / f"{label}_trace.csv"
+        emit_csv(traces, path, scenario=label)
+        with open(path) as f:
+            assert f.readline() == CSV_HEADER + "\n"
+            for trace in sorted(traces, key=lambda t: (t.algorithm, t.seed)):
+                want = trace_rows(trace, label)
+                assert f.read(len(want)) == want, (trace.algorithm, trace.seed)
+            assert f.read() == ""

@@ -13,11 +13,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import run_scenario
+from oracles import run_scenario, trace_rows
 from zapvss.channel import generate_dispersive, generate_sparse, load_channel
-from zapvss.cli import (ConfigError, canonical_config_text, emit_aggregate_csv,
-                        emit_csv, emit_svg, main, parse_config,
-                        parse_config_text)
+from zapvss.cli import (CSV_HEADER, ConfigError, canonical_config_text,
+                        emit_aggregate_csv, emit_csv, emit_svg, main,
+                        parse_config, parse_config_text)
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, run_all)
@@ -311,6 +311,9 @@ def pools(monkeypatch):
 
 
 class TestPooledEmission:
+    """The trace CSV is formatted in the calling process: ZAPVSS_THREADS
+    caps only the seed chunks of run_all, and emission starts no pool."""
+
     def test_bytes_independent_of_worker_count(self, monkeypatch, pools):
         traces = mixed_traces()
         texts = []
@@ -319,8 +322,11 @@ class TestPooledEmission:
             buf = io.StringIO()
             emit_csv(traces, buf, scenario="s")
             texts.append(buf.getvalue())
-        assert pools == [2, 3]
+        assert pools == []
         assert texts[1] == texts[0] and texts[2] == texts[0]
+        ordered = sorted(traces, key=lambda t: (t.algorithm, t.seed))
+        assert texts[0] == CSV_HEADER + "\n" + "".join(
+            trace_rows(t, "s") for t in ordered)
         lines = texts[0].splitlines()
         assert len(lines) == 1 + sum(len(t.samples) for t in traces)
         assert sum(line.split(",")[6] == "-inf" for line in lines) == 1
@@ -336,10 +342,8 @@ class TestPooledEmission:
         monkeypatch.setenv("ZAPVSS_THREADS", "2")
         with pytest.raises(OSError) as failure:
             emit_csv(traces, FullDisk(), scenario="s")
-        # its traceback keeps emit_csv's frame alive: the pool must not wait
-        # for that frame to be collected
         assert failure.value.errno == errno.ENOSPC
-        assert pools == [2]
+        assert pools == []
         assert multiprocessing.active_children() == []
 
     def test_failed_write_exits_3_and_stops_workers(self, tmp_path, capsys,
@@ -370,7 +374,7 @@ class TestPooledEmission:
         monkeypatch.setattr("zapvss.cli.open", fake_open, raising=False)
         monkeypatch.setenv("ZAPVSS_THREADS", "2")
         cfg_path = tmp_path / "grid.cfg"
-        # 16 runs: calls are still queued when the write fails
+        # 16 runs: most are still to be written when the write fails
         cfg_path.write_text(MINIMAL.replace("seeds=1,2", "seeds=1,2,3,4,5,6,7,8")
                             + "\n[algorithm]\nname=zap\nkind=fixed_zap\n"
                               "kappa0=1e-4\n")
@@ -382,7 +386,7 @@ class TestPooledEmission:
         assert not runner.is_alive()
         assert codes == [3]
         assert "No space left on device" in capsys.readouterr().err
-        assert pools == [2, 2]  # the seed chunks, then the CSV formatting
+        assert pools == [2]  # the seed chunks; the CSV starts none
         # the pool was shut down, not left for the garbage collector
         assert multiprocessing.active_children() == []
 

@@ -1,9 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from zapvss.channel import generate_sparse
+from zapvss.channel import generate_sparse, save_channel
 from oracles import (DivergenceError, make_controller, oracle_delta_l1,
                      oracle_delta_projected, predict_error, proposed_l1_delta,
                      residual_error, run_scenario, step)
@@ -444,6 +445,18 @@ class TestParallelism:
             [(t.algorithm, t.seed) for t in serial]
         for a, b in zip(serial, pooled):
             assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_a_failing_chunk_stops_the_pool(self, tmp_path):
+        # the channel file changes length after the config was made: every
+        # chunk raises in its worker, and the pool is shut down, not left
+        path = tmp_path / "h.txt"
+        save_channel(generate_sparse(16, 4, 21), path)
+        cfg = small_config(seeds=[1, 2, 3, 4], N=50, channel_before=ChannelSpec(
+            kind="file", path=str(path)))
+        save_channel(generate_sparse(8, 4, 21), path)
+        with pytest.raises(ConfigError, match="L=8"):
+            run_all(cfg, max_workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_bad_env_value_rejected(self, monkeypatch):
         for value in ("lots", "0", "-1"):

@@ -115,6 +115,23 @@ class TestSynthesizeDesired:
                            for n in range(64)])
         assert np.allclose(out.clean, direct, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("L", [8, 32])
+    @pytest.mark.parametrize("change", [1, 5, -2, -1, 0, 40])
+    def test_spans_equal_the_full_convolution(self, L, change):
+        # each span convolves only its own slice of the input (and the L - 1
+        # samples before it); that must give the full convolution's values
+        # bit for bit, for a change before L - 1 too (change <= 0: L + change)
+        change_at = change if change > 0 else L + change
+        x = generate_input(3 * L + 50, 31)
+        rng = np.random.default_rng(L)
+        before, after = rng.standard_normal(L), rng.standard_normal(L)
+        spans = [(0, change_at, before), (change_at, x.size, after)]
+        out = synthesize_desired(x, spans, math.inf, noise_seed=0)
+        assert np.array_equal(out.clean[:change_at],
+                              np.convolve(x, before)[:change_at])
+        assert np.array_equal(out.clean[change_at:],
+                              np.convolve(x, after)[change_at:x.size])
+
     def test_bad_snr_rejected(self):
         x = generate_input(10, 1)
         spans = _one_span(x, _impulse())
