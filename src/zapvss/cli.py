@@ -382,8 +382,9 @@ def _cmd_run(args) -> int:
             }
             for a in aggs
         ],
-        # synthesis_s and engine_s are summed over the worker processes;
-        # the others are wall seconds of this process
+        # synthesis_s and engine_s are summed over the worker processes,
+        # engine_max_s is the slowest worker's engine_s; the others are
+        # wall seconds of this process
         "timings": timings,
         "build": _build_block(cfg),
     }

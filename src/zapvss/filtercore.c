@@ -4,8 +4,10 @@
  *
  * Every sum over the taps runs in LANES fixed accumulators, lane j taking
  * taps j, j + LANES, ..., the tail included, and the lanes are added in one
- * fixed tree. With no fast-math and no contraction a result therefore does
- * not depend on the compiler's flags or on vectorization. */
+ * fixed tree. The body of every tap loop is one explicit vector of LANES
+ * doubles doing in each lane the operations of the scalar tail. With no
+ * fast-math and no contraction a result therefore does not depend on the
+ * compiler's flags or on the vector width of the target. */
 
 #include <math.h>
 #include <stdint.h>
@@ -37,30 +39,51 @@ typedef struct {
     double xw, xs, ww, ws, dist, agree;
 } sums;
 
+/* LANES taps, or LANES accumulators; a comparison of two gives a mask, -1
+ * in the lanes where it holds and 0 elsewhere. A vector never crosses a
+ * call (the ABI of a wide vector argument depends on the target), so the
+ * operations on them are macros. */
+typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t mask __attribute__((vector_size(LANES * sizeof(double))));
+/* LANES doubles at any double's address */
+typedef double vec_at __attribute__((vector_size(LANES * sizeof(double)),
+                                     aligned(sizeof(double)), may_alias));
+
+/* these and TREE spell out the LANES = 8 lanes */
+static const vec ONE = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
+                 NEGATIVE_ZERO = {-0.0, -0.0, -0.0, -0.0,
+                                  -0.0, -0.0, -0.0, -0.0};
+
+#define LOAD(p) (*(const vec_at *)(p))
+#define STORE(p, v) (*(vec_at *)(p) = (v))
+/* 1.0 in the lanes of mask m, +0.0 elsewhere */
+#define ONES(m) ((vec)((mask)ONE & (m)))
+/* sgn and fabs (the sign bit cleared) in every lane */
+#define VSGN(v) (ONES((v) > 0.0) - ONES((v) < 0.0))
+#define VABS(v) ((vec)((mask)(v) & ~(mask)NEGATIVE_ZERO))
+#define TREE(a) ((((a)[0] + (a)[1]) + ((a)[2] + (a)[3])) +                  \
+                 (((a)[4] + (a)[5]) + ((a)[6] + (a)[7])))
+
 const char *zap_compiler(void) { return __VERSION__; }
 
 static inline double sgn(double v) {
     return (v > 0.0 ? 1.0 : 0.0) - (v < 0.0 ? 1.0 : 0.0);
 }
 
-static inline double tree(const double a[LANES]) {
-    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
-}
-
 static double dot(const double *a, const double *b, int64_t L) {
-    double acc[LANES] = {0.0};
+    vec acc = {0.0};
     int64_t k = 0;
     for (; k + LANES <= L; k += LANES)
-        for (int j = 0; j < LANES; j++)
-            acc[j] += a[k + j] * b[k + j];
+        acc += LOAD(a + k) * LOAD(b + k);
     for (int j = 0; k + j < L; j++)
         acc[j] += a[k + j] * b[k + j];
-    return tree(acc);
+    return TREE(acc);
 }
 
-/* One tap of a pass: the update w + mu*e*x - kappa*sign(w) of sample n,
- * then the reductions of the updated tap against the regressor of sample
- * n+1 (and the echo path at a recorded sample) into lane j. */
+/* One tap of a pass, for the tail of an L that is not a multiple of LANES:
+ * the update w + mu*e*x - kappa*sign(w) of sample n, then the reductions of
+ * the updated tap against the regressor of sample n+1 (and the echo path
+ * at a recorded sample) into lane j. */
 #define TAP(k, j)                                                          \
     do {                                                                   \
         double v = w[k] + mue * xu[k];                                     \
@@ -77,22 +100,50 @@ static double dot(const double *a, const double *b, int64_t L) {
         }                                                                  \
     } while (0)
 
+/* TAP on the LANES taps from k, one in each lane, with two selects that
+ * give the same bits:
+ * - kappa is finite and not below zero, so kappa * sgn(w) is kappa where
+ *   w > 0, -kappa where w < 0 and +0.0 elsewhere (pull holds kappa in every
+ *   lane; were kappa -0.0, only the sign of a zero weight could differ,
+ *   and a signed zero changes no sum that starts at +0.0);
+ * - sgn(v) * sgn(h) > 0 holds exactly where v and h are both positive or
+ *   both negative. */
+#define TAPS(k)                                                            \
+    do {                                                                   \
+        vec w0 = LOAD(w + (k)), x1 = LOAD(xd + (k));                       \
+        vec v = w0 + mue * LOAD(xu + (k));                                 \
+        if (attract)                                                       \
+            v -= (vec)(((mask)pull & (w0 > 0.0)) |                         \
+                       ((mask)-pull & (w0 < 0.0)));                        \
+        STORE(w + (k), v);                                                 \
+        xw += v * x1;                                                      \
+        if (want_xs) xs += x1 * VSGN(v);                                   \
+        if (want_ww) ww += v * v;                                          \
+        if (want_ws) ws += VABS(v);                                        \
+        if (record) {                                                      \
+            vec hk = LOAD(h + (k)), r = v - hk;                            \
+            dist += r * r;                                                 \
+            agree += ONES(((v > 0.0) & (hk > 0.0)) |                       \
+                          ((v < 0.0) & (hk < 0.0)));                       \
+        }                                                                  \
+    } while (0)
+
 /* The flags are constants at every call, so each call site compiles to a
  * loop without the reductions it does not want. */
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, double mue, double kappa, int64_t L, int attract,
         int want_xs, int want_ww, int want_ws, int record) {
-    double xw[LANES] = {0.0}, xs[LANES] = {0.0}, ww[LANES] = {0.0},
-           ws[LANES] = {0.0}, dist[LANES] = {0.0}, agree[LANES] = {0.0};
+    const vec pull = kappa * ONE;
+    vec xw = {0.0}, xs = {0.0}, ww = {0.0}, ws = {0.0}, dist = {0.0},
+        agree = {0.0};
     int64_t k = 0;
     for (; k + LANES <= L; k += LANES)
-        for (int j = 0; j < LANES; j++)
-            TAP(k + j, j);
+        TAPS(k);
     for (int j = 0; k + j < L; j++)
         TAP(k + j, j);
-    return (sums){tree(xw), tree(xs), tree(ww), tree(ws), tree(dist),
-                  tree(agree)};
+    return (sums){TREE(xw), TREE(xs), TREE(ww), TREE(ws), TREE(dist),
+                  TREE(agree)};
 }
 
 /* which reductions a kind reads, and whether its attractor ever acts */
@@ -152,7 +203,12 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
     case PROPOSED_L1: mode = PROJECTED; break;
     default: mode = NORMALIZED;
     }
-    double *w = calloc((size_t)L, sizeof *w);
+    /* whole vectors of weights at a vector's alignment: no load of them
+     * spans two cache lines */
+    const size_t wbytes = (size_t)((L + LANES - 1) / LANES) * sizeof(vec);
+    double *w = aligned_alloc(sizeof(vec), wbytes);
+    if (w)
+        memset(w, 0, wbytes);
     double *history = c->kind == YOU ? calloc((size_t)c->window, sizeof *history)
                                      : NULL;
     if (!w || (c->kind == YOU && !history)) {

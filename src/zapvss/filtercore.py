@@ -133,15 +133,10 @@ def pow5_tables() -> tuple[np.ndarray, np.ndarray]:
 _POW5_TABLES = pow5_tables()
 
 
-def _load():
-    """The kernel's library, or the KernelBuildError that stopped it."""
-    try:
-        path = build()
-        lib = ctypes.CDLL(str(path))
-    except KernelBuildError as err:
-        return err
-    except OSError as err:
-        return KernelBuildError(f"loading the filter kernel failed: {err}")
+def load(path: Path) -> ctypes.CDLL:
+    """The kernel library at ``path`` (a ``build``), its functions declared
+    and its formatter's tables handed over. Raises OSError."""
+    lib = ctypes.CDLL(str(path))
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.zap_run.restype = ctypes.c_int
     lib.zap_run.argtypes = [i64, i64, p, p, i64, p, p, p, p, f64, i64, p, f64,
@@ -153,6 +148,16 @@ def _load():
     lib.zap_format_rows.restype = i64
     lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, p, p]
     return lib
+
+
+def _load():
+    """The kernel's library, or the KernelBuildError that stopped it."""
+    try:
+        return load(build())
+    except KernelBuildError as err:
+        return err
+    except OSError as err:
+        return KernelBuildError(f"loading the filter kernel failed: {err}")
 
 
 _kernel = _load()

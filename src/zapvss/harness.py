@@ -330,7 +330,8 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     this process with one worker; a failing chunk shuts the pool down at
     once. No trace depends on the chunking or on scheduling. Adds the
     chunks' stage seconds, summed over the workers, to ``timings`` (see
-    ``run_seeds``).
+    ``run_seeds``), and sets "engine_max_s" to the largest chunk's
+    "engine_s", the engine's share of the wall time.
     """
     timings = {} if timings is None else timings
     seeds = cfg.seeds
@@ -349,6 +350,7 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     for _, chunk_timings in results:
         for stage, seconds in chunk_timings.items():
             timings[stage] = timings.get(stage, 0.0) + seconds
+    timings["engine_max_s"] = max(t["engine_s"] for _, t in results)
     return [t for a in range(len(cfg.algorithms))
             for traces, _ in results for t in traces[a]]
 

@@ -590,8 +590,8 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         meta = json.loads((out / "grid_meta.json").read_text())
         timings = meta["timings"]
-        assert set(timings) == {"synthesis_s", "engine_s", "run_all_s",
-                                "aggregate_s", "emit_csv_s",
+        assert set(timings) == {"synthesis_s", "engine_s", "engine_max_s",
+                                "run_all_s", "aggregate_s", "emit_csv_s",
                                 "emit_aggregate_csv_s", "emit_svg_s"}
         assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
         build = meta["build"]

@@ -446,6 +446,14 @@ class TestParallelism:
         for a, b in zip(serial, pooled):
             assert a.samples.tobytes() == b.samples.tobytes()
 
+    def test_engine_max_is_the_slowest_chunk(self):
+        cfg = small_config(seeds=[1, 2, 3, 4], N=100)
+        serial, pooled = {}, {}
+        run_all(cfg, max_workers=1, timings=serial)
+        run_all(cfg, max_workers=2, timings=pooled)
+        assert serial["engine_max_s"] == serial["engine_s"] > 0.0
+        assert 0.0 < pooled["engine_max_s"] <= pooled["engine_s"]
+
     def test_a_failing_chunk_stops_the_pool(self, tmp_path):
         # the channel file changes length after the config was made: every
         # chunk raises in its worker, and the pool is shut down, not left

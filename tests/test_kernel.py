@@ -4,7 +4,9 @@ The kernel (``zapvss.filtercore.run_rows``) is checked against the numpy
 engine it replaced (``oracles.numpy_run_seeds``) and against the scalar
 ``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
 kind, filter lengths that leave a tail of the kernel's eight summation
-lanes, several ``record_every`` and runs that diverge.
+lanes, several ``record_every`` and runs that diverge. Against itself it is
+checked bit for bit: built without optimization for the compiler's default
+target, and recording every sample against every third.
 """
 
 import ctypes
@@ -89,6 +91,35 @@ def test_a_trace_does_not_depend_on_its_batch():
             trace_key([runs[i]]) for runs in together]
 
 
+def test_records_do_not_depend_on_the_flags(tmp_path, monkeypatch):
+    # no optimization and the compiler's default target: no vector unit
+    # wider than the ABI's, nothing inlined
+    with monkeypatch.context() as m:
+        m.setattr(filtercore, "CFLAGS",
+                  ("-O0", "-ffp-contract=off", "-fPIC", "-shared"))
+        plain = filtercore.load(filtercore.build(caches=[tmp_path]))
+    shipped = filtercore._library()
+    for L in (3, 17, 64):
+        for record_every in (1, 3):
+            cfg = small_grid(L, record_every=record_every)
+            monkeypatch.setattr(filtercore, "_kernel", plain)
+            want = trace_key(run_all(cfg, max_workers=1))
+            monkeypatch.setattr(filtercore, "_kernel", shipped)
+            assert trace_key(run_all(cfg, max_workers=1)) == want
+
+
+@pytest.mark.parametrize("L", [17, 64])
+def test_a_sparser_record_is_every_third_row(L):
+    # the passes that record and those that do not must advance alike
+    every_row = run_all(small_grid(L, record_every=1), max_workers=1)
+    every_third = run_all(small_grid(L, record_every=3), max_workers=1)
+    assert {t.algorithm for t in every_row} == {a.name for a in ALL_KINDS}
+    assert [(t.algorithm, t.seed, t.diverged_at) for t in every_row] == [
+        (t.algorithm, t.seed, t.diverged_at) for t in every_third]
+    for one, three in zip(every_row, every_third):
+        assert one.samples[::3].tobytes() == three.samples.tobytes()
+
+
 def test_run_rows_checks_the_shapes_it_hands_the_kernel():
     h = np.ones(4)
     x, d = np.zeros((2, 10)), np.zeros((10, 2))
@@ -102,12 +133,16 @@ def test_run_rows_checks_the_shapes_it_hands_the_kernel():
 
 
 def test_kernel_source_compiles_without_warnings():
+    # also for the compiler's default target, which may lack the kernel's
+    # vector width: the source stays portable C
     cc = shutil.which(filtercore.CC)
-    done = subprocess.run(
-        [cc, *filtercore.CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-fsyntax-only", str(filtercore.SOURCE)],
-        capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    default_target = [f for f in filtercore.CFLAGS if f != "-march=native"]
+    for flags in (filtercore.CFLAGS, default_target):
+        done = subprocess.run(
+            [cc, *flags, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             str(filtercore.SOURCE)],
+            capture_output=True, text=True)
+        assert done.returncode == 0, (flags, done.stderr)
 
 
 def marker_source(path, value):
