@@ -14,8 +14,7 @@ from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
                       derive_stream_seeds, recovery_time, run_all, run_seeds)
 from .signal import DesiredSignal, generate_input, synthesize_desired
-from .stepsize import (KINDS, Controller, controller_params,
-                       make_controller)
+from .stepsize import KINDS, controller_params
 
 __version__ = "0.1.0"
 
@@ -29,5 +28,5 @@ __all__ = [
     "ScenarioConfig", "aggregate", "build_schedule",
     "derive_stream_seeds", "recovery_time", "run_all", "run_seeds",
     "DesiredSignal", "generate_input", "synthesize_desired",
-    "KINDS", "Controller", "controller_params", "make_controller",
+    "KINDS", "controller_params",
 ]

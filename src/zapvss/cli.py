@@ -382,9 +382,8 @@ def _cmd_run(args) -> int:
             }
             for a in aggs
         ],
-        # synthesis_s and engine_s are summed over the worker processes,
-        # engine_max_s is the slowest worker's engine_s; the others are
-        # wall seconds of this process
+        # wall seconds of each stage; run_all_s holds synthesis_s and
+        # engine_s
         "timings": timings,
         "build": _build_block(cfg),
     }

@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -178,48 +179,52 @@ def build_info() -> dict:
 
 def _pack(ctls) -> np.ndarray:
     packed = np.zeros(len(ctls), CTL_DTYPE)
-    for a, ctl in enumerate(ctls):
-        packed["kind"][a] = list(KINDS).index(ctl.kind)
-        packed["xi"][a] = ctl.params.get("measure") == "xi"
-        for name, value in ctl.params.items():
+    for a, (kind, params) in enumerate(ctls):
+        packed["kind"][a] = list(KINDS).index(kind)
+        packed["xi"][a] = params.get("measure") == "xi"
+        for name, value in params.items():
             if name in CTL_DTYPE.names:
                 packed[name][a] = value
     return packed
 
 
-def run_rows(x, d, spans, mu: float, ctls, every: int):
-    """Every controller of ``ctls`` on each of the S input sequences ``x``
-    (S, N), with the desired signal ``d`` (N, S): each controller advances
-    S rows. ``spans`` is the echo path as ``(start, stop, taps)`` slices
-    covering [0, N). Per sample: regressor, a-priori error, controller
-    kappa, the update w + mu*e*x - kappa*sign(w) from zero weights, then
-    the metrics of the updated weights against the taps of the span, every
-    ``every`` samples. Returns, per controller, its rows' records (ceil(N /
-    every), S) of SAMPLE_DTYPE and the sample (S,) of each row's diverging
-    update, N for a row that never diverged.
+def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1):
+    """Every controller of ``ctls``, ``(kind, params)`` pairs with every
+    parameter (``stepsize.controller_params``), on each of S sequences:
+    each controller advances S rows. ``d`` (S, N) holds the desired
+    signals; ``xpad`` (S, N + L) holds per sequence a zero, the input
+    reversed and L - 1 zeros, so the regressor [x(n), ..., x(n-L+1)] of
+    sample n is ``xpad[s, N-n:N-n+L]``. ``spans`` is the echo path as
+    ``(start, stop, taps)`` slices covering [0, N). Per sample: regressor,
+    a-priori error, controller kappa, the update w + mu*e*x - kappa*sign(w)
+    from zero weights, then the metrics of the updated weights against the
+    taps of the span, every ``every`` samples. Returns, per controller, its
+    rows' records (ceil(N / every), S) of SAMPLE_DTYPE and the sample (S,)
+    of each row's diverging update, N for a row that never diverged.
 
     A row stops at the update that makes a weight non-finite. A non-finite
     error only makes a row suspect: a finite w whose dot product overflowed
     gives one too, and diverges one update later. A stopped row's records
     after its stop are zero but for ``n``. Rows never interact, and every
     sum runs in a fixed order: a row's records do not depend on which other
-    rows share the batch, nor on the compiler's vectorization.
+    rows share the batch, nor on the compiler's vectorization. The S kernel
+    calls run on ``workers`` threads (ctypes releases the GIL for each) and
+    write disjoint slices of the records, so the thread count changes no
+    result.
     """
     lib = _library()
-    S, N = x.shape
+    S, N = d.shape
     L, A = spans[0][2].size, len(ctls)
     bounds = [b for start, stop, _ in spans for b in (start, stop)]
     # the kernel trusts these shapes: check them before passing pointers
-    if (d.shape != (N, S) or every < 1 or bounds[0] != 0 or bounds[-1] != N
-            or bounds[1:-1:2] != bounds[2::2]
+    if (any(a.dtype != np.float64 or not a.flags.c_contiguous
+            for a in (xpad, d))
+            or xpad.shape != (S, N + L) or every < 1 or bounds[0] != 0
+            or bounds[-1] != N or bounds[1:-1:2] != bounds[2::2]
             or any(h.shape != (L,) for _, _, h in spans)):
-        raise ValueError("run_rows needs d of shape (N, S), every >= 1 and "
-                         "spans of L taps covering [0, N) in order")
-    # per sequence a zero, the input reversed, L - 1 zeros: the regressor
-    # [x(n), ..., x(n-L+1)] of sample n is xpad[N-n:N-n+L]
-    xpad = np.zeros((S, N + L))
-    xpad[:, 1:N + 1] = x[:, ::-1]
-    d = np.ascontiguousarray(d.T, dtype=np.float64)
+        raise ValueError("run_rows needs C-contiguous float64 xpad (S, N+L) "
+                         "and d (S, N), every >= 1 and spans of L taps "
+                         "covering [0, N) in order")
     starts = np.array([start for start, _, _ in spans], dtype=np.int64)
     taps = np.array([h for _, _, h in spans], dtype=np.float64)
     hnorm = np.array([np.linalg.norm(h) for h in taps])
@@ -229,14 +234,18 @@ def run_rows(x, d, spans, mu: float, ctls, every: int):
     rec = np.zeros((A, S, n_rec), dtype=SAMPLE_DTYPE)
     rec["n"] = np.arange(0, N, every)
     stop_at = np.empty((S, A), dtype=np.int64)
-    for s in range(S):
-        status = lib.zap_run(
+
+    def run(s):
+        return lib.zap_run(
             N, L, xpad[s].ctypes.data, d[s].ctypes.data, len(spans),
             starts.ctypes.data, taps.ctypes.data, hnorm.ctypes.data,
             active.ctypes.data, mu, A, packed.ctypes.data, MSE_BETA, every,
             rec[0, s].ctypes.data, S * n_rec, stop_at[s].ctypes.data)
-        if status != 0:
-            raise MemoryError("the filter kernel ran out of memory")
+
+    with ThreadPoolExecutor(workers) as pool:
+        statuses = list(pool.map(run, range(S)))
+    if any(statuses):
+        raise MemoryError("the filter kernel ran out of memory")
     return [(rec[a].T, stop_at[:, a]) for a in range(A)]
 
 

@@ -1,6 +1,6 @@
-"""Scenario config, the grid runner over the seed-chunk pool, multi-seed
-aggregation and recovery-time measurement. The per-sample recursion is
-``filtercore``'s."""
+"""Scenario config, the grid runner, multi-seed aggregation and
+recovery-time measurement. The per-sample recursion is ``filtercore``'s:
+one kernel call per seed, the seeds side by side on threads."""
 
 from __future__ import annotations
 
@@ -8,17 +8,15 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
 from .filtercore import run_rows
 from .signal import generate_input, synthesize_desired
-from .stepsize import controller_params, make_controller
+from .stepsize import controller_params
 
 RECOVERY_MARGIN_DB = 3.0  # recovered: back within this of the pre-change floor
 RECOVERY_HOLD = 100      # samples the recovery margin must hold
@@ -262,44 +260,47 @@ def timed(timings: dict, stage: str):
 
 
 def run_seeds(cfg: ScenarioConfig, seeds: list[int],
-              timings: dict | None = None) -> list[list[RunTrace]]:
+              timings: dict | None = None,
+              max_workers: int | None = None) -> list[list[RunTrace]]:
     """Every algorithm of the grid on ``seeds`` in one call of the kernel
-    per seed (``filtercore.run_rows``); returns ``traces[a][i]`` for algorithm
-    ``a`` and ``seeds[i]``. ``run_seeds(cfg, [seed])`` is one run of each
-    algorithm: a trace does not depend on which seeds share the batch.
-    Adds the seconds of stream synthesis and of the loop to ``timings``
-    under "synthesis_s" and "engine_s"."""
+    per seed (``filtercore.run_rows``), the calls on ``resolve_workers``
+    threads; returns ``traces[a][i]`` for algorithm ``a`` and ``seeds[i]``.
+    ``run_seeds(cfg, [seed])`` is one run of each algorithm: a trace does
+    not depend on which seeds share the batch, nor on the thread count.
+    Adds the wall seconds of stream synthesis and of the kernel calls to
+    ``timings`` under "synthesis_s" and "engine_s"."""
     timings = {} if timings is None else timings
+    workers = resolve_workers(len(seeds), max_workers)
     spans = build_schedule(cfg)
-    x = np.empty((len(seeds), cfg.N))
-    d = np.empty((cfg.N, len(seeds)))
+    N, L = cfg.N, cfg.L
+    # the kernel's layout, written in place: per seed a zero, the input
+    # reversed, L - 1 zeros; and the desired signal
+    xpad = np.zeros((len(seeds), N + L))
+    d = np.empty((len(seeds), N))
     with timed(timings, "synthesis_s"):
         for i, seed in enumerate(seeds):
             input_seed, noise_seed = derive_stream_seeds(seed)
-            x[i] = generate_input(cfg.N, input_seed)
-            d[:, i] = synthesize_desired(x[i], spans, cfg.snr_db, noise_seed).d
-    ctls = [make_controller(alg.kind, alg.params, cfg.mu)
+            x = generate_input(N, input_seed)
+            xpad[i, 1:N + 1] = x[::-1]
+            d[i] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
+    ctls = [(alg.kind, controller_params(alg.kind, alg.params, cfg.mu))
             for alg in cfg.algorithms]
     every = cfg.record_every
     with timed(timings, "engine_s"):
-        rows = run_rows(x, d, spans, cfg.mu, ctls, every)
+        rows = run_rows(xpad, d, spans, cfg.mu, ctls, every, workers)
     traces = []
     for alg, (rec, stop_at) in zip(cfg.algorithms, rows):
         runs = []
         for s, seed in enumerate(seeds):
-            samples = rec[:-(-stop_at[s] // every), s].copy().view(np.recarray)
+            # a view: the runs share the kernel's records, not copies
+            samples = rec[:-(-stop_at[s] // every), s].view(np.recarray)
             final = float(samples.misalignment_db[-1]) if samples.size else math.nan
             runs.append(RunTrace(
                 algorithm=alg.name, seed=seed, samples=samples,
                 final_misalignment_db=final,
-                diverged_at=int(stop_at[s]) if stop_at[s] < cfg.N else None))
+                diverged_at=int(stop_at[s]) if stop_at[s] < N else None))
         traces.append(runs)
     return traces
-
-
-def _run_chunk(cfg: ScenarioConfig, seeds: list[int]):
-    timings = {}
-    return run_seeds(cfg, seeds, timings), timings
 
 
 def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
@@ -322,37 +323,11 @@ def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
 
 def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
             timings: dict | None = None) -> list[RunTrace]:
-    """Every (algorithm, seed) run of the grid, in config order.
-
-    The seed list is split into one contiguous chunk per worker of
-    ``resolve_workers``; each chunk runs every algorithm in one batched
-    loop (``run_seeds``), the chunks side by side in a process pool, or in
-    this process with one worker; a failing chunk shuts the pool down at
-    once. No trace depends on the chunking or on scheduling. Adds the
-    chunks' stage seconds, summed over the workers, to ``timings`` (see
-    ``run_seeds``), and sets "engine_max_s" to the largest chunk's
-    "engine_s", the engine's share of the wall time.
-    """
-    timings = {} if timings is None else timings
-    seeds = cfg.seeds
-    k = resolve_workers(len(seeds), max_workers)
-    chunks = [seeds[i * len(seeds) // k:(i + 1) * len(seeds) // k]
-              for i in range(k)]
-    run_chunk = partial(_run_chunk, cfg)
-    if k == 1:
-        results = list(map(run_chunk, chunks))
-    else:
-        pool = ProcessPoolExecutor(max_workers=k)
-        try:
-            results = list(pool.map(run_chunk, chunks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    for _, chunk_timings in results:
-        for stage, seconds in chunk_timings.items():
-            timings[stage] = timings.get(stage, 0.0) + seconds
-    timings["engine_max_s"] = max(t["engine_s"] for _, t in results)
-    return [t for a in range(len(cfg.algorithms))
-            for traces, _ in results for t in traces[a]]
+    """Every (algorithm, seed) run of the grid, in config order: one
+    ``run_seeds`` over ``cfg.seeds``. No trace depends on the thread
+    count or on scheduling."""
+    traces = run_seeds(cfg, cfg.seeds, timings, max_workers)
+    return [t for runs in traces for t in runs]
 
 
 def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggregate]:

@@ -56,7 +56,8 @@ def synthesize_desired(x, spans, snr_db: float,
     if math.isinf(snr_db):
         return DesiredSignal(d=clean.copy(), clean=clean, noise_variance=0.0)
     noise_variance = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)
-    noise = math.sqrt(noise_variance) * np.random.default_rng(
-        noise_seed).standard_normal(N)
-    return DesiredSignal(d=clean + noise, clean=clean,
-                         noise_variance=noise_variance)
+    # d = clean + sqrt(var) * noise, built in the noise buffer
+    d = np.random.default_rng(noise_seed).standard_normal(N)
+    d *= math.sqrt(noise_variance)
+    d += clean
+    return DesiredSignal(d=d, clean=clean, noise_variance=noise_variance)

@@ -129,22 +129,3 @@ def controller_params(kind: str, params: dict, mu: float) -> dict:
     if p.get("kappa_max", 0.0) is None:
         p["kappa_max"] = mu
     return p
-
-
-@dataclass
-class Controller:
-    """A controller of ``kind`` with every parameter (``controller_params``).
-    The compiled kernel of ``filtercore`` runs its update, over many rows at
-    once."""
-
-    kind: str
-    params: dict
-    # the update runs in the kernel; the attribute stays for the wrappers
-    # that replace a controller's update (perfbench's tracer)
-    update = None
-
-
-def make_controller(kind: str, params: dict, mu: float) -> Controller:
-    """A controller of ``kind`` from config parameters (see
-    ``controller_params``)."""
-    return Controller(kind, controller_params(kind, params, mu))

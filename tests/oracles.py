@@ -537,18 +537,20 @@ def numpy_run_seeds(cfg, seeds):
         return harness.run_seeds(cfg, seeds)
 
 
-def numpy_run_rows(x, d, spans, mu: float, ctls, every: int):
+def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,
+                   workers: int = 1):
     """``zapvss.filtercore.run_rows`` in numpy: every controller of
-    ``ctls`` (``zapvss.stepsize.Controller``s) on each of the S input
-    sequences ``x`` (S, N), with the desired signal ``d`` (N, S), in one
-    per-sample loop over (sequence, controller, tap) arrays. Each
-    controller advances S rows. ``spans`` is the echo path as ``(start, stop, taps)`` slices
-    covering [0, N). Per sample: regressor, a-priori error, controller
-    kappa, the update w + mu*e*x - kappa*sign(w) from zero weights, then
-    the metrics of the updated weights against the taps of the span, every
-    ``every`` samples. Returns, per controller, its rows' records (ceil(N /
-    every), S) of SAMPLE_DTYPE and the sample (S,) of each row's diverging
-    update, N for a row that never diverged.
+    ``ctls``, ``(kind, params)`` pairs, on each of the S sequences of the
+    padded reversed inputs ``xpad`` (S, N + L) and the desired signals
+    ``d`` (S, N), in one per-sample loop over (sequence, controller, tap)
+    arrays on this thread (``workers`` is ignored). Each controller
+    advances S rows. ``spans`` is the echo path as ``(start, stop, taps)``
+    slices covering [0, N). Per sample: regressor, a-priori error,
+    controller kappa, the update w + mu*e*x - kappa*sign(w) from zero
+    weights, then the metrics of the updated weights against the taps of
+    the span, every ``every`` samples. Returns, per controller, its rows'
+    records (ceil(N / every), S) of SAMPLE_DTYPE and the sample (S,) of
+    each row's diverging update, N for a row that never diverged.
 
     The update of a sequence's rows is one BLAS product, which accumulates
     mu*e*x - kappa*sign(w) before adding it to w; its last digits depend on
@@ -559,14 +561,12 @@ def numpy_run_rows(x, d, spans, mu: float, ctls, every: int):
     take their signs only at the recorded samples. A diverged row rests at
     zero from then on.
     """
-    S, N = x.shape
+    S, N = d.shape
     L, A = spans[0][2].size, len(ctls)
-    ctls = [NumpyController(c.kind, c.params, S) for c in ctls]
-    # each input reversed and zero-padded: the regressor
-    # [x(n), ..., x(n-L+1)] of sample n is the slice xrev[:, N-1-n:N-1-n+L]
-    xrev = np.zeros((S, N + L - 1))
-    xrev[:, :N] = x[:, ::-1]
-    d = d[:, :, None]
+    ctls = [NumpyController(kind, params, S) for kind, params in ctls]
+    # the regressor [x(n), ..., x(n-L+1)] of sample n is the slice
+    # xpad[:, N-n:N-n+L]
+    d = d.T[:, :, None]
     # engine order: the rows that attract lead, in the order of KINDS so
     # that the readers of a reduction sit together; the others follow
     kinds = list(KINDS)
@@ -637,7 +637,7 @@ def numpy_run_rows(x, d, spans, mu: float, ctls, every: int):
             active = np.flatnonzero(h)
             h_sign = np.sign(h[active])
             for n in range(start, stop):
-                reg[:, 0] = xrev[:, N - 1 - n:N - 1 - n + L]
+                reg[:, 0] = xpad[:, N - n:N - n + L]
                 np.vecdot(w, reg, out=e)
                 np.subtract(d[n], e, out=e)
                 if not math.isfinite(e_flat.dot(ones)):  # inf and NaN propagate

@@ -4,10 +4,9 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import threading
 import xml.etree.ElementTree as ET
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -298,24 +297,27 @@ def mixed_traces():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of every process pool started, in order."""
+    """The thread count of every thread pool the kernel calls start, in
+    order."""
     started = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr("zapvss.harness.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("zapvss.filtercore.ThreadPoolExecutor", CountingPool)
     return started
 
 
 class TestPooledEmission:
-    """The trace CSV is formatted in the calling process: ZAPVSS_THREADS
-    caps only the seed chunks of run_all, and emission starts no pool."""
+    """The trace CSV is formatted in the calling thread: ZAPVSS_THREADS
+    caps only the threads of run_all's kernel calls, and emission starts
+    no thread."""
 
     def test_bytes_independent_of_worker_count(self, monkeypatch, pools):
         traces = mixed_traces()
+        pools.clear()  # the pools that made the traces
         texts = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("ZAPVSS_THREADS", threads)
@@ -339,12 +341,14 @@ class TestPooledEmission:
                 return super().write(text)
 
         traces = mixed_traces()
+        pools.clear()  # the pools that made the traces
         monkeypatch.setenv("ZAPVSS_THREADS", "2")
+        threads = threading.active_count()
         with pytest.raises(OSError) as failure:
             emit_csv(traces, FullDisk(), scenario="s")
         assert failure.value.errno == errno.ENOSPC
         assert pools == []
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_failed_write_exits_3_and_stops_workers(self, tmp_path, capsys,
                                                     monkeypatch, pools):
@@ -379,6 +383,7 @@ class TestPooledEmission:
                             + "\n[algorithm]\nname=zap\nkind=fixed_zap\n"
                               "kappa0=1e-4\n")
         codes = []
+        threads = threading.active_count()
         runner = threading.Thread(target=lambda: codes.append(main(
             ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])))
         runner.start()
@@ -386,9 +391,9 @@ class TestPooledEmission:
         assert not runner.is_alive()
         assert codes == [3]
         assert "No space left on device" in capsys.readouterr().err
-        assert pools == [2]  # the seed chunks; the CSV starts none
-        # the pool was shut down, not left for the garbage collector
-        assert multiprocessing.active_children() == []
+        assert pools == [2]  # the kernel calls; the CSV starts none
+        # the kernel's threads were joined, not left for the interpreter
+        assert threading.active_count() == threads
 
 
 def tiny_aggregates(cfg_text=FULL, n=60):
@@ -590,8 +595,8 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         meta = json.loads((out / "grid_meta.json").read_text())
         timings = meta["timings"]
-        assert set(timings) == {"synthesis_s", "engine_s", "engine_max_s",
-                                "run_all_s", "aggregate_s", "emit_csv_s",
+        assert set(timings) == {"synthesis_s", "engine_s", "run_all_s",
+                                "aggregate_s", "emit_csv_s",
                                 "emit_aggregate_csv_s", "emit_svg_s"}
         assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
         build = meta["build"]

@@ -1,5 +1,7 @@
+import itertools
 import math
-import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from zapvss.channel import generate_sparse, save_channel
 from oracles import (DivergenceError, make_controller, oracle_delta_l1,
                      oracle_delta_projected, predict_error, proposed_l1_delta,
                      residual_error, run_scenario, step)
+from zapvss import filtercore
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ConfigError,
                             RunTrace, ScenarioConfig, aggregate,
@@ -430,41 +433,57 @@ class TestAggregation:
 
 class TestParallelism:
     def test_env_capped_workers_match_serial(self, monkeypatch):
-        # two chunks of three seeds: a chunk boundary falls mid-grid
+        # six seeds on two threads, each running several kernel calls, and
+        # on more threads than this machine is likely to have cores, with
+        # the interpreter switching threads as often as it can
         cfg = small_config(
             seeds=[1, 2, 3, 4, 5, 6], N=100,
             algorithms=[AlgorithmConfig("lms", "lms"),
                         AlgorithmConfig("pn", "proposed_norm",
                                         {"alpha": 0.05, "gamma": 0.5})])
+        order = [(a.name, s) for a in cfg.algorithms for s in cfg.seeds]
         serial = run_all(cfg, max_workers=1)
-        monkeypatch.setenv("ZAPVSS_THREADS", "2")
-        pooled = run_all(cfg)
-        assert [(t.algorithm, t.seed) for t in pooled] == \
-            [(a.name, s) for a in cfg.algorithms for s in cfg.seeds]
-        assert [(t.algorithm, t.seed) for t in pooled] == \
-            [(t.algorithm, t.seed) for t in serial]
-        for a, b in zip(serial, pooled):
-            assert a.samples.tobytes() == b.samples.tobytes()
+        assert [(t.algorithm, t.seed) for t in serial] == order
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("2", "6"):
+                monkeypatch.setenv("ZAPVSS_THREADS", threads)
+                threaded = run_all(cfg)
+                assert [(t.algorithm, t.seed) for t in threaded] == order
+                for a, b in zip(serial, threaded):
+                    assert a.samples.tobytes() == b.samples.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_engine_max_is_the_slowest_chunk(self):
-        cfg = small_config(seeds=[1, 2, 3, 4], N=100)
-        serial, pooled = {}, {}
-        run_all(cfg, max_workers=1, timings=serial)
-        run_all(cfg, max_workers=2, timings=pooled)
-        assert serial["engine_max_s"] == serial["engine_s"] > 0.0
-        assert 0.0 < pooled["engine_max_s"] <= pooled["engine_s"]
-
-    def test_a_failing_chunk_stops_the_pool(self, tmp_path):
-        # the channel file changes length after the config was made: every
-        # chunk raises in its worker, and the pool is shut down, not left
+    def test_a_failing_grid_leaves_no_thread_running(self, tmp_path):
+        # the channel file changes length after the config was made: the
+        # grid raises, and no thread outlives it
         path = tmp_path / "h.txt"
         save_channel(generate_sparse(16, 4, 21), path)
         cfg = small_config(seeds=[1, 2, 3, 4], N=50, channel_before=ChannelSpec(
             kind="file", path=str(path)))
         save_channel(generate_sparse(8, 4, 21), path)
+        threads = threading.active_count()
         with pytest.raises(ConfigError, match="L=8"):
             run_all(cfg, max_workers=2)
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_a_kernel_failure_raises_and_joins_its_threads(self, monkeypatch):
+        # the second of three kernel calls reports that it ran out of memory
+        calls = itertools.count()
+
+        class FailingKernel:
+            @staticmethod
+            def zap_run(*args):
+                return -1 if next(calls) == 1 else 0
+
+        monkeypatch.setattr(filtercore, "_kernel", FailingKernel())
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="out of memory"):
+            run_all(small_config(seeds=[1, 2, 3], N=50), max_workers=2)
+        assert next(calls) == 3  # every call ran
+        assert threading.active_count() == threads
 
     def test_bad_env_value_rejected(self, monkeypatch):
         for value in ("lots", "0", "-1"):

@@ -22,7 +22,7 @@ from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
 from zapvss import filtercore
 from zapvss.cli import main
 from zapvss.harness import ChannelSpec, recovery_time, run_all, run_seeds
-from zapvss.stepsize import make_controller
+from zapvss.stepsize import controller_params
 
 
 def small_grid(L, **overrides):
@@ -122,12 +122,17 @@ def test_a_sparser_record_is_every_third_row(L):
 
 def test_run_rows_checks_the_shapes_it_hands_the_kernel():
     h = np.ones(4)
-    x, d = np.zeros((2, 10)), np.zeros((10, 2))
-    ctl = [make_controller("lms", {}, 0.01)]
-    assert filtercore.run_rows(x, d, [(0, 10, h)], 0.01, ctl, 1)
-    for bad in ((x, d.T, [(0, 10, h)], 1), (x, d, [(0, 10, h)], 0),
-                (x, d, [(0, 9, h)], 1), (x, d, [(0, 5, h), (6, 10, h)], 1),
-                (x, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
+    xpad, d = np.zeros((2, 14)), np.zeros((2, 10))
+    ctl = [("lms", controller_params("lms", {}, 0.01))]
+    assert filtercore.run_rows(xpad, d, [(0, 10, h)], 0.01, ctl, 1)
+    for bad in ((xpad[:, :13], d, [(0, 10, h)], 1),
+                (xpad[:1], d, [(0, 10, h)], 1),
+                (xpad, np.zeros((10, 2)), [(0, 10, h)], 1),
+                (xpad, d.astype(np.float32), [(0, 10, h)], 1),
+                (np.zeros((14, 2)).T, d, [(0, 10, h)], 1),
+                (xpad, d, [(0, 10, h)], 0), (xpad, d, [(0, 9, h)], 1),
+                (xpad, d, [(0, 5, h), (6, 10, h)], 1),
+                (xpad, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
         with pytest.raises(ValueError, match="run_rows needs"):
             filtercore.run_rows(*bad[:3], 0.01, ctl, bad[3])
 

@@ -33,7 +33,7 @@ def test_the_names_the_benchmark_reaches_into_exist():
     modules = {name: importlib.import_module(f"zapvss.{name}")
                for name in ("harness", "filtercore", "cli")}
     wanted = {"harness": ("build_schedule", "run_all", "resolve_workers",
-                          "make_controller", "RunTrace", "recovery_time"),
+                          "RunTrace", "recovery_time"),
               "cli": ("main", "parse_config", "parse_config_text")}
     missing = [f"{module}.{name}" for module, names in wanted.items()
                for name in names
