@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -11,8 +12,8 @@ import math
 import os
 import platform
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -201,46 +202,84 @@ def canonical_config_text(cfg: ScenarioConfig) -> str:
 
 
 def _write_chunks(destination, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``destination``, a binary file
+    object or a path."""
     if hasattr(destination, "write"):
         for chunk in chunks:
             destination.write(chunk)
     else:
-        with open(destination, "w") as f:
+        with open(destination, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
 
 
 def _check_label(scenario: str) -> None:
     """The label opens every CSV row unquoted, so it may hold no comma and
-    no line break (none that str.splitlines knows, a trailing one too)."""
+    no line break (none that str.splitlines knows, a trailing one too). The
+    files are UTF-8, so it must encode to it: an undecodable file name
+    gives a label with lone surrogates."""
     if "," in scenario or len(f"{scenario}.".splitlines()) > 1:
         raise ConfigError(f"scenario label {scenario!r} must not contain a "
                           f"comma or a line break")
+    try:
+        scenario.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"scenario label {scenario!r} is not valid "
+                          f"UTF-8") from None
 
 
-def _trace_rows(trace: RunTrace, scenario: str) -> str:
+def _trace_rows(trace: RunTrace, scenario: str) -> bytes:
     return format_rows(f"{scenario},{trace.algorithm},{trace.seed},",
                        trace.column("n"),
                        [trace.column(name) for name in CSV_FIELDS[1:]])
 
 
+def _in_order(pool, fn, items, limit: int):
+    """``fn`` of each of ``items``, run on ``pool`` and yielded in order.
+    An item is submitted only once the consumer is done with the one
+    ``limit`` places before it, so at most ``limit`` are in flight."""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == limit:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def emit_csv(traces: list[RunTrace], destination, scenario: str) -> None:
     """Per-sample trace CSV, rows sorted by (algorithm, seed, n), each value
     the shortest text that parses back to it; byte-identical for identical
-    inputs. Each run's rows are formatted and written in turn."""
+    inputs. The runs are formatted on ``resolve_workers`` threads (the
+    formatter releases the GIL) while this thread writes each run's bytes
+    in order as they complete; at most twice as many runs as threads are
+    formatted and not yet written. A failed write cancels the queued runs
+    and joins the threads before its error propagates."""
     _check_label(scenario)
     ordered = sorted(traces, key=lambda t: (t.algorithm, t.seed))
-    _write_chunks(destination, itertools.chain(
-        [CSV_HEADER + "\n"], (_trace_rows(t, scenario) for t in ordered)))
+    workers = resolve_workers(len(ordered))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        _write_chunks(destination, itertools.chain(
+            [CSV_HEADER.encode() + b"\n"],
+            _in_order(pool, lambda t: _trace_rows(t, scenario), ordered,
+                      2 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def emit_aggregate_csv(aggregates: list[AlgorithmAggregate], destination,
                        scenario: str) -> None:
     """Mean misalignment curves, one row per (algorithm, recorded sample)."""
     _check_label(scenario)
-    _write_chunks(destination, [AGGREGATE_HEADER + "\n"] + [
+    _write_chunks(destination, [AGGREGATE_HEADER.encode() + b"\n"] + [
         format_rows(f"{scenario},{agg.name},", agg.n,
                     [agg.mean_misalignment_db]) for agg in aggregates])
+
+
+def _escape(text: str) -> str:
+    # XML character data: &, < and > as entities
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def emit_svg(aggregates: list[AlgorithmAggregate], destination,
@@ -271,7 +310,7 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{(x0 + x1) / 2:.2f}" y="25" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
         f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
         f'fill="none" stroke="black"/>',
     ]
@@ -309,9 +348,9 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{x1 + 40}" y="{ly + 4}" '
                      f'font-family="sans-serif" font-size="11">'
-                     f'{escape(agg.name)}</text>')
+                     f'{_escape(agg.name)}</text>')
     parts.append("</svg>")
-    _write_chunks(destination, ["\n".join(parts) + "\n"])
+    _write_chunks(destination, ["\n".join(parts).encode() + b"\n"])
 
 
 def _json_number(v: float) -> float | None:

@@ -616,18 +616,41 @@ static char *put_double(char *p, double v) {
 }
 
 /* Rows r = 0..rows-1 of "<prefix><n[r]>,<v[0][r]>,...,<v[cols-1][r]>\n",
- * v[j][r] = values[j * rows + r], written to out, which holds at least
- * rows * (plen + 21 + 25 * cols) bytes. Returns the bytes written. */
+ * n[r] read at byte offset r * n_stride of n and v[j][r] at r * strides[j]
+ * of columns[j] (strided reads take the fields of a record array in
+ * place), written to out, which holds at least rows * (plen + 21 + 25 *
+ * cols) bytes. Returns the bytes written. A value with the bits of the one
+ * above it in its column copies that one's text: equal bits give equal
+ * text, so only changed values run Ryu. */
 int64_t zap_format_rows(const char *prefix, int64_t plen, int64_t rows,
-                        const int64_t *n, int64_t cols, const double *values,
+                        const char *n, int64_t n_stride, int64_t cols,
+                        const char *const *columns, const int64_t *strides,
                         char *out) {
+    /* the bits and the text of each column's value in the row above */
+    const int64_t c = cols > 0 ? cols : 1;
+    uint64_t above_bits[c];
+    const char *above[c];
+    size_t above_len[c];
     char *p = out;
     for (int64_t r = 0; r < rows; r++) {
+        int64_t nr;
+        memcpy(&nr, n + r * n_stride, sizeof nr);
         memcpy(p, prefix, (size_t)plen);
-        p = put_int(p + plen, n[r]);
+        p = put_int(p + plen, nr);
         for (int64_t j = 0; j < cols; j++) {
+            uint64_t bits;
+            memcpy(&bits, columns[j] + r * strides[j], sizeof bits);
             *p++ = ',';
-            p = put_double(p, values[j * rows + r]);
+            if (r > 0 && bits == above_bits[j]) {
+                memcpy(p, above[j], above_len[j]);
+            } else {
+                double v;
+                memcpy(&v, &bits, sizeof v);
+                above_len[j] = (size_t)(put_double(p, v) - p);
+                above_bits[j] = bits;
+            }
+            above[j] = p;
+            p += above_len[j];
         }
         *p++ = '\n';
     }

@@ -147,7 +147,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.zap_format_init.argtypes = [p, p]
     lib.zap_format_init(*(t.ctypes.data for t in _POW5_TABLES))
     lib.zap_format_rows.restype = i64
-    lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, p, p]
+    lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, i64,
+                                    p, p, p]
     return lib
 
 
@@ -249,22 +250,28 @@ def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1):
     return [(rec[a].T, stop_at[:, a]) for a in range(A)]
 
 
-def format_rows(prefix: str, n, columns) -> str:
-    """One text line per entry of ``n``: ``prefix``, then n[r] and each of
+def format_rows(prefix: str, n, columns) -> bytes:
+    """One UTF-8 line per entry of ``n``: ``prefix``, then n[r] and each of
     ``columns`` at r, comma-separated. The integers read as int64 and are
     written as ``str(int)`` writes them; the values read as float64 and are
     written as ``repr(float)`` writes them, the shortest text that parses
-    back to the same double."""
+    back to the same double. A prefix that is not valid UTF-8 (a lone
+    surrogate) raises UnicodeEncodeError. Strided arrays, such as the
+    fields of a record array, are read in place. The library call releases
+    the GIL, so calls on several threads format in parallel."""
     lib = _library()
-    n = np.ascontiguousarray(n, dtype=np.int64)
-    values = np.ascontiguousarray(columns, dtype=np.float64)
+    n = np.asarray(n, dtype=np.int64)
+    values = [np.asarray(column, dtype=np.float64) for column in columns]
     # the library trusts these shapes
-    if n.ndim != 1 or values.ndim != 2 or values.shape[1] != n.size:
+    if n.ndim != 1 or any(v.shape != n.shape for v in values):
         raise ValueError("format_rows needs n of shape (rows,) and columns "
                          "of shape (cols, rows)")
-    head = prefix.encode("utf-8", "surrogatepass")
+    head = prefix.encode("utf-8")
+    pointers = np.array([v.ctypes.data for v in values], dtype=np.uintp)
+    strides = np.array([v.strides[0] for v in values], dtype=np.int64)
     out = np.empty(n.size * (len(head) + ROW_BYTES + VALUE_BYTES * len(values)),
                    dtype=np.uint8)
     used = lib.zap_format_rows(head, len(head), n.size, n.ctypes.data,
-                               len(values), values.ctypes.data, out.ctypes.data)
-    return str(out[:used], "utf-8", "surrogatepass")
+                               n.strides[0], len(values), pointers.ctypes.data,
+                               strides.ctypes.data, out.ctypes.data)
+    return out[:used].tobytes()

@@ -219,8 +219,8 @@ def derive_stream_seeds(seed: int) -> tuple[int, int]:
 def tail_mean(trace: RunTrace, name: str, end: int) -> float:
     """Mean of field ``name`` over the last 10% of the rows recorded
     before sample ``end`` (at least one row)."""
-    ns = trace.column("n")
-    pre = trace.column(name)[ns < end]
+    # n is sorted: the rows before end are a leading slice
+    pre = trace.column(name)[:np.searchsorted(trace.column("n"), end)]
     return float(np.mean(pre[-max(1, math.ceil(0.1 * pre.size)):]))
 
 

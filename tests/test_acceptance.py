@@ -248,7 +248,7 @@ def test_criterion_7_robustness(sparse_grid, dispersive_grid):
 
         # re-running the whole grid must reproduce the CSV byte for byte
         rerun = run_all(cfg)
-        first, second = io.StringIO(), io.StringIO()
+        first, second = io.BytesIO(), io.BytesIO()
         emit_csv(traces, first, scenario=label)
         emit_csv(rerun, second, scenario=label)
         if first.getvalue() != second.getvalue():

@@ -256,7 +256,7 @@ class TestColumnarTrace:
                 for r in trace.samples.tolist()]
         as_rows = RunTrace(trace.algorithm, trace.seed, rows,
                            trace.final_misalignment_db)
-        a, b = io.StringIO(), io.StringIO()
+        a, b = io.BytesIO(), io.BytesIO()
         emit_csv([trace], a, scenario="s")
         emit_csv([as_rows], b, scenario="s")
         assert a.getvalue() == b.getvalue()

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import threading
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from zapvss.channel import generate_dispersive, generate_sparse, load_channel
 from zapvss.cli import (CSV_HEADER, ConfigError, canonical_config_text,
                         emit_aggregate_csv, emit_csv, emit_svg, main,
                         parse_config, parse_config_text)
-from zapvss.filtercore import SAMPLE_DTYPE
+from zapvss.filtercore import SAMPLE_DTYPE, format_rows
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
                             ScenarioConfig, aggregate, run_all)
 
@@ -221,37 +222,37 @@ def tiny_traces():
 
 class TestEmitCsv:
     def test_empty_results_header_only(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_csv([], buf, scenario="s")
-        assert buf.getvalue() == ("scenario,algorithm,seed,n,e,kappa,"
-                                  "misalignment_db,sign_agreement,"
-                                  "smoothed_mse\n")
+        assert buf.getvalue() == (b"scenario,algorithm,seed,n,e,kappa,"
+                                  b"misalignment_db,sign_agreement,"
+                                  b"smoothed_mse\n")
 
     def test_row_count(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_csv(tiny_traces(), buf, scenario="s")
         lines = buf.getvalue().splitlines()
         assert len(lines) == 4
 
     def test_neg_inf_sentinel(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_csv(tiny_traces(), buf, scenario="s")
-        assert buf.getvalue().splitlines()[2].split(",")[6] == "-inf"
+        assert buf.getvalue().splitlines()[2].split(b",")[6] == b"-inf"
 
     def test_round_trip_exact_values(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         traces = tiny_traces()
         emit_csv(traces, buf, scenario="s")
         for line, sample in zip(buf.getvalue().splitlines()[1:],
                                 traces[0].samples):
-            fields = line.split(",")
+            fields = line.split(b",")
             assert float(fields[4]) == sample.error
             assert float(fields[5]) == sample.kappa
             assert float(fields[6]) == sample.misalignment_db
             assert float(fields[8]) == sample.smoothed_mse
 
     def test_byte_identical(self):
-        a, b = io.StringIO(), io.StringIO()
+        a, b = io.BytesIO(), io.BytesIO()
         emit_csv(tiny_traces(), a, scenario="s")
         emit_csv(tiny_traces(), b, scenario="s")
         assert a.getvalue() == b.getvalue()
@@ -260,16 +261,21 @@ class TestEmitCsv:
         t1 = tiny_traces()[0]
         t2 = RunTrace("apf", 2, t1.samples, -3.5)
         t3 = RunTrace("apf", 1, t1.samples, -3.5)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_csv([t1, t2, t3], buf, scenario="s")
-        keys = [tuple(line.split(",")[1:3])
+        keys = [tuple(line.split(b",")[1:3])
                 for line in buf.getvalue().splitlines()[1:]]
         assert keys == sorted(keys)
 
     def test_comma_in_scenario_rejected(self):
         for label in ("a,b", "a\n"):  # either would break the rows
             with pytest.raises(ValueError):
-                emit_csv([], io.StringIO(), scenario=label)
+                emit_csv([], io.BytesIO(), scenario=label)
+
+    def test_label_without_utf8_rejected(self):
+        # a lone surrogate, as an undecodable file name gives, has no UTF-8
+        with pytest.raises(ConfigError, match="not valid UTF-8"):
+            emit_csv(tiny_traces(), io.BytesIO(), scenario="bad\udcff")
 
 
 def mixed_traces():
@@ -297,8 +303,8 @@ def mixed_traces():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The thread count of every thread pool the kernel calls start, in
-    order."""
+    """The thread count of every thread pool started, in order: the kernel
+    calls' (run_all) and the trace CSV's (emit_csv)."""
     started = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -307,47 +313,122 @@ def pools(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr("zapvss.filtercore.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("zapvss.cli.ThreadPoolExecutor", CountingPool)
     return started
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The prefix of every run emit_csv has started to format, in order,
+    and a condition notified at each start."""
+    started = []
+    changed = threading.Condition()
+    real = format_rows
+
+    def counting(prefix, n, columns):
+        with changed:
+            started.append(prefix)
+            changed.notify_all()
+        return real(prefix, n, columns)
+
+    monkeypatch.setattr("zapvss.cli.format_rows", counting)
+    return started, changed
+
+
 class TestPooledEmission:
-    """The trace CSV is formatted in the calling thread: ZAPVSS_THREADS
-    caps only the threads of run_all's kernel calls, and emission starts
-    no thread."""
+    """The trace CSV's runs are formatted on ZAPVSS_THREADS threads (the
+    formatter releases the GIL) while the calling thread writes the bytes
+    of the runs done, in order; the bytes never depend on the count."""
 
     def test_bytes_independent_of_worker_count(self, monkeypatch, pools):
         traces = mixed_traces()
         pools.clear()  # the pools that made the traces
         texts = []
-        for threads in ("1", "2", "3"):
+        interval = sys.getswitchinterval()
+        for threads in ("1", "2", "3", "6"):
             monkeypatch.setenv("ZAPVSS_THREADS", threads)
-            buf = io.StringIO()
-            emit_csv(traces, buf, scenario="s")
+            buf = io.BytesIO()
+            # six threads over ten runs, switching as often as they can
+            if threads == "6":
+                sys.setswitchinterval(1e-6)
+            try:
+                emit_csv(traces, buf, scenario="s")
+            finally:
+                sys.setswitchinterval(interval)
             texts.append(buf.getvalue())
-        assert pools == []
-        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert len(traces) == 10 and pools == [1, 2, 3, 6]
+        assert all(text == texts[0] for text in texts[1:])
         ordered = sorted(traces, key=lambda t: (t.algorithm, t.seed))
-        assert texts[0] == CSV_HEADER + "\n" + "".join(
-            trace_rows(t, "s") for t in ordered)
+        assert texts[0] == (CSV_HEADER + "\n" + "".join(
+            trace_rows(t, "s") for t in ordered)).encode()
         lines = texts[0].splitlines()
         assert len(lines) == 1 + sum(len(t.samples) for t in traces)
-        assert sum(line.split(",")[6] == "-inf" for line in lines) == 1
+        assert sum(line.split(b",")[6] == b"-inf" for line in lines) == 1
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_at_most_twice_the_workers_ahead_of_the_writer(
+            self, monkeypatch, formatted, threads):
+        # at each run's write, wait until every run the pipeline may start
+        # has started: the count must reach the bound and never pass it
+        started, changed = formatted
+        traces = mixed_traces()
+        monkeypatch.setenv("ZAPVSS_THREADS", str(threads))
+        bound = 2 * threads
+        ahead = []
+
+        class Writer(io.BytesIO):
+            def write(self, data):
+                if self.tell():  # a run's bytes, not the header
+                    done = len(ahead)  # the runs written before this one
+                    with changed:
+                        changed.wait_for(lambda: len(started) >= min(
+                            done + bound, len(traces)), timeout=30.0)
+                        ahead.append(len(started) - done)
+                return super().write(data)
+
+        emit_csv(traces, Writer(), scenario="s")
+        assert len(ahead) == len(traces)
+        assert max(ahead) == bound
+        assert all(count <= bound for count in ahead)
 
     def test_failed_write_stops_workers_at_once(self, monkeypatch, pools):
-        class FullDisk(io.StringIO):
-            def write(self, text):
-                if self.tell():  # the header got through
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return super().write(text)
-
+        # the first run formats at once; every other run holds its thread
+        # until a while after the first run's write has failed, so the runs
+        # still queued then must be cancelled, not formatted
         traces = mixed_traces()
         pools.clear()  # the pools that made the traces
+        first = min(traces, key=lambda t: (t.algorithm, t.seed))
+        release = threading.Event()
+        started = []
+
+        def gated(prefix, n, columns):
+            started.append(prefix)
+            if prefix != f"s,{first.algorithm},{first.seed},":
+                release.wait(timeout=30.0)
+            return format_rows(prefix, n, columns)
+
+        timers = []
+
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                if self.tell():  # the header got through
+                    timers.append(threading.Timer(0.2, release.set))
+                    timers[0].start()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr("zapvss.cli.format_rows", gated)
         monkeypatch.setenv("ZAPVSS_THREADS", "2")
         threads = threading.active_count()
         with pytest.raises(OSError) as failure:
             emit_csv(traces, FullDisk(), scenario="s")
         assert failure.value.errno == errno.ENOSPC
-        assert pools == []
+        assert pools == [2]  # the emission's
+        # 2 x 2 runs were submitted: the first, one or two held on the
+        # threads, and at least one that never started
+        assert len(traces) == 10 and 2 <= len(started) <= 3
+        timers[0].join(timeout=30.0)
+        assert not timers[0].is_alive()
         assert threading.active_count() == threads
 
     def test_failed_write_exits_3_and_stops_workers(self, tmp_path, capsys,
@@ -365,11 +446,11 @@ class TestPooledEmission:
             def __exit__(self, *exc):
                 self.f.close()
 
-            def write(self, text):
+            def write(self, data):
                 self.writes += 1
                 if self.writes == 3:  # the header and one run got through
                     raise OSError(errno.ENOSPC, "No space left on device")
-                self.f.write(text)
+                self.f.write(data)
 
         def fake_open(path, *args, **kwargs):
             f = real_open(path, *args, **kwargs)
@@ -391,8 +472,8 @@ class TestPooledEmission:
         assert not runner.is_alive()
         assert codes == [3]
         assert "No space left on device" in capsys.readouterr().err
-        assert pools == [2]  # the kernel calls; the CSV starts none
-        # the kernel's threads were joined, not left for the interpreter
+        assert pools == [2, 2]  # the kernel calls', then the CSV's
+        # every thread of both pools was joined, not left for the interpreter
         assert threading.active_count() == threads
 
 
@@ -408,7 +489,7 @@ def tiny_aggregates(cfg_text=FULL, n=60):
 class TestEmitSvg:
     def test_polyline_per_algorithm(self):
         aggs = tiny_aggregates()
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_svg(aggs, buf, title="t")
         root = ET.fromstring(buf.getvalue())
         polys = root.findall(".//{http://www.w3.org/2000/svg}polyline")
@@ -416,13 +497,13 @@ class TestEmitSvg:
 
     def test_single_point_curve_well_formed(self):
         aggs = tiny_aggregates(n=1)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_svg(aggs, buf, title="t")
         ET.fromstring(buf.getvalue())
 
     def test_byte_identical(self):
         aggs = tiny_aggregates()
-        a, b = io.StringIO(), io.StringIO()
+        a, b = io.BytesIO(), io.BytesIO()
         emit_svg(aggs, a, title="t")
         emit_svg(aggs, b, title="t")
         assert a.getvalue() == b.getvalue()
@@ -430,20 +511,30 @@ class TestEmitSvg:
     def test_non_finite_points_dropped(self):
         aggs = tiny_aggregates(n=3)
         aggs[0].mean_misalignment_db[1] = -math.inf
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_svg(aggs, buf, title="t")
         root = ET.fromstring(buf.getvalue())
         poly = root.find(".//{http://www.w3.org/2000/svg}polyline")
         assert len(poly.attrib["points"].split()) == 2
 
+    def test_markup_in_names_escaped(self):
+        aggs = tiny_aggregates(n=5)
+        aggs[0].name = "a&b<c>"
+        buf = io.BytesIO()
+        emit_svg(aggs, buf, title="<t & u>")
+        assert b"&lt;t &amp; u&gt;" in buf.getvalue()
+        root = ET.fromstring(buf.getvalue())
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "<t & u>" in texts and "a&b<c>" in texts
+
     def test_requires_curves(self):
         with pytest.raises(ValueError):
-            emit_svg([], io.StringIO(), title="t")
+            emit_svg([], io.BytesIO(), title="t")
 
     def test_points_match_per_point_formatting(self):
         aggs = tiny_aggregates(n=40)
         aggs[1].mean_misalignment_db[3] = math.nan
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_svg(aggs, buf, title="t")
         polys = ET.fromstring(buf.getvalue()).findall(
             ".//{http://www.w3.org/2000/svg}polyline")
@@ -463,24 +554,24 @@ class TestEmitSvg:
 class TestAggregateCsv:
     def test_long_format_rows(self):
         aggs = tiny_aggregates(n=5)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_aggregate_csv(aggs, buf, scenario="s")
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "scenario,algorithm,n,mean_misalignment_db"
+        assert lines[0] == b"scenario,algorithm,n,mean_misalignment_db"
         assert len(lines) == 1 + 3 * 5
 
     def test_rows_are_the_values_repr(self):
         aggs = tiny_aggregates(n=5)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         emit_aggregate_csv(aggs, buf, scenario="s{0}")
-        assert buf.getvalue().splitlines()[1:] == [
+        assert buf.getvalue().decode().splitlines()[1:] == [
             f"s{{0}},{agg.name},{n},{float(v)!r}" for agg in aggs
             for n, v in zip(agg.n, agg.mean_misalignment_db)]
 
     @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\r"])
     def test_bad_scenario_label_rejected(self, label):
         with pytest.raises(ConfigError, match="scenario label"):
-            emit_aggregate_csv(tiny_aggregates(n=5), io.StringIO(), label)
+            emit_aggregate_csv(tiny_aggregates(n=5), io.BytesIO(), label)
 
 
 class TestMain:
@@ -539,6 +630,17 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "config error: scenario label" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_label_exit_code(self, tmp_path, capsys):
+        # a file name that is not UTF-8 gives a label with a lone surrogate,
+        # which the UTF-8 files cannot hold: refused before any run
+        cfg_path = tmp_path / "bad\udcff.cfg"
+        cfg_path.write_text(MINIMAL)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: scenario label" in err and "UTF-8" in err
         assert not (tmp_path / "o").exists()
 
     def test_divergence_exit_code(self, tmp_path):

@@ -1,5 +1,7 @@
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import zapvss
@@ -39,3 +41,14 @@ def test_the_names_the_benchmark_reaches_into_exist():
                for name in names
                if not callable(getattr(modules[module], name, None))]
     assert not missing
+
+
+def test_import_loads_no_network_or_mail_modules():
+    # xml.sax.saxutils would pull in urllib.request, http.client and email,
+    # about 30 modules that a run never uses
+    code = ("import sys, zapvss; print(sorted(m for m in ('urllib.request', "
+            "'http.client', 'email') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(zapvss.__file__).resolve().parents[1])
+    assert done.stdout.strip() == "[]"
