@@ -421,8 +421,9 @@ def _cmd_run(args) -> int:
             }
             for a in aggs
         ],
-        # wall seconds of each stage; run_all_s holds synthesis_s and
-        # engine_s
+        # seconds of each stage: wall time but for synthesis_s and
+        # engine_s, which overlap on the kernel's threads and are summed
+        # over the seeds' threads inside run_all_s
         "timings": timings,
         "build": _build_block(cfg),
     }

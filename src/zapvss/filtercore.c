@@ -32,11 +32,11 @@ typedef struct {
     double misalignment_db, kappa, error, sign_agreement, smoothed_mse;
 } zap_record;
 
-/* the reductions of one pass: the next sample's x.w, x.sign(w), w.w and
- * ||w||_1, and at a recorded sample ||w - h||^2 and the count of taps
+/* the reductions of one pass: the next sample's x.w, x.sign(w), x.x, w.w
+ * and ||w||_1, and at a recorded sample ||w - h||^2 and the count of taps
  * where sign(w) matches a nonzero sign(h) */
 typedef struct {
-    double xw, xs, ww, ws, dist, agree;
+    double xw, xs, xx, ww, ws, dist, agree;
 } sums;
 
 /* LANES taps, or LANES accumulators; a comparison of two gives a mask, -1
@@ -91,6 +91,7 @@ static double dot(const double *a, const double *b, int64_t L) {
         w[k] = v;                                                          \
         xw[j] += v * xd[k];                                                \
         if (want_xs) xs[j] += xd[k] * sgn(v);                              \
+        if (want_xx) xx[j] += xd[k] * xd[k];                               \
         if (want_ww) ww[j] += v * v;                                       \
         if (want_ws) ws[j] += fabs(v);                                     \
         if (record) {                                                      \
@@ -118,6 +119,7 @@ static double dot(const double *a, const double *b, int64_t L) {
         STORE(w + (k), v);                                                 \
         xw += v * x1;                                                      \
         if (want_xs) xs += x1 * VSGN(v);                                   \
+        if (want_xx) xx += x1 * x1;                                        \
         if (want_ww) ww += v * v;                                          \
         if (want_ws) ws += VABS(v);                                        \
         if (record) {                                                      \
@@ -129,21 +131,23 @@ static double dot(const double *a, const double *b, int64_t L) {
     } while (0)
 
 /* The flags are constants at every call, so each call site compiles to a
- * loop without the reductions it does not want. */
+ * loop without the reductions it does not want. x.x takes in lane j the
+ * taps that dot gives lane j, tail included, and the same tree: it is
+ * dot(xd, xd, L) bit for bit. */
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, double mue, double kappa, int64_t L, int attract,
-        int want_xs, int want_ww, int want_ws, int record) {
+        int want_xs, int want_xx, int want_ww, int want_ws, int record) {
     const vec pull = kappa * ONE;
-    vec xw = {0.0}, xs = {0.0}, ww = {0.0}, ws = {0.0}, dist = {0.0},
-        agree = {0.0};
+    vec xw = {0.0}, xs = {0.0}, xx = {0.0}, ww = {0.0}, ws = {0.0},
+        dist = {0.0}, agree = {0.0};
     int64_t k = 0;
     for (; k + LANES <= L; k += LANES)
         TAPS(k);
     for (int j = 0; k + j < L; j++)
         TAP(k + j, j);
-    return (sums){TREE(xw), TREE(xs), TREE(ww), TREE(ws), TREE(dist),
-                  TREE(agree)};
+    return (sums){TREE(xw), TREE(xs), TREE(xx), TREE(ww), TREE(ws),
+                  TREE(dist), TREE(agree)};
 }
 
 /* which reductions a kind reads, and whether its attractor ever acts */
@@ -157,12 +161,12 @@ static sums pass(int mode, int record, double *w, const double *xu,
                  const double *xd, const double *h, double mue, double kappa,
                  int64_t L) {
     switch (mode) {
-    case PLAIN: return ADVANCE(0, 0, 0, 0);
-    case ATTRACT: return ADVANCE(1, 0, 0, 0);
-    case L1_NORM: return ADVANCE(1, 0, 0, 1);
-    case XI: return ADVANCE(1, 0, 1, 1);
-    case PROJECTED: return ADVANCE(1, 1, 0, 0);
-    default: return ADVANCE(1, 1, 1, 0);
+    case PLAIN: return ADVANCE(0, 0, 0, 0, 0);
+    case ATTRACT: return ADVANCE(1, 0, 0, 0, 0);
+    case L1_NORM: return ADVANCE(1, 0, 0, 0, 1);
+    case XI: return ADVANCE(1, 0, 0, 1, 1);
+    case PROJECTED: return ADVANCE(1, 1, 1, 0, 0);
+    default: return ADVANCE(1, 1, 1, 1, 0);
     }
 }
 
@@ -190,7 +194,7 @@ static double l1_delta(double e, double xx, double xs) {
  * update that made a weight non-finite, N if none did, or -1 if memory ran
  * out. */
 static int64_t run_row(int64_t N, int64_t L, const double *xpad,
-                       const double *d, const double *xx, int64_t nspans,
+                       const double *d, int64_t nspans,
                        const int64_t *starts, const double *taps,
                        const double *hnorm, const int64_t *active, double mu,
                        const zap_ctl *c, double mse_beta, int64_t every,
@@ -220,7 +224,8 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                  norm_scale = root - 1.0;
     double kappa = c->kappa0, mse = 0.0, detector = 0.0, phi = 0.0;
     int64_t cooldown_left = 0, stop = N;
-    sums s = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0};  /* of the zero weights */
+    /* of the zero weights and the regressor of sample 0 */
+    sums s = {.xx = dot(xpad + N, xpad + N, L)};
     for (int64_t span = 0; span < nspans && stop == N; span++) {
         const double *h = taps + span * L;
         int64_t end = span + 1 < nspans ? starts[span + 1] : N;
@@ -263,12 +268,12 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                 break;
             }
             case PROPOSED_L1:
-                kappa = smooth(c, kappa, l1_delta(e, xx[n], s.xs));
+                kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs));
                 break;
             case PROPOSED_NORM: {
                 double r = sqrt(s.ww);
                 double m = (r >= c->w2_floor || r != r) ? r : c->w2_floor;
-                kappa = smooth(c, kappa, l1_delta(e, xx[n], s.xs) / (m * norm_scale));
+                kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs) / (m * norm_scale));
                 break;
             }
             }
@@ -304,23 +309,13 @@ int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
             const double *hnorm, const int64_t *active, double mu, int64_t A,
             const zap_ctl *ctls, double mse_beta, int64_t every, zap_record *rec,
             int64_t rec_stride, int64_t *stop_at) {
-    double *xx = NULL;
-    for (int64_t a = 0; a < A; a++)
-        if (ctls[a].kind == PROPOSED_L1 || ctls[a].kind == PROPOSED_NORM) {
-            if (!(xx = malloc((size_t)N * sizeof *xx)))
-                return -1;
-            for (int64_t n = 0; n < N; n++)
-                xx[n] = dot(xpad + (N - n), xpad + (N - n), L);
-            break;
-        }
     int status = 0;
     for (int64_t a = 0; a < A && status == 0; a++) {
-        stop_at[a] = run_row(N, L, xpad, d, xx, nspans, starts, taps, hnorm,
+        stop_at[a] = run_row(N, L, xpad, d, nspans, starts, taps, hnorm,
                              active, mu, ctls + a, mse_beta, every,
                              rec + a * rec_stride);
         status = stop_at[a] < 0 ? -1 : 0;
     }
-    free(xx);
     return status;
 }
 

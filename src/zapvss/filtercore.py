@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -189,7 +190,8 @@ def _pack(ctls) -> np.ndarray:
     return packed
 
 
-def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1):
+def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1,
+             fill=None, timings: dict | None = None):
     """Every controller of ``ctls``, ``(kind, params)`` pairs with every
     parameter (``stepsize.controller_params``), on each of S sequences:
     each controller advances S rows. ``d`` (S, N) holds the desired
@@ -211,7 +213,12 @@ def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1):
     rows share the batch, nor on the compiler's vectorization. The S kernel
     calls run on ``workers`` threads (ctypes releases the GIL for each) and
     write disjoint slices of the records, so the thread count changes no
-    result.
+    result. ``fill(s)``, if given, runs on sequence s's thread just before
+    its kernel call and may write ``xpad[s]`` and ``d[s]`` in place. A
+    kernel call that ran out of memory raises MemoryError once every call
+    has returned; an exception of a fill drops the calls not yet started
+    and is raised once the others have returned. ``timings`` gains under
+    "engine_s" the seconds of the kernel calls, summed over the sequences.
     """
     lib = _library()
     S, N = d.shape
@@ -235,16 +242,24 @@ def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1):
     rec = np.zeros((A, S, n_rec), dtype=SAMPLE_DTYPE)
     rec["n"] = np.arange(0, N, every)
     stop_at = np.empty((S, A), dtype=np.int64)
+    seconds = [0.0] * S  # each thread writes only its sequence's entry
 
     def run(s):
-        return lib.zap_run(
+        if fill is not None:
+            fill(s)
+        start = time.perf_counter()
+        status = lib.zap_run(
             N, L, xpad[s].ctypes.data, d[s].ctypes.data, len(spans),
             starts.ctypes.data, taps.ctypes.data, hnorm.ctypes.data,
             active.ctypes.data, mu, A, packed.ctypes.data, MSE_BETA, every,
             rec[0, s].ctypes.data, S * n_rec, stop_at[s].ctypes.data)
+        seconds[s] = time.perf_counter() - start
+        return status
 
     with ThreadPoolExecutor(workers) as pool:
         statuses = list(pool.map(run, range(S)))
+    if timings is not None:
+        timings["engine_s"] = timings.get("engine_s", 0.0) + sum(seconds)
     if any(statuses):
         raise MemoryError("the filter kernel ran out of memory")
     return [(rec[a].T, stop_at[:, a]) for a in range(A)]

@@ -264,11 +264,13 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int],
               max_workers: int | None = None) -> list[list[RunTrace]]:
     """Every algorithm of the grid on ``seeds`` in one call of the kernel
     per seed (``filtercore.run_rows``), the calls on ``resolve_workers``
-    threads; returns ``traces[a][i]`` for algorithm ``a`` and ``seeds[i]``.
+    threads, each seed's streams synthesized on the thread of its call;
+    returns ``traces[a][i]`` for algorithm ``a`` and ``seeds[i]``.
     ``run_seeds(cfg, [seed])`` is one run of each algorithm: a trace does
     not depend on which seeds share the batch, nor on the thread count.
-    Adds the wall seconds of stream synthesis and of the kernel calls to
-    ``timings`` under "synthesis_s" and "engine_s"."""
+    Adds the seconds of stream synthesis and of the kernel calls, each
+    summed over the seeds' threads, to ``timings`` under "synthesis_s" and
+    "engine_s"."""
     timings = {} if timings is None else timings
     workers = resolve_workers(len(seeds), max_workers)
     spans = build_schedule(cfg)
@@ -277,17 +279,22 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int],
     # reversed, L - 1 zeros; and the desired signal
     xpad = np.zeros((len(seeds), N + L))
     d = np.empty((len(seeds), N))
-    with timed(timings, "synthesis_s"):
-        for i, seed in enumerate(seeds):
-            input_seed, noise_seed = derive_stream_seeds(seed)
-            x = generate_input(N, input_seed)
-            xpad[i, 1:N + 1] = x[::-1]
-            d[i] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
+    synthesis = [0.0] * len(seeds)  # each thread writes only its seed's
+
+    def fill(i):
+        start = time.perf_counter()
+        input_seed, noise_seed = derive_stream_seeds(seeds[i])
+        x = generate_input(N, input_seed)
+        xpad[i, 1:N + 1] = x[::-1]
+        d[i] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
+        synthesis[i] = time.perf_counter() - start
+
     ctls = [(alg.kind, controller_params(alg.kind, alg.params, cfg.mu))
             for alg in cfg.algorithms]
     every = cfg.record_every
-    with timed(timings, "engine_s"):
-        rows = run_rows(xpad, d, spans, cfg.mu, ctls, every, workers)
+    rows = run_rows(xpad, d, spans, cfg.mu, ctls, every, workers, fill,
+                    timings)
+    timings["synthesis_s"] = timings.get("synthesis_s", 0.0) + sum(synthesis)
     traces = []
     for alg, (rec, stop_at) in zip(cfg.algorithms, rows):
         runs = []

@@ -121,7 +121,9 @@ def controller_params(kind: str, params: dict, mu: float) -> dict:
     for key, value in params.items():
         typ, ok, rule, _ = PARAMS[key]
         int_as_float = typ is float and isinstance(value, int)
-        if not ((isinstance(value, typ) or int_as_float) and ok(value)):
+        # a bool is an int to isinstance, but no number of any key
+        if isinstance(value, bool) or not (
+                (isinstance(value, typ) or int_as_float) and ok(value)):
             raise ValueError(f"{key} must be {rule}, got {value!r}")
     p = {**spec.optional, **params}
     if p.get("cooldown", 0) is None:

@@ -538,12 +538,13 @@ def numpy_run_seeds(cfg, seeds):
 
 
 def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,
-                   workers: int = 1):
+                   workers: int = 1, fill=None, timings=None):
     """``zapvss.filtercore.run_rows`` in numpy: every controller of
     ``ctls``, ``(kind, params)`` pairs, on each of the S sequences of the
     padded reversed inputs ``xpad`` (S, N + L) and the desired signals
     ``d`` (S, N), in one per-sample loop over (sequence, controller, tap)
-    arrays on this thread (``workers`` is ignored). Each controller
+    arrays on this thread (``workers`` and ``timings`` are ignored), after
+    ``fill(s)`` of every sequence if ``fill`` is given. Each controller
     advances S rows. ``spans`` is the echo path as ``(start, stop, taps)``
     slices covering [0, N). Per sample: regressor, a-priori error,
     controller kappa, the update w + mu*e*x - kappa*sign(w) from zero
@@ -563,6 +564,9 @@ def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,
     """
     S, N = d.shape
     L, A = spans[0][2].size, len(ctls)
+    if fill is not None:
+        for s in range(S):
+            fill(s)
     ctls = [NumpyController(kind, params, S) for kind, params in ctls]
     # the regressor [x(n), ..., x(n-L+1)] of sample n is the slice
     # xpad[:, N-n:N-n+L]

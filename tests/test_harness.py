@@ -10,7 +10,7 @@ from zapvss.channel import generate_sparse, save_channel
 from oracles import (DivergenceError, make_controller, oracle_delta_l1,
                      oracle_delta_projected, predict_error, proposed_l1_delta,
                      residual_error, run_scenario, step)
-from zapvss import filtercore
+from zapvss import filtercore, harness
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ConfigError,
                             RunTrace, ScenarioConfig, aggregate,
@@ -483,6 +483,35 @@ class TestParallelism:
         with pytest.raises(MemoryError, match="out of memory"):
             run_all(small_config(seeds=[1, 2, 3], N=50), max_workers=2)
         assert next(calls) == 3  # every call ran
+        assert threading.active_count() == threads
+
+    def test_streams_are_synthesized_on_the_kernel_threads(self, monkeypatch):
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return synthesize_desired(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "synthesize_desired", recording)
+        run_all(small_config(seeds=[1, 2, 3, 4], N=50), max_workers=2)
+        assert len(threads) == 4
+        assert threading.get_ident() not in threads
+
+    def test_a_synthesis_failure_raises_and_joins_its_threads(
+            self, monkeypatch):
+        # the second of three seeds fails in its synthesis; a seed not yet
+        # started may be dropped, but no thread outlives the grid
+        calls = itertools.count()
+
+        def failing(*args, **kwargs):
+            if next(calls) == 1:
+                raise RuntimeError("synthesis failed")
+            return synthesize_desired(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "synthesize_desired", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="synthesis failed"):
+            run_all(small_config(seeds=[1, 2, 3], N=50), max_workers=2)
         assert threading.active_count() == threads
 
     def test_bad_env_value_rejected(self, monkeypatch):

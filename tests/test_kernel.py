@@ -3,15 +3,20 @@
 The kernel (``zapvss.filtercore.run_rows``) is checked against the numpy
 engine it replaced (``oracles.numpy_run_seeds``) and against the scalar
 ``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
-kind, filter lengths that leave a tail of the kernel's eight summation
-lanes, several ``record_every`` and runs that diverge. Against itself it is
-checked bit for bit: built without optimization for the compiler's default
-target, and recording every sample against every third.
+kind, filter lengths with and without a tail of the kernel's eight
+summation lanes, several ``record_every`` and runs that diverge. Against
+itself it is checked bit for bit: built without optimization for the
+compiler's default target, and recording every sample against every third.
+Built with the undefined-behaviour sanitizer, it runs such grids and the
+formatter's edge values without a report.
 """
 
 import ctypes
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +62,7 @@ def numpy_traces(cfg):
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7])
-@pytest.mark.parametrize("L", [2, 3, 17])
+@pytest.mark.parametrize("L", [2, 3, 8, 17])
 def test_every_kind_matches_both_references(L, record_every):
     cfg = small_grid(L, record_every=record_every)
     kernel = run_all(cfg, max_workers=1)
@@ -148,6 +153,48 @@ def test_kernel_source_compiles_without_warnings():
              str(filtercore.SOURCE)],
             capture_output=True, text=True)
         assert done.returncode == 0, (flags, done.stderr)
+
+
+# runs in a fresh interpreter on the library built at argv[1]: every kind
+# at two lengths and two record intervals, rows that diverge, and the
+# formatter's edge values
+SANITIZED_RUN = """
+import sys
+from zapvss import filtercore
+from zapvss.harness import run_all
+from test_format import edge_values, mismatches
+from test_kernel import small_grid
+
+filtercore._kernel = filtercore.load(sys.argv[1])
+for L in (3, 17):
+    for record_every in (1, 3):
+        run_all(small_grid(L, record_every=record_every), max_workers=1)
+diverging = run_all(small_grid(16, mu=10.0, N=400, change_at=200,
+                               seeds=[1, 2, 3], record_every=3), max_workers=1)
+assert None not in [t.diverged_at for t in diverging]
+assert mismatches(edge_values()) == []
+"""
+
+
+def test_the_library_has_no_undefined_behaviour(tmp_path, monkeypatch):
+    # the sanitizer stops the process at the first undefined operation, so
+    # the library runs in a child, not in the test's process
+    monkeypatch.setattr(filtercore, "CFLAGS", (
+        *filtercore.CFLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all"))
+    try:
+        library = filtercore.build(caches=[tmp_path])
+    except filtercore.KernelBuildError as err:
+        if "ubsan" not in str(err):
+            raise
+        pytest.skip(f"the sanitizer's runtime does not link: {err}")
+    path = os.pathsep.join([str(filtercore.SOURCE.parents[1]),
+                            str(Path(__file__).parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, str(library)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert "runtime error" not in done.stderr
 
 
 def marker_source(path, value):

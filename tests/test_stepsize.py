@@ -439,6 +439,20 @@ class TestMakeController:
             controller_params("proposed_l1", {"alpha": 0.1, "gamma": "big"},
                               0.01)
 
+    @pytest.mark.parametrize("kind,params,key", [
+        ("fixed_zap", {"kappa0": True}, "kappa0"),
+        ("you", {"kappa0": 1e-4, "eta": 0.5, "kappa_min": 1e-6,
+                 "window": True}, "window"),
+        ("you", {"kappa0": 1e-4, "eta": 0.5, "kappa_min": 1e-6,
+                 "window": 50, "cooldown": False}, "cooldown"),
+        ("proposed_norm", {"alpha": 0.1, "gamma": 1.0, "w2_floor": True},
+         "w2_floor")])
+    def test_a_bool_is_not_a_number(self, kind, params, key):
+        # bool subclasses int: without its own check True passes for 1
+        with pytest.raises(ValueError, match=f"{key} must be .*, got "
+                                             f"{params[key]!r}"):
+            controller_params(kind, params, 0.01)
+
     def test_fresh_instances(self):
         a = make_controller("proposed_norm", {"alpha": 0.1, "gamma": 1.0}, 0.01)
         b = make_controller("proposed_norm", {"alpha": 0.1, "gamma": 1.0}, 0.01)
