@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import save_channel
-from .filtercore import build_info, format_rows
+from .filtercore import build_info, format_points, format_rows
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RECOVERY_MARGIN_DB, ConfigError, RunTrace,
                       ScenarioConfig, aggregate, resolve_workers, run_all,
@@ -340,7 +340,7 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
         px = x0 + (agg.n[keep] / xmax) * (x1 - x0)
         py = y1 - ((agg.mean_misalignment_db[keep] - ymin) / (ymax - ymin)
                    * (y1 - y0))
-        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+        pts = format_points(px, py).decode()
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
         ly = y0 + 14 + 18 * i

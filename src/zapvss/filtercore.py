@@ -1,7 +1,8 @@
 """The filter recursion: the sign-attracted LMS update of many runs (rows),
 each advanced sample by sample with its controller and recorded metrics,
 in one compiled kernel (``filtercore.c``), and the text of the CSV rows it
-records (``format_rows``), written by the same library.
+records (``format_rows``) and of the plot's points (``format_points``),
+written by the same library.
 
 The kernel is built with the system C compiler when this module is first
 imported and cached under a name that hashes its source, the flags, the
@@ -17,6 +18,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -50,6 +52,9 @@ POW5_BITCOUNT = 125
 # and its comma ("-2.2250738585072014e-308")
 ROW_BYTES = 21
 VALUE_BYTES = 25
+# the longest text of one point with its comma and space: two values like
+# "-9007199254740991.99"
+POINT_BYTES = 42
 
 
 class KernelBuildError(RuntimeError):
@@ -150,6 +155,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.zap_format_rows.restype = i64
     lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, i64,
                                     p, p, p]
+    lib.zap_format_points.restype = i64
+    lib.zap_format_points.argtypes = [i64, p, p, p]
     return lib
 
 
@@ -208,7 +215,8 @@ def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1,
     A row stops at the update that makes a weight non-finite. A non-finite
     error only makes a row suspect: a finite w whose dot product overflowed
     gives one too, and diverges one update later. A stopped row's records
-    after its stop are zero but for ``n``. Rows never interact, and every
+    after its stop are zero but for ``n``, which each kernel call writes
+    into every record of its rows. Rows never interact, and every
     sum runs in a fixed order: a row's records do not depend on which other
     rows share the batch, nor on the compiler's vectorization. The S kernel
     calls run on ``workers`` threads (ctypes releases the GIL for each) and
@@ -239,8 +247,8 @@ def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1,
     active = np.count_nonzero(taps, axis=1).astype(np.int64)
     packed = _pack(ctls)
     n_rec = -(-N // every)
+    # zeros: the pages are faulted in by the kernel threads that write them
     rec = np.zeros((A, S, n_rec), dtype=SAMPLE_DTYPE)
-    rec["n"] = np.arange(0, N, every)
     stop_at = np.empty((S, A), dtype=np.int64)
     seconds = [0.0] * S  # each thread writes only its sequence's entry
 
@@ -265,6 +273,20 @@ def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1,
     return [(rec[a].T, stop_at[:, a]) for a in range(A)]
 
 
+# each thread's output buffer of the formatters (see _buffer)
+_local = threading.local()
+
+
+def _buffer(size: int) -> np.ndarray:
+    """The calling thread's output buffer, at least ``size`` bytes. It grows
+    to the largest size the thread has asked for and is reused, so a call
+    faults in no new pages unless it needs more than every earlier one."""
+    if getattr(_local, "buffer", None) is None or _local.buffer.size < size:
+        _local.buffer = None  # freed before its successor is allocated
+        _local.buffer = np.empty(size, dtype=np.uint8)
+    return _local.buffer
+
+
 def format_rows(prefix: str, n, columns) -> bytes:
     """One UTF-8 line per entry of ``n``: ``prefix``, then n[r] and each of
     ``columns`` at r, comma-separated. The integers read as int64 and are
@@ -273,7 +295,8 @@ def format_rows(prefix: str, n, columns) -> bytes:
     back to the same double. A prefix that is not valid UTF-8 (a lone
     surrogate) raises UnicodeEncodeError. Strided arrays, such as the
     fields of a record array, are read in place. The library call releases
-    the GIL, so calls on several threads format in parallel."""
+    the GIL, so calls on several threads format in parallel, each into its
+    own thread's buffer, of which the result is a copy."""
     lib = _library()
     n = np.asarray(n, dtype=np.int64)
     values = [np.asarray(column, dtype=np.float64) for column in columns]
@@ -284,9 +307,29 @@ def format_rows(prefix: str, n, columns) -> bytes:
     head = prefix.encode("utf-8")
     pointers = np.array([v.ctypes.data for v in values], dtype=np.uintp)
     strides = np.array([v.strides[0] for v in values], dtype=np.int64)
-    out = np.empty(n.size * (len(head) + ROW_BYTES + VALUE_BYTES * len(values)),
-                   dtype=np.uint8)
+    out = _buffer(n.size * (len(head) + ROW_BYTES + VALUE_BYTES * len(values)))
     used = lib.zap_format_rows(head, len(head), n.size, n.ctypes.data,
                                n.strides[0], len(values), pointers.ctypes.data,
                                strides.ctypes.data, out.ctypes.data)
+    return out[:used].tobytes()
+
+
+def format_points(px, py) -> bytes:
+    """The points ``"x,y x,y ..."`` of an SVG polyline, each coordinate as
+    ``"{:.2f}".format`` writes it, byte for byte. The text is exact: for
+    |v| = M * 2^E, M the integer mantissa and E <= 0, the digits are
+    M * 100 >> -E rounded half to even on the remainder, and the sign is
+    kept (-0.0 gives "-0.00"). A coordinate that is not finite or not below
+    2^53 in magnitude raises ValueError."""
+    lib = _library()
+    px = np.ascontiguousarray(px, dtype=np.float64)
+    py = np.ascontiguousarray(py, dtype=np.float64)
+    if px.ndim != 1 or py.shape != px.shape:
+        raise ValueError("format_points needs px and py of one shape (points,)")
+    out = _buffer(POINT_BYTES * px.size)
+    used = lib.zap_format_points(px.size, px.ctypes.data, py.ctypes.data,
+                                 out.ctypes.data)
+    if used < 0:
+        raise ValueError("format_points needs finite coordinates below 2^53 "
+                         "in magnitude")
     return out[:used].tobytes()

@@ -216,12 +216,45 @@ def derive_stream_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
+def _tail(ns: np.ndarray, end: int) -> slice:
+    """The last 10% of the rows recorded at the samples ``ns`` before
+    sample ``end`` (at least one row)."""
+    # ns is sorted: the rows before end are a leading slice
+    pre = int(np.searchsorted(ns, end))
+    return slice(pre - max(1, math.ceil(0.1 * pre)), pre)
+
+
+def _tail_means(columns, tail: slice) -> np.ndarray:
+    """The mean of each of ``columns``, one field of each run (the rows of
+    a (runs, rows) block, or a list of arrays), over the rows ``tail``."""
+    return np.vstack([column[tail] for column in columns]).mean(axis=1)
+
+
+def _recovery_times(ns: np.ndarray, mis: np.ndarray,
+                    change_at: int) -> np.ndarray:
+    """Per run of the misalignment block ``mis`` (runs, rows), its rows
+    recorded at the samples ``ns``: the ``recovery_time``, -1 for a run
+    that never recovers."""
+    threshold = _tail_means(mis, _tail(ns, change_at)) + RECOVERY_MARGIN_DB
+    first = int(np.searchsorted(ns, change_at))
+    post_ns = ns[first:]
+    # misses[:, i]: how many of a run's first i post-change rows miss the
+    # margin
+    misses = np.zeros((mis.shape[0], post_ns.size + 1), dtype=np.int64)
+    np.cumsum(~(mis[:, first:] <= threshold[:, None]), axis=1,
+              out=misses[:, 1:])
+    window_end = np.searchsorted(post_ns, post_ns + RECOVERY_HOLD)
+    covered = post_ns + RECOVERY_HOLD <= ns[-1] + (ns[1] - ns[0])
+    held = (misses[:, window_end] == misses[:, :-1]) & covered
+    return np.where(held.any(axis=1), post_ns[held.argmax(axis=1)] - change_at,
+                    -1)
+
+
 def tail_mean(trace: RunTrace, name: str, end: int) -> float:
     """Mean of field ``name`` over the last 10% of the rows recorded
     before sample ``end`` (at least one row)."""
-    # n is sorted: the rows before end are a leading slice
-    pre = trace.column(name)[:np.searchsorted(trace.column("n"), end)]
-    return float(np.mean(pre[-max(1, math.ceil(0.1 * pre.size)):]))
+    return float(_tail_means([trace.column(name)],
+                             _tail(trace.column("n"), end))[0])
 
 
 def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
@@ -236,17 +269,9 @@ def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
     ns = trace.column("n")
     if not (ns.size and ns[0] < change_at <= ns[-1]):
         raise ValueError(f"change_at={change_at} outside the recorded trace")
-    threshold = tail_mean(trace, "misalignment_db", change_at) + RECOVERY_MARGIN_DB
-    post = ns >= change_at
-    post_ns = ns[post]
-    # misses[i]: how many of the first i post-change rows miss the margin
-    misses = np.concatenate(([0], np.cumsum(
-        ~(trace.column("misalignment_db")[post] <= threshold))))
-    window_end = np.searchsorted(post_ns, post_ns + RECOVERY_HOLD)
-    covered = post_ns + RECOVERY_HOLD <= ns[-1] + (ns[1] - ns[0])
-    held = (misses[window_end] == misses[:-1]) & covered
-    hits = np.flatnonzero(held)
-    return int(post_ns[hits[0]] - change_at) if hits.size else None
+    found = int(_recovery_times(ns, trace.column("misalignment_db")[None],
+                                change_at)[0])
+    return found if found >= 0 else None
 
 
 @contextmanager
@@ -339,7 +364,9 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
 
 def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggregate]:
     """Per-algorithm pointwise dB-mean curves, floors and recovery
-    summaries (see ``AlgorithmAggregate``).
+    summaries (see ``AlgorithmAggregate``), each a few whole-array passes
+    over the algorithm's (runs, rows) block of its included runs, which
+    all record the same samples up to N.
 
     Diverged runs are excluded from every mean and reported in ``diverged``.
     """
@@ -350,34 +377,37 @@ def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggr
         included = [t for t in runs if t.diverged_at is None]
         diverged = [(t.seed, t.diverged_at) for t in runs
                     if t.diverged_at is not None]
-        if included:
-            ns = included[0].column("n")
-            curves = np.vstack([t.column("misalignment_db") for t in included])
-            mean_curve = curves.mean(axis=0)
-        else:
-            ns = np.array([], dtype=np.int64)
-            mean_curve = np.array([])
-        times = ([] if cfg.change_at is None else
-                 [recovery_time(t, cfg.change_at) for t in included])
-        reached = [t for t in times if t is not None]
+        if not included:
+            out.append(AlgorithmAggregate(
+                name=alg.name, n=np.array([], dtype=np.int64),
+                mean_misalignment_db=np.array([]),
+                mean_final_misalignment_db=math.nan, mean_recovery_time=None,
+                not_recovered=0, included_seeds=[], diverged=diverged,
+                recovery_times=[], floor_db=math.nan, floor_kappa=math.nan,
+                floor_sign_agreement=math.nan, max_kappa=math.nan))
+            continue
+        ns = included[0].column("n")
+        tail = _tail(ns, end)
+        mis, kappa = (np.vstack([t.column(name) for t in included])
+                      for name in ("misalignment_db", "kappa"))
+        times = (np.array([], dtype=np.int64) if cfg.change_at is None
+                 else _recovery_times(ns, mis, cfg.change_at))
+        recovered = times >= 0
+        # of the sign agreement only the tail rows are copied
+        floor_db, floor_kappa, floor_sign_agreement = (
+            float(_tail_means(columns, tail).mean()) for columns in (
+                mis, kappa, [t.column("sign_agreement") for t in included]))
         out.append(AlgorithmAggregate(
-            name=alg.name, n=ns, mean_misalignment_db=mean_curve,
-            mean_final_misalignment_db=_mean_or_nan(
-                [t.final_misalignment_db for t in included]),
-            mean_recovery_time=float(np.mean(reached)) if reached else None,
-            not_recovered=len(times) - len(reached),
+            name=alg.name, n=ns, mean_misalignment_db=mis.mean(axis=0),
+            mean_final_misalignment_db=float(np.mean(
+                [t.final_misalignment_db for t in included])),
+            mean_recovery_time=(float(times[recovered].mean())
+                                if recovered.any() else None),
+            not_recovered=int(times.size - recovered.sum()),
             included_seeds=[t.seed for t in included], diverged=diverged,
-            recovery_times=times,
-            floor_db=_mean_or_nan([tail_mean(t, "misalignment_db", end)
-                                   for t in included]),
-            floor_kappa=_mean_or_nan([tail_mean(t, "kappa", end)
-                                      for t in included]),
-            floor_sign_agreement=_mean_or_nan(
-                [tail_mean(t, "sign_agreement", end) for t in included]),
-            max_kappa=max((float(np.max(t.column("kappa"))) for t in included),
-                          default=math.nan)))
+            recovery_times=np.where(recovered, times.astype(object),
+                                    None).tolist(),
+            floor_db=floor_db, floor_kappa=floor_kappa,
+            floor_sign_agreement=floor_sign_agreement,
+            max_kappa=float(kappa.max())))
     return out
-
-
-def _mean_or_nan(values: list[float]) -> float:
-    return float(np.mean(values)) if values else math.nan

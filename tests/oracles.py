@@ -16,6 +16,10 @@ The trace CSV rows that the compiled formatter writes
 (``zapvss.filtercore.format_rows``) have ``trace_rows``: f-strings of
 Python's ``repr``.
 
+The block aggregate (``zapvss.harness.aggregate``) has ``aggregate_per_trace``:
+one run at a time, each floor and recovery time from that run's own 1-D
+columns (``tail_mean``, ``recovery_time``).
+
 The controller references (``ScalarController``) recompute each kind's
 kappa one sample at a time with scalar arithmetic, so the vectorized
 updates have a reference that shares none of their code.
@@ -34,7 +38,9 @@ from zapvss import harness
 from zapvss.channel import Channel
 from zapvss.cli import CSV_FIELDS
 from zapvss.filtercore import MSE_BETA, SAMPLE_DTYPE
-from zapvss.harness import RunTrace, build_schedule, derive_stream_seeds
+from zapvss.harness import (RECOVERY_HOLD, RECOVERY_MARGIN_DB,
+                            AlgorithmAggregate, RunTrace, build_schedule,
+                            derive_stream_seeds)
 from zapvss.signal import generate_input, synthesize_desired
 from zapvss.stepsize import KINDS, controller_params
 
@@ -200,6 +206,72 @@ def trace_rows(trace: RunTrace, scenario: str) -> str:
     columns = [trace.column(name).tolist() for name in CSV_FIELDS]
     return "".join(f"{prefix}{n},{e!r},{k!r},{m!r},{a!r},{q!r}\n"
                    for n, e, k, m, a, q in zip(*columns))
+
+
+def tail_mean(trace: RunTrace, name: str, end: int) -> float:
+    """Mean of field ``name`` over the last 10% of the rows recorded
+    before sample ``end`` (at least one row)."""
+    pre = trace.column(name)[:np.searchsorted(trace.column("n"), end)]
+    return float(np.mean(pre[-max(1, math.ceil(0.1 * pre.size)):]))
+
+
+def recovery_time(trace: RunTrace, change_at: int) -> int | None:
+    """Samples from change_at to the first recorded sample n from which the
+    misalignment stays within the margin of its ``tail_mean`` before
+    change_at at every recorded sample in [n, n + RECOVERY_HOLD), a span
+    the rows must cover; None when it never recovers."""
+    ns = trace.column("n")
+    threshold = tail_mean(trace, "misalignment_db", change_at) + RECOVERY_MARGIN_DB
+    post = ns >= change_at
+    post_ns = ns[post]
+    misses = np.concatenate(([0], np.cumsum(
+        ~(trace.column("misalignment_db")[post] <= threshold))))
+    window_end = np.searchsorted(post_ns, post_ns + RECOVERY_HOLD)
+    covered = post_ns + RECOVERY_HOLD <= ns[-1] + (ns[1] - ns[0])
+    held = (misses[window_end] == misses[:-1]) & covered
+    hits = np.flatnonzero(held)
+    return int(post_ns[hits[0]] - change_at) if hits.size else None
+
+
+def aggregate_per_trace(cfg, traces) -> list[AlgorithmAggregate]:
+    """``zapvss.harness.aggregate``, each run's floors and recovery time
+    computed from its own columns."""
+    def mean_or_nan(values):
+        return float(np.mean(values)) if values else math.nan
+
+    end = cfg.N if cfg.change_at is None else cfg.change_at
+    out = []
+    for alg in cfg.algorithms:
+        runs = [t for t in traces if t.algorithm == alg.name]
+        included = [t for t in runs if t.diverged_at is None]
+        if included:
+            ns = included[0].column("n")
+            mean_curve = np.vstack([t.column("misalignment_db")
+                                    for t in included]).mean(axis=0)
+        else:
+            ns, mean_curve = np.array([], dtype=np.int64), np.array([])
+        times = ([] if cfg.change_at is None else
+                 [recovery_time(t, cfg.change_at) for t in included])
+        reached = [t for t in times if t is not None]
+        out.append(AlgorithmAggregate(
+            name=alg.name, n=ns, mean_misalignment_db=mean_curve,
+            mean_final_misalignment_db=mean_or_nan(
+                [t.final_misalignment_db for t in included]),
+            mean_recovery_time=float(np.mean(reached)) if reached else None,
+            not_recovered=len(times) - len(reached),
+            included_seeds=[t.seed for t in included],
+            diverged=[(t.seed, t.diverged_at) for t in runs
+                      if t.diverged_at is not None],
+            recovery_times=times,
+            floor_db=mean_or_nan([tail_mean(t, "misalignment_db", end)
+                                  for t in included]),
+            floor_kappa=mean_or_nan([tail_mean(t, "kappa", end)
+                                     for t in included]),
+            floor_sign_agreement=mean_or_nan(
+                [tail_mean(t, "sign_agreement", end) for t in included]),
+            max_kappa=max((float(np.max(t.column("kappa")))
+                           for t in included), default=math.nan)))
+    return out
 
 
 def sign_vec(w) -> np.ndarray:

@@ -1,19 +1,24 @@
-"""The compiled CSV formatter (``filtercore.format_rows``) against Python.
+"""The compiled formatters against Python: the CSV rows
+(``filtercore.format_rows``) and the SVG points (``filtercore.format_points``).
 
 Tolerance zero: every value's text must equal ``repr(float(v))`` and every
 integer's ``str(int)``, character for character, whether Ryu wrote it or it
-was copied from the row above.
+was copied from the row above; every coordinate's text must equal
+``"{:.2f}".format(v)``.
 """
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zapvss.filtercore import SAMPLE_DTYPE, format_rows, pow5_tables
+from zapvss import filtercore
+from zapvss.filtercore import (ROW_BYTES, SAMPLE_DTYPE, VALUE_BYTES,
+                               format_points, format_rows, pow5_tables)
 
 RANDOM_PATTERNS = 1 << 20
 CHUNK = 1 << 17
@@ -44,6 +49,38 @@ def edge_values() -> list[float]:
     edges += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
     for x in (1e-4, 1e16, 1e22, 1e23):
         edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return edges + [-x for x in edges]
+
+
+def point_mismatches(values) -> list[tuple[str, str, str]]:
+    """(hex, formatted, wanted) of every point "x,y" whose text differs from
+    "{:.2f}", with x running over ``values`` and y over them reversed."""
+    xs = np.asarray(values, dtype=np.float64)
+    ys = xs[::-1]
+    got = format_points(xs, ys).decode().split(" ") if xs.size else []
+    want = list(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+    assert len(got) == len(want)
+    return [(float(x).hex(), g, w) for x, g, w in zip(xs.tolist(), got, want)
+            if g != w]
+
+
+# the largest magnitude format_points takes is below 2^53
+LIMIT = 2.0**53
+
+
+def point_edge_values() -> list[float]:
+    # exact ties: every k/8 (x.125, x.375, ...) and the .xx5 decimals,
+    # which are near ties; signed zeros and values that round to -0.00;
+    # subnormals and the smallest normal; ties and neighbours near the top
+    edges = [k / 8 for k in range(-8000, 8001)]
+    edges += [(k + 0.5) / 100 for k in range(-20000, 20000)]
+    edges += [0.0, 0.001, 0.004999999999999999, 0.005, 0.005000000000000001,
+              0.995, 0.9950000000000001, 1.005, 2.675, 5e-324, SUBNORMAL,
+              sys.float_info.min]
+    edges += [math.ldexp(1.0, e) for e in range(-1074, 53)]
+    for top in (2.0**49 + 0.125, 2.0**50 - 0.125, 2.0**52, LIMIT):
+        edges += [math.nextafter(top, 0.0), math.nextafter(
+            math.nextafter(top, 0.0), 0.0)]
     return edges + [-x for x in edges]
 
 
@@ -190,3 +227,88 @@ def test_pow5_tables_are_exact():
             assert v << shift <= 5**i < (v + 1) << shift
         else:
             assert v == 5**i << -shift
+
+
+class TestPoints:
+    """``format_points`` against "{:.2f},{:.2f}".format, joined by spaces."""
+
+    def test_edges(self):
+        assert point_mismatches(point_edge_values()) == []
+        assert format_points([0.0, -0.0, -0.004], [-0.0, 0.125, 0.375]) == \
+            b"0.00,-0.00 -0.00,0.12 -0.00,0.38"
+
+    def test_random_values(self):
+        rng = np.random.default_rng(20261019)
+        assert point_mismatches(rng.uniform(-1e4, 1e4, CHUNK)) == []
+        # canvas coordinates, and every exponent a coordinate may have
+        assert point_mismatches(rng.uniform(0.0, 800.0, CHUNK)) == []
+        bits = rng.integers(0, 2**64, size=CHUNK, dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+        assert point_mismatches(bits[np.abs(bits) < LIMIT]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-LIMIT, max_value=LIMIT,
+                              exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=40))
+    def test_hypothesis_floats(self, values):
+        assert point_mismatches(values) == []
+
+    def test_no_points(self):
+        assert format_points([], []) == b""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, LIMIT,
+                                     -LIMIT, 1e300])
+    def test_outside_the_precondition_raises(self, bad):
+        for xs, ys in (([0.5, bad], [1.0, 2.0]), ([0.5, 1.0], [bad, 2.0])):
+            with pytest.raises(ValueError, match="format_points needs finite"):
+                format_points(xs, ys)
+
+    def test_shapes_checked(self):
+        for xs, ys in (([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]])):
+            with pytest.raises(ValueError, match="format_points needs px"):
+                format_points(xs, ys)
+
+
+def rows_of(size: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return (f"s{seed},", np.arange(size) * 3,
+            rng.standard_normal((5, size)) * 10.0 ** rng.integers(
+                -300, 300, size=(5, size)))
+
+
+class TestBuffer:
+    """Each thread formats into its own buffer, kept at the largest size it
+    has needed; a result holds no byte of an earlier, larger one."""
+
+    def test_large_small_large_on_one_thread(self):
+        def formats():
+            largest = 0
+            for size, seed in ((3000, 1), (2, 2), (0, 3), (40, 4), (3000, 5)):
+                prefix, n, columns = rows_of(size, seed)
+                assert format_rows(prefix, n, columns) == repr_rows(
+                    prefix, n, columns)
+                largest = max(largest, size * (len(prefix) + ROW_BYTES
+                                               + 5 * VALUE_BYTES))
+                assert filtercore._local.buffer.size == largest
+            # the points share the buffer
+            assert format_points([0.5], [0.25]) == b"0.50,0.25"
+            assert filtercore._local.buffer.size == largest
+
+        # a new thread starts without a buffer
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(formats).result()
+
+    def test_threads_format_at_once(self):
+        # more threads than this machine is likely to have cores, switching
+        # as often as the interpreter can
+        jobs = [rows_of(size, seed) for seed, size in enumerate(
+            [2000, 5, 1500, 0, 2000, 30, 700, 1, 1999, 12] * 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda job: format_rows(*job), jobs,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [repr_rows(*job) for job in jobs]

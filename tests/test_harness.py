@@ -1,21 +1,26 @@
+import dataclasses
 import itertools
 import math
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import oracles
 from zapvss.channel import generate_sparse, save_channel
-from oracles import (DivergenceError, make_controller, oracle_delta_l1,
-                     oracle_delta_projected, predict_error, proposed_l1_delta,
-                     residual_error, run_scenario, step)
+from oracles import (DivergenceError, aggregate_per_trace, make_controller,
+                     oracle_delta_l1, oracle_delta_projected, predict_error,
+                     proposed_l1_delta, residual_error, run_scenario, step)
+from test_batched import ALL_KINDS, grid
 from zapvss import filtercore, harness
 from zapvss.filtercore import SAMPLE_DTYPE
-from zapvss.harness import (AlgorithmConfig, ChannelSpec, ConfigError,
-                            RunTrace, ScenarioConfig, aggregate,
-                            build_schedule, derive_stream_seeds,
-                            recovery_time, run_all)
+from zapvss.harness import (AlgorithmAggregate, AlgorithmConfig,
+                            ChannelSpec, ConfigError, RunTrace,
+                            ScenarioConfig, aggregate, build_schedule,
+                            derive_stream_seeds, recovery_time, run_all,
+                            tail_mean)
 from zapvss.signal import generate_input, synthesize_desired
 
 
@@ -345,7 +350,59 @@ class TestRecoveryTime:
             recovery_time(trace, 100)  # nothing recorded after change
 
 
+def same_bits(a, b) -> bool:
+    """Equal values of equal types; floats and arrays bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and \
+            a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a == b
+
+
 class TestAggregation:
+    @pytest.mark.parametrize("mu, record_every, change_at", [
+        (0.01, 1, 300),  # some runs never recover
+        (0.01, 3, 300),
+        (1.0, 3, 300),  # one run of each algorithm diverges
+        (0.01, 4, None),
+    ])
+    def test_the_block_equals_the_per_trace_reference(self, mu, record_every,
+                                                      change_at):
+        # "wild" diverges on every seed: an algorithm with no included run
+        wild = AlgorithmConfig("wild", "fixed_zap", {"kappa0": 1e308})
+        cfg = grid(mu=mu, N=600, change_at=change_at, seeds=[1, 2, 3, 4],
+                   record_every=record_every, algorithms=ALL_KINDS + [wild],
+                   channel_after=None if change_at is None else ChannelSpec(
+                       kind="sparse", active_count=4, seed=33))
+        traces = run_all(cfg, max_workers=1)
+        got, want = aggregate(cfg, traces), aggregate_per_trace(cfg, traces)
+        assert [a.name for a in got] == [a.name for a in want]
+        for block, per_trace in zip(got, want):
+            for f in dataclasses.fields(AlgorithmAggregate):
+                assert same_bits(getattr(block, f.name),
+                                 getattr(per_trace, f.name)), (block.name,
+                                                               f.name)
+        end = change_at or cfg.N
+        for trace in (t for t in traces if t.diverged_at is None):
+            for name in ("misalignment_db", "kappa", "sign_agreement"):
+                assert same_bits(tail_mean(trace, name, end),
+                                 oracles.tail_mean(trace, name, end))
+            if change_at is not None:
+                assert same_bits(recovery_time(trace, change_at),
+                                 oracles.recovery_time(trace, change_at))
+        # the cases the parameters promise
+        included = [a for a in got if a.name != "wild"]
+        assert [len(a.diverged) for a in got][-1] == 4
+        if mu == 1.0:
+            assert all(len(a.diverged) == 1 for a in included)
+        elif change_at is not None:
+            assert 0 < sum(a.not_recovered for a in included) < sum(
+                len(a.recovery_times) for a in included)
     def test_single_seed_equals_run(self):
         cfg = small_config(seeds=[5])
         traces = run_all(cfg, max_workers=1)

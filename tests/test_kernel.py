@@ -8,7 +8,7 @@ summation lanes, several ``record_every`` and runs that diverge. Against
 itself it is checked bit for bit: built without optimization for the
 compiler's default target, and recording every sample against every third.
 Built with the undefined-behaviour sanitizer, it runs such grids and the
-formatter's edge values without a report.
+formatters' edge values without a report.
 """
 
 import ctypes
@@ -26,6 +26,7 @@ from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
                           assert_matches_scalar, grid, trace_key)
 from zapvss import filtercore
 from zapvss.cli import main
+from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import ChannelSpec, recovery_time, run_all, run_seeds
 from zapvss.stepsize import controller_params
 
@@ -125,6 +126,33 @@ def test_a_sparser_record_is_every_third_row(L):
         assert one.samples[::3].tobytes() == three.samples.tobytes()
 
 
+def test_every_record_gets_its_n_and_a_stopped_row_rests_at_zero():
+    # the kernel threads write n into every record slot, those after a
+    # stop too; the other fields of a stopped row's later records stay 0
+    rng = np.random.default_rng(8)
+    S, N, L, every, mu = 3, 100, 5, 3, 0.01
+    x = rng.standard_normal((S, N))
+    xpad = np.zeros((S, N + L))
+    xpad[:, 1:N + 1] = x[:, ::-1]
+    h = rng.standard_normal(L)
+    d = np.array([np.convolve(row, h)[:N] for row in x])
+    # kappa0 = 1e308 overflows the weights within a few samples
+    ctls = [("lms", controller_params("lms", {}, mu)),
+            ("fixed_zap", controller_params("fixed_zap", {"kappa0": 1e308},
+                                            mu))]
+    (steady, never), (wild, stops) = filtercore.run_rows(
+        xpad, d, [(0, N, h)], mu, ctls, every, workers=2)
+    assert (never == N).all() and (stops < N - 2 * every).all()
+    for rec in (steady, wild):
+        assert rec.shape == (34, S)
+        assert (rec["n"] == np.arange(0, N, every)[:, None]).all()
+    for s, stop in enumerate(stops):
+        rest = wild[wild["n"][:, s] > stop, s]
+        assert rest.size >= 2
+        for name in SAMPLE_DTYPE.names[1:]:
+            assert not rest[name].any(), name
+
+
 def test_run_rows_checks_the_shapes_it_hands_the_kernel():
     h = np.ones(4)
     xpad, d = np.zeros((2, 14)), np.zeros((2, 10))
@@ -157,12 +185,13 @@ def test_kernel_source_compiles_without_warnings():
 
 # runs in a fresh interpreter on the library built at argv[1]: every kind
 # at two lengths and two record intervals, rows that diverge, and the
-# formatter's edge values
+# formatters' edge values, those outside the points' precondition too
 SANITIZED_RUN = """
 import sys
 from zapvss import filtercore
 from zapvss.harness import run_all
-from test_format import edge_values, mismatches
+from test_format import (LIMIT, edge_values, mismatches, point_edge_values,
+                         point_mismatches)
 from test_kernel import small_grid
 
 filtercore._kernel = filtercore.load(sys.argv[1])
@@ -173,6 +202,13 @@ diverging = run_all(small_grid(16, mu=10.0, N=400, change_at=200,
                                seeds=[1, 2, 3], record_every=3), max_workers=1)
 assert None not in [t.diverged_at for t in diverging]
 assert mismatches(edge_values()) == []
+assert point_mismatches(point_edge_values()) == []
+for bad in (float("nan"), float("inf"), -float("inf"), LIMIT, -LIMIT):
+    try:
+        filtercore.format_points([0.5, bad], [bad, 0.5])
+    except ValueError:
+        continue
+    raise AssertionError(f"format_points took {bad!r}")
 """
 
 
