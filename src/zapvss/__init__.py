@@ -12,7 +12,7 @@ from .cli import (ConfigError, canonical_config_text, emit_csv, emit_svg,
 from .filtercore import SAMPLE_DTYPE
 from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
                       RunTrace, ScenarioConfig, aggregate, build_schedule,
-                      derive_stream_seeds, recovery_time, run_all, run_seeds)
+                      derive_stream_seeds, recovery_time, run_all)
 from .signal import DesiredSignal, generate_input, synthesize_desired
 from .stepsize import KINDS, controller_params
 
@@ -26,7 +26,7 @@ __all__ = [
     "SAMPLE_DTYPE",
     "AlgorithmAggregate", "AlgorithmConfig", "ChannelSpec", "RunTrace",
     "ScenarioConfig", "aggregate", "build_schedule",
-    "derive_stream_seeds", "recovery_time", "run_all", "run_seeds",
+    "derive_stream_seeds", "recovery_time", "run_all",
     "DesiredSignal", "generate_input", "synthesize_desired",
     "KINDS", "controller_params",
 ]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .channel import save_channel
 from .filtercore import build_info, format_points, format_rows
-from .harness import (AlgorithmAggregate, AlgorithmConfig, ChannelSpec,
-                      RECOVERY_MARGIN_DB, ConfigError, RunTrace,
+from .harness import (CHANNEL_FIELDS, RECOVERY_MARGIN_DB, AlgorithmAggregate,
+                      AlgorithmConfig, ChannelSpec, ConfigError, RunTrace,
                       ScenarioConfig, aggregate, resolve_workers, run_all,
                       timed)
 from .stepsize import PARAMS
@@ -37,11 +37,11 @@ _SCENARIO_KEYS = (
     ("L", int), ("N", int), ("snr_db", float), ("mu", float),
     ("change_at", int), ("record_every", int), ("seeds", list),
 )
-_CHANNEL_KEYS = {  # file= holds ChannelSpec.path
-    "sparse": (("kind", str), ("active_count", int), ("seed", int)),
-    "dispersive": (("kind", str), ("seed", int), ("decay", float)),
-    "file": (("file", str),),
-}
+# a channel section holds kind= and its kind's fields, but a file channel
+# only file=, its path
+_CHANNEL_KEYS = {kind: (("file", str),) if kind == "file"
+                 else (("kind", str), *used)
+                 for kind, used in CHANNEL_FIELDS.items()}
 _ALGORITHM_KEYS = (("name", str), ("kind", str))  # then the params, sorted
 _PARAM_KEYS = tuple((key, spec[0]) for key, spec in PARAMS.items())
 

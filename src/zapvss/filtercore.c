@@ -4,8 +4,8 @@
  *
  * Every sum over the taps runs in LANES fixed accumulators, lane j taking
  * taps j, j + LANES, ..., the tail included, and the lanes are added in one
- * fixed tree. The body of every tap loop is one explicit vector of LANES
- * doubles doing in each lane the operations of the scalar tail. With no
+ * fixed tree. Every tap is touched by one explicit vector step of LANES
+ * doubles, the L % LANES tail too, in zero-padded vectors. With no
  * fast-math and no contraction a result therefore does not depend on the
  * compiler's flags or on the vector width of the target. */
 
@@ -53,12 +53,14 @@ typedef double vec_at __attribute__((vector_size(LANES * sizeof(double)),
 static const vec ONE = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
                  NEGATIVE_ZERO = {-0.0, -0.0, -0.0, -0.0,
                                   -0.0, -0.0, -0.0, -0.0};
+static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
+                  LANE = {0, 1, 2, 3, 4, 5, 6, 7};
 
 #define LOAD(p) (*(const vec_at *)(p))
 #define STORE(p, v) (*(vec_at *)(p) = (v))
 /* 1.0 in the lanes of mask m, +0.0 elsewhere */
 #define ONES(m) ((vec)((mask)ONE & (m)))
-/* sgn and fabs (the sign bit cleared) in every lane */
+/* sign (-1, 0 or 1) and fabs (the sign bit cleared) in every lane */
 #define VSGN(v) (ONES((v) > 0.0) - ONES((v) < 0.0))
 #define VABS(v) ((vec)((mask)(v) & ~(mask)NEGATIVE_ZERO))
 #define TREE(a) ((((a)[0] + (a)[1]) + ((a)[2] + (a)[3])) +                  \
@@ -66,56 +68,25 @@ static const vec ONE = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
 
 const char *zap_compiler(void) { return __VERSION__; }
 
-static inline double sgn(double v) {
-    return (v > 0.0 ? 1.0 : 0.0) - (v < 0.0 ? 1.0 : 0.0);
-}
-
-static double dot(const double *a, const double *b, int64_t L) {
-    vec acc = {0.0};
-    int64_t k = 0;
-    for (; k + LANES <= L; k += LANES)
-        acc += LOAD(a + k) * LOAD(b + k);
-    for (int j = 0; k + j < L; j++)
-        acc[j] += a[k + j] * b[k + j];
-    return TREE(acc);
-}
-
-/* One tap of a pass, for the tail of an L that is not a multiple of LANES:
- * the update w + mu*e*x - kappa*sign(w) of sample n, then the reductions of
- * the updated tap against the regressor of sample n+1 (and the echo path
- * at a recorded sample) into lane j. */
-#define TAP(k, j)                                                          \
-    do {                                                                   \
-        double v = w[k] + mue * xu[k];                                     \
-        if (attract) v -= kappa * sgn(w[k]);                               \
-        w[k] = v;                                                          \
-        xw[j] += v * xd[k];                                                \
-        if (want_xs) xs[j] += xd[k] * sgn(v);                              \
-        if (want_xx) xx[j] += xd[k] * xd[k];                               \
-        if (want_ww) ww[j] += v * v;                                       \
-        if (want_ws) ws[j] += fabs(v);                                     \
-        if (record) {                                                      \
-            double r = v - h[k];                                           \
-            dist[j] += r * r;                                              \
-            agree[j] += sgn(v) * sgn(h[k]) > 0.0 ? 1.0 : 0.0;             \
-        }                                                                  \
-    } while (0)
-
-/* TAP on the LANES taps from k, one in each lane, with two selects that
- * give the same bits:
- * - kappa is finite and not below zero, so kappa * sgn(w) is kappa where
+/* The update w + mu*e*x - kappa*sign(w) of sample n on the LANES taps from
+ * k, of regressor XU, then the reductions of the updated taps against the
+ * regressor XD of sample n+1 (and the echo path H at a recorded sample),
+ * one tap in each lane. The update is zeroed outside the lanes of LIVE. Two
+ * selects stand for products of signs, with the same bits:
+ * - kappa is finite and not below zero, so kappa * sign(w) is kappa where
  *   w > 0, -kappa where w < 0 and +0.0 elsewhere (pull holds kappa in every
  *   lane; were kappa -0.0, only the sign of a zero weight could differ,
  *   and a signed zero changes no sum that starts at +0.0);
- * - sgn(v) * sgn(h) > 0 holds exactly where v and h are both positive or
+ * - sign(v) * sign(h) > 0 holds exactly where v and h are both positive or
  *   both negative. */
-#define TAPS(k)                                                            \
+#define TAPS(k, XU, XD, H, LIVE)                                           \
     do {                                                                   \
-        vec w0 = LOAD(w + (k)), x1 = LOAD(xd + (k));                       \
-        vec v = w0 + mue * LOAD(xu + (k));                                 \
+        vec w0 = LOAD(w + (k)), x1 = (XD);                                 \
+        vec v = w0 + mue * (XU);                                           \
         if (attract)                                                       \
             v -= (vec)(((mask)pull & (w0 > 0.0)) |                         \
                        ((mask)-pull & (w0 < 0.0)));                        \
+        v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
         xw += v * x1;                                                      \
         if (want_xs) xs += x1 * VSGN(v);                                   \
@@ -123,7 +94,7 @@ static double dot(const double *a, const double *b, int64_t L) {
         if (want_ww) ww += v * v;                                          \
         if (want_ws) ws += VABS(v);                                        \
         if (record) {                                                      \
-            vec hk = LOAD(h + (k)), r = v - hk;                            \
+            vec hk = (H), r = v - hk;                                      \
             dist += r * r;                                                 \
             agree += ONES(((v > 0.0) & (hk > 0.0)) |                       \
                           ((v < 0.0) & (hk < 0.0)));                       \
@@ -131,9 +102,12 @@ static double dot(const double *a, const double *b, int64_t L) {
     } while (0)
 
 /* The flags are constants at every call, so each call site compiles to a
- * loop without the reductions it does not want. x.x takes in lane j the
- * taps that dot gives lane j, tail included, and the same tree: it is
- * dot(xd, xd, L) bit for bit. */
+ * loop without the reductions it does not want. The weights are whole
+ * vectors, so the tail loads and stores them in place. Its L - k taps of
+ * xu, xd and h go into zeroed vectors: a padding lane updates its +0.0
+ * weight to +0.0 (the mask keeps a non-finite mu*e from making it NaN)
+ * and adds +0.0 to each sum, which changes no bits of an accumulator that
+ * starts at +0.0. */
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, double mue, double kappa, int64_t L, int attract,
@@ -143,9 +117,16 @@ advance(double *restrict w, const double *xu, const double *xd,
         dist = {0.0}, agree = {0.0};
     int64_t k = 0;
     for (; k + LANES <= L; k += LANES)
-        TAPS(k);
-    for (int j = 0; k + j < L; j++)
-        TAP(k + j, j);
+        TAPS(k, LOAD(xu + k), LOAD(xd + k), LOAD(h + k), ALL);
+    if (k < L) {
+        const size_t tail = (size_t)(L - k) * sizeof(double);
+        vec pad_u = {0.0}, pad_d = {0.0}, pad_h = {0.0};
+        memcpy(&pad_u, xu + k, tail);
+        memcpy(&pad_d, xd + k, tail);
+        if (record)
+            memcpy(&pad_h, h + k, tail);
+        TAPS(k, pad_u, pad_d, pad_h, LANE < L - k);
+    }
     return (sums){TREE(xw), TREE(xs), TREE(xx), TREE(ww), TREE(ws),
                   TREE(dist), TREE(agree)};
 }
@@ -224,8 +205,9 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                  norm_scale = root - 1.0;
     double kappa = c->kappa0, mse = 0.0, detector = 0.0, phi = 0.0;
     int64_t cooldown_left = 0, stop = N;
-    /* of the zero weights and the regressor of sample 0 */
-    sums s = {.xx = dot(xpad + N, xpad + N, L)};
+    /* a pass that leaves the zero weights zero gives their sums with the
+     * regressor of sample 0 */
+    sums s = pass(mode, 0, w, xpad + N, xpad + N, taps, 0.0, 0.0, L);
     for (int64_t span = 0; span < nspans && stop == N; span++) {
         const double *h = taps + span * L;
         int64_t end = span + 1 < nspans ? starts[span + 1] : N;

@@ -28,10 +28,13 @@ class ConfigError(ValueError):
     """A scenario config, a channel spec or an environment setting is invalid."""
 
 
-# the ChannelSpec fields each kind uses (all required but decay); its
-# config text carries no other
-_CHANNEL_FIELDS = {"sparse": ("active_count", "seed"),
-                   "dispersive": ("seed", "decay"), "file": ("path",)}
+# the ChannelSpec fields each kind uses, with their types (all required but
+# decay); its config text carries no other
+CHANNEL_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
+    "sparse": (("active_count", int), ("seed", int)),
+    "dispersive": (("seed", int), ("decay", float)),
+    "file": (("path", str),),
+}
 
 
 @dataclass
@@ -46,9 +49,9 @@ class ChannelSpec:
     path: str | None = None
 
     def __post_init__(self):
-        used = _CHANNEL_FIELDS.get(self.kind)
-        if used is None:
+        if self.kind not in CHANNEL_FIELDS:
             raise ConfigError(f"unknown channel kind {self.kind!r}")
+        used = dict(CHANNEL_FIELDS[self.kind])
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if f.name in used and value is None:
@@ -179,8 +182,9 @@ class AlgorithmAggregate:
     """Multi-seed summary for one algorithm of a comparison grid.
 
     Every field but ``diverged`` is taken over the included (non-diverged)
-    seeds; a mean over no included seed is NaN. The floor fields are tail
-    means before the change (``tail_mean``), or before N without one.
+    seeds; a mean over no included seed is NaN. The floor fields are means
+    over the last 10% of the rows recorded before the change, or before N
+    without one.
     ``recovery_times`` holds one entry per included seed (None: never
     recovered), none without a change.
     """
@@ -250,19 +254,13 @@ def _recovery_times(ns: np.ndarray, mis: np.ndarray,
                     -1)
 
 
-def tail_mean(trace: RunTrace, name: str, end: int) -> float:
-    """Mean of field ``name`` over the last 10% of the rows recorded
-    before sample ``end`` (at least one row)."""
-    return float(_tail_means([trace.column(name)],
-                             _tail(trace.column("n"), end))[0])
-
-
 def recovery_time(trace: RunTrace, change_at: int | None) -> int | None:
     """Samples from change_at to the first recorded sample n from which the
-    trace stays within ``RECOVERY_MARGIN_DB`` of its pre-change floor
-    (``tail_mean`` of the misalignment before change_at) at every recorded
-    sample in [n, n + RECOVERY_HOLD). The rows, one per ``n[1] - n[0]``
-    samples, must cover that span. None when it never recovers.
+    trace stays within ``RECOVERY_MARGIN_DB`` of its pre-change floor (the
+    mean misalignment over the last 10% of the rows recorded before
+    change_at) at every recorded sample in [n, n + RECOVERY_HOLD). The
+    rows, one per ``n[1] - n[0]`` samples, must cover that span. None when
+    it never recovers.
     """
     if change_at is None:
         raise ValueError("change_at is required")
@@ -284,19 +282,19 @@ def timed(timings: dict, stage: str):
         timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
 
 
-def run_seeds(cfg: ScenarioConfig, seeds: list[int],
-              timings: dict | None = None,
-              max_workers: int | None = None) -> list[list[RunTrace]]:
-    """Every algorithm of the grid on ``seeds`` in one call of the kernel
-    per seed (``filtercore.run_rows``), the calls on ``resolve_workers``
-    threads, each seed's streams synthesized on the thread of its call;
-    returns ``traces[a][i]`` for algorithm ``a`` and ``seeds[i]``.
-    ``run_seeds(cfg, [seed])`` is one run of each algorithm: a trace does
-    not depend on which seeds share the batch, nor on the thread count.
-    Adds the seconds of stream synthesis and of the kernel calls, each
-    summed over the seeds' threads, to ``timings`` under "synthesis_s" and
-    "engine_s"."""
+def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
+            timings: dict | None = None) -> list[RunTrace]:
+    """Every (algorithm, seed) run of the grid, in config order, in one call
+    of the kernel per seed (``filtercore.run_rows``), the calls on
+    ``resolve_workers`` threads, each seed's streams synthesized on the
+    thread of its call. A trace does not depend on which seeds share the
+    grid, nor on the thread count or on scheduling:
+    ``run_all(dataclasses.replace(cfg, seeds=[seed]))`` is that seed's run
+    of each algorithm. Adds the seconds of stream synthesis and of the
+    kernel calls, each summed over the seeds' threads, to ``timings`` under
+    "synthesis_s" and "engine_s"."""
     timings = {} if timings is None else timings
+    seeds = cfg.seeds
     workers = resolve_workers(len(seeds), max_workers)
     spans = build_schedule(cfg)
     N, L = cfg.N, cfg.L
@@ -322,16 +320,14 @@ def run_seeds(cfg: ScenarioConfig, seeds: list[int],
     timings["synthesis_s"] = timings.get("synthesis_s", 0.0) + sum(synthesis)
     traces = []
     for alg, (rec, stop_at) in zip(cfg.algorithms, rows):
-        runs = []
         for s, seed in enumerate(seeds):
             # a view: the runs share the kernel's records, not copies
             samples = rec[:-(-stop_at[s] // every), s].view(np.recarray)
             final = float(samples.misalignment_db[-1]) if samples.size else math.nan
-            runs.append(RunTrace(
+            traces.append(RunTrace(
                 algorithm=alg.name, seed=seed, samples=samples,
                 final_misalignment_db=final,
                 diverged_at=int(stop_at[s]) if stop_at[s] < N else None))
-        traces.append(runs)
     return traces
 
 
@@ -351,15 +347,6 @@ def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
         else:
             max_workers = os.cpu_count() or 1
     return max(1, min(max_workers, n_tasks))
-
-
-def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
-            timings: dict | None = None) -> list[RunTrace]:
-    """Every (algorithm, seed) run of the grid, in config order: one
-    ``run_seeds`` over ``cfg.seeds``. No trace depends on the thread
-    count or on scheduling."""
-    traces = run_seeds(cfg, cfg.seeds, timings, max_workers)
-    return [t for runs in traces for t in runs]
 
 
 def aggregate(cfg: ScenarioConfig, traces: list[RunTrace]) -> list[AlgorithmAggregate]:

@@ -8,7 +8,7 @@ Two references check the compiled kernel ``zapvss.filtercore.run_rows``:
 
 * the numpy engine, the batched per-sample loop that the kernel replaced:
   vectorized controller updates over many rows (``make_controller``) and
-  ``numpy_run_rows``/``numpy_run_seeds``, with the kernel's signature;
+  ``numpy_run_rows``/``numpy_run_all``, with the kernel's signature;
 * the scalar reference ``step`` and ``run_scenario``: one run, one sample
   at a time, with the metrics recomputed from the weights.
 
@@ -160,7 +160,7 @@ def run_scenario(cfg, algorithm: str, seed: int) -> RunTrace:
     then metrics of the updated weights against the channel active at that
     sample, recorded every ``record_every`` samples. Weights start at zero.
     A divergence stops the run and is recorded in ``diverged_at``. The
-    streams are those of ``zapvss.harness.run_seeds``, and the controller
+    streams are those of ``zapvss.harness.run_all``, and the controller
     update is the engine's, here over one row.
     """
     alg = next((a for a in cfg.algorithms if a.name == algorithm), None)
@@ -602,11 +602,11 @@ def make_controller(kind: str, params: dict, mu: float,
     return NumpyController(kind, controller_params(kind, params, mu), rows)
 
 
-def numpy_run_seeds(cfg, seeds):
-    """``zapvss.harness.run_seeds`` with the numpy engine in place of the
+def numpy_run_all(cfg):
+    """``zapvss.harness.run_all`` with the numpy engine in place of the
     kernel."""
     with mock.patch.object(harness, "run_rows", numpy_run_rows):
-        return harness.run_seeds(cfg, seeds)
+        return harness.run_all(cfg)
 
 
 def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,

@@ -21,7 +21,7 @@ from zapvss.channel import generate_sparse
 from zapvss.cli import CSV_HEADER, emit_csv, parse_config
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
                             aggregate, build_schedule, derive_stream_seeds,
-                            recovery_time, run_all, run_seeds)
+                            recovery_time, run_all)
 from zapvss.signal import generate_input, synthesize_desired
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -104,14 +104,14 @@ def test_criterion_1_trajectory_oracle():
         worst = max(worst, num / den)
     elapsed = time.perf_counter() - start
 
-    # run_seeds records every sample's error and misalignment; recompute
+    # run_all records every sample's error and misalignment; recompute
     # both from the same input and desired streams
     cfg = ScenarioConfig(
         L=L, N=steps, snr_db=30.0, mu=mu,
         channel_before=ChannelSpec(kind="sparse", active_count=2, seed=5),
         algorithms=[AlgorithmConfig("zap", "fixed_zap", {"kappa0": kappa})],
         seeds=[3])
-    [[trace]] = run_seeds(cfg, cfg.seeds)
+    [trace] = run_all(cfg)
     spans = build_schedule(cfg)
     h = spans[0][2].tolist()
     input_seed, noise_seed = derive_stream_seeds(cfg.seeds[0])

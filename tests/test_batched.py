@@ -1,9 +1,10 @@
 """The batched grid engine against the scalar ``run_scenario`` reference,
 and the invariance of its output under chunking and seed order. The tests
 of the numpy engine's own divergence rest and reductions run the numpy
-reference, ``oracles.numpy_run_seeds``."""
+reference, ``oracles.numpy_run_all``."""
 
 import copy
+import dataclasses
 import io
 import math
 from types import SimpleNamespace
@@ -12,12 +13,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import numpy_run_seeds, run_scenario
+from oracles import numpy_run_all, run_scenario
 from zapvss.cli import emit_csv
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, RunTrace,
-                            ScenarioConfig, aggregate, recovery_time, run_all,
-                            run_seeds)
+                            ScenarioConfig, aggregate, recovery_time, run_all)
 
 MIS_TOL_DB = 1e-9
 # kappa, error and smoothed MSE: relative, with an absolute floor for
@@ -98,7 +98,7 @@ class TestAgainstScalar:
             assert_matches_scalar(cfg, trace)
         # the rows that did not diverge are bit for bit those of a batch
         # without the diverging seed
-        alone = [t for runs in run_seeds(cfg, [1, 2]) for t in runs]
+        alone = run_all(dataclasses.replace(cfg, seeds=[1, 2]))
         kept = [t for t in traces if t.seed != 4]
         assert trace_key(alone) == trace_key(kept)
 
@@ -117,7 +117,7 @@ class TestAgainstScalar:
         monkeypatch.setattr(oracles, "_stop_diverged",
                             lambda *args: calls.append(stop(*args)))
         cfg = grid(mu=10.0, algorithms=ALL_KINDS[:2])
-        traces = [t for runs in numpy_run_seeds(cfg, cfg.seeds) for t in runs]
+        traces = numpy_run_all(cfg)
         assert all(t.diverged_at is not None for t in traces)
         assert len(calls) <= len(traces) + 1
 
@@ -158,9 +158,8 @@ class TestInvariance:
         together = trace_key(run_all(cfg, max_workers=1))
         apart = {}
         for seed in cfg.seeds:
-            for runs in run_seeds(cfg, [seed]):
-                for k in trace_key(runs):
-                    apart[k[:2]] = k
+            for k in trace_key(run_all(dataclasses.replace(cfg, seeds=[seed]))):
+                apart[k[:2]] = k
         assert together == [apart[k[:2]] for k in together]
 
 
@@ -232,8 +231,8 @@ class TestReductions:
 
         def vecdots(algorithm):
             calls.clear()
-            numpy_run_seeds(grid(N=50, change_at=25, algorithms=[algorithm]),
-                            [1])
+            numpy_run_all(grid(N=50, change_at=25, algorithms=[algorithm],
+                               seeds=[1]))
             return len(calls)
 
         assert vecdots(ALL_KINDS[3]) - vecdots(ALL_KINDS[4]) == 50

@@ -1,17 +1,20 @@
 """The compiled kernel against both references, and its build.
 
 The kernel (``zapvss.filtercore.run_rows``) is checked against the numpy
-engine it replaced (``oracles.numpy_run_seeds``) and against the scalar
+engine it replaced (``oracles.numpy_run_all``) and against the scalar
 ``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
 kind, filter lengths with and without a tail of the kernel's eight
-summation lanes, several ``record_every`` and runs that diverge. Against
-itself it is checked bit for bit: built without optimization for the
-compiler's default target, and recording every sample against every third.
+summation lanes, several ``record_every`` and runs that diverge, through
+an infinite error too. Against itself it is checked bit for bit: built
+without optimization for the compiler's default target, and recording
+every sample against every third.
 Built with the undefined-behaviour sanitizer, it runs such grids and the
 formatters' edge values without a report.
 """
 
 import ctypes
+import dataclasses
+import math
 import os
 import shutil
 import subprocess
@@ -21,13 +24,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import numpy_run_seeds, run_scenario
+from oracles import numpy_run_all, run_scenario
 from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
                           assert_matches_scalar, grid, trace_key)
-from zapvss import filtercore
+from zapvss import filtercore, harness
 from zapvss.cli import main
 from zapvss.filtercore import SAMPLE_DTYPE
-from zapvss.harness import ChannelSpec, recovery_time, run_all, run_seeds
+from zapvss.harness import ChannelSpec, recovery_time, run_all
 from zapvss.stepsize import controller_params
 
 
@@ -58,17 +61,13 @@ def assert_matches_numpy(kernel, reference):
                                       want.column("sign_agreement"))
 
 
-def numpy_traces(cfg):
-    return [t for runs in numpy_run_seeds(cfg, cfg.seeds) for t in runs]
-
-
 @pytest.mark.parametrize("record_every", [1, 3, 7])
 @pytest.mark.parametrize("L", [2, 3, 8, 17])
 def test_every_kind_matches_both_references(L, record_every):
     cfg = small_grid(L, record_every=record_every)
     kernel = run_all(cfg, max_workers=1)
     assert {t.algorithm for t in kernel} == {a.name for a in ALL_KINDS}
-    assert_matches_numpy(kernel, numpy_traces(cfg))
+    assert_matches_numpy(kernel, numpy_run_all(cfg))
     for trace in kernel:
         assert_matches_scalar(cfg, trace)
         assert recovery_time(trace, cfg.change_at) == recovery_time(
@@ -82,7 +81,40 @@ def test_rows_diverging_at_different_samples():
     kernel = run_all(cfg, max_workers=1)
     stops = [t.diverged_at for t in kernel]
     assert None not in stops and len(set(stops)) == 3
-    assert_matches_numpy(kernel, numpy_traces(cfg))
+    assert_matches_numpy(kernel, numpy_run_all(cfg))
+    for trace in kernel:
+        assert_matches_scalar(cfg, trace)
+
+
+# at mu = 20 these rows diverge through an infinite error: the update
+# after it makes a weight infinite
+DIVERGING_KINDS = [a for a in ALL_KINDS if a.name in ("lms", "zap", "liu", "pn")]
+DIVERGING_STOPS = {3: 275, 17: 213, 23: 199}
+
+
+def diverging_grid(L):
+    return small_grid(L, mu=20.0, N=3000, seeds=[1],
+                      algorithms=DIVERGING_KINDS)
+
+
+@pytest.mark.parametrize("L", sorted(DIVERGING_STOPS))
+def test_an_infinite_update_leaves_the_padding_lanes_zero(L, monkeypatch):
+    # L % 8 != 0: the tail runs in zero-padded lanes, whose update must
+    # stay +0.0 when mu*e is infinite, not turn NaN
+    cfg = diverging_grid(L)
+    rows = []
+
+    def keep_rows(*args, **kwargs):
+        rows[:] = filtercore.run_rows(*args, **kwargs)
+        return rows
+
+    monkeypatch.setattr(harness, "run_rows", keep_rows)
+    kernel = run_all(cfg, max_workers=1)
+    assert [t.diverged_at for t in kernel] == [DIVERGING_STOPS[L]] * 4
+    for rec, stop_at in rows:
+        # the record of the diverging update: an infinite distance
+        assert rec["misalignment_db"][stop_at[0], 0] == math.inf
+    assert_matches_numpy(kernel, numpy_run_all(cfg))
     for trace in kernel:
         assert_matches_scalar(cfg, trace)
 
@@ -90,11 +122,11 @@ def test_rows_diverging_at_different_samples():
 def test_a_trace_does_not_depend_on_its_batch():
     # seed 4 diverges at this mu; the others do not
     cfg = grid(mu=2.5, seeds=[1, 2, 4], record_every=3)
-    together = run_seeds(cfg, cfg.seeds)
-    for i, seed in enumerate(cfg.seeds):
-        alone = run_seeds(cfg, [seed])
-        assert [trace_key([runs[0]]) for runs in alone] == [
-            trace_key([runs[i]]) for runs in together]
+    together = run_all(cfg)
+    for seed in cfg.seeds:
+        alone = run_all(dataclasses.replace(cfg, seeds=[seed]))
+        assert trace_key(alone) == trace_key(
+            [t for t in together if t.seed == seed])
 
 
 def test_records_do_not_depend_on_the_flags(tmp_path, monkeypatch):
@@ -184,15 +216,16 @@ def test_kernel_source_compiles_without_warnings():
 
 
 # runs in a fresh interpreter on the library built at argv[1]: every kind
-# at two lengths and two record intervals, rows that diverge, and the
-# formatters' edge values, those outside the points' precondition too
+# at two lengths and two record intervals, rows that diverge, rows whose
+# tail lanes take an infinite update, and the formatters' edge values,
+# those outside the points' precondition too
 SANITIZED_RUN = """
 import sys
 from zapvss import filtercore
 from zapvss.harness import run_all
 from test_format import (LIMIT, edge_values, mismatches, point_edge_values,
                          point_mismatches)
-from test_kernel import small_grid
+from test_kernel import DIVERGING_STOPS, diverging_grid, small_grid
 
 filtercore._kernel = filtercore.load(sys.argv[1])
 for L in (3, 17):
@@ -201,6 +234,8 @@ for L in (3, 17):
 diverging = run_all(small_grid(16, mu=10.0, N=400, change_at=200,
                                seeds=[1, 2, 3], record_every=3), max_workers=1)
 assert None not in [t.diverged_at for t in diverging]
+padded = run_all(diverging_grid(23), max_workers=1)
+assert [t.diverged_at for t in padded] == [DIVERGING_STOPS[23]] * len(padded)
 assert mismatches(edge_values()) == []
 assert point_mismatches(point_edge_values()) == []
 for bad in (float("nan"), float("inf"), -float("inf"), LIMIT, -LIMIT):
