@@ -422,7 +422,7 @@ def _cmd_run(args) -> int:
             for a in aggs
         ],
         # seconds of each stage: wall time but for synthesis_s and
-        # engine_s, which overlap on the kernel's threads and are summed
+        # engine_s, which overlap on run_all's threads and are summed
         # over the seeds' threads inside run_all_s
         "timings": timings,
         "build": _build_block(cfg),

@@ -89,8 +89,7 @@ const char *zap_compiler(void) { return __VERSION__; }
         v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
         xw += v * x1;                                                      \
-        if (want_xs) xs += x1 * VSGN(v);                                   \
-        if (want_xx) xx += x1 * x1;                                        \
+        if (want_xsxx) { xs += x1 * VSGN(v); xx += x1 * x1; }              \
         if (want_ww) ww += v * v;                                          \
         if (want_ws) ws += VABS(v);                                        \
         if (record) {                                                      \
@@ -111,7 +110,7 @@ const char *zap_compiler(void) { return __VERSION__; }
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, double mue, double kappa, int64_t L, int attract,
-        int want_xs, int want_xx, int want_ww, int want_ws, int record) {
+        int want_xsxx, int want_ww, int want_ws, int record) {
     const vec pull = kappa * ONE;
     vec xw = {0.0}, xs = {0.0}, xx = {0.0}, ww = {0.0}, ws = {0.0},
         dist = {0.0}, agree = {0.0};
@@ -142,12 +141,12 @@ static sums pass(int mode, int record, double *w, const double *xu,
                  const double *xd, const double *h, double mue, double kappa,
                  int64_t L) {
     switch (mode) {
-    case PLAIN: return ADVANCE(0, 0, 0, 0, 0);
-    case ATTRACT: return ADVANCE(1, 0, 0, 0, 0);
-    case L1_NORM: return ADVANCE(1, 0, 0, 0, 1);
-    case XI: return ADVANCE(1, 0, 0, 1, 1);
-    case PROJECTED: return ADVANCE(1, 1, 1, 0, 0);
-    default: return ADVANCE(1, 1, 1, 1, 0);
+    case PLAIN: return ADVANCE(0, 0, 0, 0);
+    case ATTRACT: return ADVANCE(1, 0, 0, 0);
+    case L1_NORM: return ADVANCE(1, 0, 0, 1);
+    case XI: return ADVANCE(1, 0, 1, 1);
+    case PROJECTED: return ADVANCE(1, 1, 0, 0);
+    default: return ADVANCE(1, 1, 1, 0);
     }
 }
 
@@ -283,23 +282,23 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
  * N + L samples: a zero, the input reversed, L - 1 zeros, so the regressor
  * of sample n starts at xpad + N - n. The echo path is nspans spans from
  * starts[i] with taps taps[i*L:(i+1)*L], norm hnorm[i] and active[i]
- * nonzero taps. Row a writes its records to rec + a*rec_stride and the
- * sample of its diverging update to stop_at[a] (N if none); the n of every
- * one of its ceil(N / every) records is written, after a stop too. Returns
- * 0, or -1 if memory ran out. The smoothed error power forgets at
- * mse_beta. */
+ * nonzero taps. Row a writes its n_rec = ceil(N / every) records from
+ * rec + a*n_rec on, their n after a stop too, and the sample of its
+ * diverging update to stop_at[a] (N if none). Returns 0, or -1 if memory
+ * ran out. The smoothed error power forgets at mse_beta. */
 int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
             int64_t nspans, const int64_t *starts, const double *taps,
             const double *hnorm, const int64_t *active, double mu, int64_t A,
             const zap_ctl *ctls, double mse_beta, int64_t every, zap_record *rec,
-            int64_t rec_stride, int64_t *stop_at) {
+            int64_t *stop_at) {
+    const int64_t n_rec = (N + every - 1) / every;
     int status = 0;
     for (int64_t a = 0; a < A && status == 0; a++) {
         for (int64_t i = 0; i * every < N; i++)
-            rec[a * rec_stride + i].n = i * every;
+            rec[a * n_rec + i].n = i * every;
         stop_at[a] = run_row(N, L, xpad, d, nspans, starts, taps, hnorm,
                              active, mu, ctls + a, mse_beta, every,
-                             rec + a * rec_stride);
+                             rec + a * n_rec);
         status = stop_at[a] < 0 ? -1 : 0;
     }
     return status;

@@ -1,13 +1,13 @@
-"""The filter recursion: the sign-attracted LMS update of many runs (rows),
-each advanced sample by sample with its controller and recorded metrics,
-in one compiled kernel (``filtercore.c``), and the text of the CSV rows it
-records (``format_rows``) and of the plot's points (``format_points``),
-written by the same library.
+"""The filter recursion: the sign-attracted LMS update of many runs (rows)
+on one input sequence, each advanced sample by sample with its controller
+and recorded metrics, in one compiled kernel (``filtercore.c``), and the
+text of the CSV rows it records (``format_rows``) and of the plot's points
+(``format_points``), written by the same library.
 
 The kernel is built with the system C compiler when this module is first
 imported and cached under a name that hashes its source, the flags, the
 compiler and the CPU, so a later import only loads it. A build that fails
-does not fail the import: ``run_rows`` raises its ``KernelBuildError``.
+does not fail the import: ``run_sequence`` raises its ``KernelBuildError``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +44,8 @@ CC = "cc"
 # no fast-math and no contraction: the kernel's fixed summation order then
 # fixes every result
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+# lists the CPU features that -march=native targets (see _cpu_flags)
+CPUINFO = Path("/proc/cpuinfo")
 # the scale of the formatter's power-of-5 table entries (see pow5_tables)
 POW5_BITCOUNT = 125
 # the longest text of one row's integer and line break, and of one double
@@ -70,10 +70,12 @@ def cache_dirs() -> list[Path]:
 
 
 def _cpu_flags() -> str:
-    # -march=native targets this CPU: a library built for another must not load
+    # -march=native targets this CPU: a library built for another must not
+    # load. x86 lists the CPU's features as "flags", aarch64 as "Features"
     try:
-        with open("/proc/cpuinfo") as f:
-            return next((line for line in f if line.startswith("flags")), "")
+        with open(CPUINFO) as f:
+            return next((line for line in f
+                         if line.startswith(("flags", "Features"))), "")
     except OSError:
         return ""
 
@@ -147,7 +149,7 @@ def load(path: Path) -> ctypes.CDLL:
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.zap_run.restype = ctypes.c_int
     lib.zap_run.argtypes = [i64, i64, p, p, i64, p, p, p, p, f64, i64, p, f64,
-                            i64, p, i64, p]
+                            i64, p, p]
     lib.zap_compiler.restype = ctypes.c_char_p
     lib.zap_format_init.restype = None
     lib.zap_format_init.argtypes = [p, p]
@@ -197,80 +199,60 @@ def _pack(ctls) -> np.ndarray:
     return packed
 
 
-def run_rows(xpad, d, spans, mu: float, ctls, every: int, workers: int = 1,
-             fill=None, timings: dict | None = None):
+def run_sequence(x, d, spans, mu: float, ctls, every: int):
     """Every controller of ``ctls``, ``(kind, params)`` pairs with every
-    parameter (``stepsize.controller_params``), on each of S sequences:
-    each controller advances S rows. ``d`` (S, N) holds the desired
-    signals; ``xpad`` (S, N + L) holds per sequence a zero, the input
-    reversed and L - 1 zeros, so the regressor [x(n), ..., x(n-L+1)] of
-    sample n is ``xpad[s, N-n:N-n+L]``. ``spans`` is the echo path as
-    ``(start, stop, taps)`` slices covering [0, N). Per sample: regressor,
+    parameter (``stepsize.controller_params``), on the input ``x`` (N,) and
+    the desired signal ``d`` (N,), in one kernel call: each controller
+    advances one row. ``spans`` is the echo path as ``(start, stop, taps)``
+    slices covering [0, N). Per sample: regressor [x(n), ..., x(n-L+1)],
     a-priori error, controller kappa, the update w + mu*e*x - kappa*sign(w)
     from zero weights, then the metrics of the updated weights against the
-    taps of the span, every ``every`` samples. Returns, per controller, its
-    rows' records (ceil(N / every), S) of SAMPLE_DTYPE and the sample (S,)
-    of each row's diverging update, N for a row that never diverged.
+    taps of the span, every ``every`` samples. Returns the rows' records
+    (A, ceil(N / every)) of SAMPLE_DTYPE and the sample (A,) of each row's
+    diverging update, N for a row that never diverged.
 
     A row stops at the update that makes a weight non-finite. A non-finite
     error only makes a row suspect: a finite w whose dot product overflowed
     gives one too, and diverges one update later. A stopped row's records
-    after its stop are zero but for ``n``, which each kernel call writes
-    into every record of its rows. Rows never interact, and every
-    sum runs in a fixed order: a row's records do not depend on which other
-    rows share the batch, nor on the compiler's vectorization. The S kernel
-    calls run on ``workers`` threads (ctypes releases the GIL for each) and
-    write disjoint slices of the records, so the thread count changes no
-    result. ``fill(s)``, if given, runs on sequence s's thread just before
-    its kernel call and may write ``xpad[s]`` and ``d[s]`` in place. A
-    kernel call that ran out of memory raises MemoryError once every call
-    has returned; an exception of a fill drops the calls not yet started
-    and is raised once the others have returned. ``timings`` gains under
-    "engine_s" the seconds of the kernel calls, summed over the sequences.
+    after its stop are zero but for ``n``, which the kernel writes into
+    every record. Rows never interact, and every sum runs in a fixed order:
+    a row's records do not depend on which other rows share the call, nor
+    on the compiler's vectorization. The call releases the GIL, so calls on
+    several threads run in parallel. A kernel that ran out of memory raises
+    MemoryError.
     """
     lib = _library()
-    S, N = d.shape
+    N = d.size
     L, A = spans[0][2].size, len(ctls)
     bounds = [b for start, stop, _ in spans for b in (start, stop)]
     # the kernel trusts these shapes: check them before passing pointers
-    if (any(a.dtype != np.float64 or not a.flags.c_contiguous
-            for a in (xpad, d))
-            or xpad.shape != (S, N + L) or every < 1 or bounds[0] != 0
-            or bounds[-1] != N or bounds[1:-1:2] != bounds[2::2]
+    if (any(a.dtype != np.float64 or a.shape != (N,)
+            or not a.flags.c_contiguous for a in (x, d))
+            or every < 1 or bounds[0] != 0 or bounds[-1] != N
+            or bounds[1:-1:2] != bounds[2::2]
             or any(h.shape != (L,) for _, _, h in spans)):
-        raise ValueError("run_rows needs C-contiguous float64 xpad (S, N+L) "
-                         "and d (S, N), every >= 1 and spans of L taps "
+        raise ValueError("run_sequence needs C-contiguous float64 x and d of "
+                         "one shape (N,), every >= 1 and spans of L taps "
                          "covering [0, N) in order")
+    # a zero, the input reversed, L - 1 zeros: the regressor of sample n
+    # is xpad[N - n:N - n + L]
+    xpad = np.zeros(N + L)
+    xpad[1:N + 1] = x[::-1]
     starts = np.array([start for start, _, _ in spans], dtype=np.int64)
     taps = np.array([h for _, _, h in spans], dtype=np.float64)
     hnorm = np.array([np.linalg.norm(h) for h in taps])
     active = np.count_nonzero(taps, axis=1).astype(np.int64)
     packed = _pack(ctls)
-    n_rec = -(-N // every)
-    # zeros: the pages are faulted in by the kernel threads that write them
-    rec = np.zeros((A, S, n_rec), dtype=SAMPLE_DTYPE)
-    stop_at = np.empty((S, A), dtype=np.int64)
-    seconds = [0.0] * S  # each thread writes only its sequence's entry
-
-    def run(s):
-        if fill is not None:
-            fill(s)
-        start = time.perf_counter()
-        status = lib.zap_run(
-            N, L, xpad[s].ctypes.data, d[s].ctypes.data, len(spans),
-            starts.ctypes.data, taps.ctypes.data, hnorm.ctypes.data,
-            active.ctypes.data, mu, A, packed.ctypes.data, MSE_BETA, every,
-            rec[0, s].ctypes.data, S * n_rec, stop_at[s].ctypes.data)
-        seconds[s] = time.perf_counter() - start
-        return status
-
-    with ThreadPoolExecutor(workers) as pool:
-        statuses = list(pool.map(run, range(S)))
-    if timings is not None:
-        timings["engine_s"] = timings.get("engine_s", 0.0) + sum(seconds)
-    if any(statuses):
+    rec = np.zeros((A, -(-N // every)), dtype=SAMPLE_DTYPE)
+    stop_at = np.empty(A, dtype=np.int64)
+    # every array whose address the kernel reads is bound to a name above,
+    # so it lives until the call returns
+    if lib.zap_run(N, L, xpad.ctypes.data, d.ctypes.data, len(spans),
+                   starts.ctypes.data, taps.ctypes.data, hnorm.ctypes.data,
+                   active.ctypes.data, mu, A, packed.ctypes.data, MSE_BETA,
+                   every, rec.ctypes.data, stop_at.ctypes.data):
         raise MemoryError("the filter kernel ran out of memory")
-    return [(rec[a].T, stop_at[:, a]) for a in range(A)]
+    return rec, stop_at
 
 
 # each thread's output buffer of the formatters (see _buffer)

@@ -1,6 +1,7 @@
 """Scenario config, the grid runner, multi-seed aggregation and
 recovery-time measurement. The per-sample recursion is ``filtercore``'s:
-one kernel call per seed, the seeds side by side on threads."""
+one kernel call per seed, the seeds side by side on this module's thread
+pool."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import math
 import os
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
-from .filtercore import run_rows
+from .filtercore import run_sequence
 from .signal import generate_input, synthesize_desired
 from .stepsize import controller_params
 
@@ -285,49 +287,50 @@ def timed(timings: dict, stage: str):
 def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
             timings: dict | None = None) -> list[RunTrace]:
     """Every (algorithm, seed) run of the grid, in config order, in one call
-    of the kernel per seed (``filtercore.run_rows``), the calls on
+    of the kernel per seed (``filtercore.run_sequence``), the seeds on
     ``resolve_workers`` threads, each seed's streams synthesized on the
     thread of its call. A trace does not depend on which seeds share the
     grid, nor on the thread count or on scheduling:
     ``run_all(dataclasses.replace(cfg, seeds=[seed]))`` is that seed's run
     of each algorithm. Adds the seconds of stream synthesis and of the
     kernel calls, each summed over the seeds' threads, to ``timings`` under
-    "synthesis_s" and "engine_s"."""
+    "synthesis_s" and "engine_s". A seed that raises raises here once every
+    seed has run."""
     timings = {} if timings is None else timings
-    seeds = cfg.seeds
-    workers = resolve_workers(len(seeds), max_workers)
+    workers = resolve_workers(len(cfg.seeds), max_workers)
     spans = build_schedule(cfg)
-    N, L = cfg.N, cfg.L
-    # the kernel's layout, written in place: per seed a zero, the input
-    # reversed, L - 1 zeros; and the desired signal
-    xpad = np.zeros((len(seeds), N + L))
-    d = np.empty((len(seeds), N))
-    synthesis = [0.0] * len(seeds)  # each thread writes only its seed's
-
-    def fill(i):
-        start = time.perf_counter()
-        input_seed, noise_seed = derive_stream_seeds(seeds[i])
-        x = generate_input(N, input_seed)
-        xpad[i, 1:N + 1] = x[::-1]
-        d[i] = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
-        synthesis[i] = time.perf_counter() - start
-
     ctls = [(alg.kind, controller_params(alg.kind, alg.params, cfg.mu))
             for alg in cfg.algorithms]
     every = cfg.record_every
-    rows = run_rows(xpad, d, spans, cfg.mu, ctls, every, workers, fill,
-                    timings)
-    timings["synthesis_s"] = timings.get("synthesis_s", 0.0) + sum(synthesis)
+
+    def run_seed(seed):
+        start = time.perf_counter()
+        input_seed, noise_seed = derive_stream_seeds(seed)
+        x = generate_input(cfg.N, input_seed)
+        d = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
+        synthesized = time.perf_counter()
+        rec, stop_at = run_sequence(x, d, spans, cfg.mu, ctls, every)
+        end = time.perf_counter()
+        return rec, stop_at, synthesized - start, end - synthesized
+
+    # submit, then read: a failed seed cancels none of the others, and the
+    # pool joins every thread before the failure is raised
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run_seed, seed) for seed in cfg.seeds]
+        recs, stops, synthesis, engine = zip(*[f.result() for f in futures])
+    for stage, seconds in (("synthesis_s", synthesis), ("engine_s", engine)):
+        timings[stage] = timings.get(stage, 0.0) + sum(seconds)
     traces = []
-    for alg, (rec, stop_at) in zip(cfg.algorithms, rows):
-        for s, seed in enumerate(seeds):
-            # a view: the runs share the kernel's records, not copies
-            samples = rec[:-(-stop_at[s] // every), s].view(np.recarray)
+    for a, alg in enumerate(cfg.algorithms):
+        for seed, rec, stop_at in zip(cfg.seeds, recs, stops):
+            stop = int(stop_at[a])
+            # a view: the runs share their seed's records, not copies
+            samples = rec[a, :-(-stop // every)].view(np.recarray)
             final = float(samples.misalignment_db[-1]) if samples.size else math.nan
             traces.append(RunTrace(
                 algorithm=alg.name, seed=seed, samples=samples,
                 final_misalignment_db=final,
-                diverged_at=int(stop_at[s]) if stop_at[s] < N else None))
+                diverged_at=stop if stop < cfg.N else None))
     return traces
 
 

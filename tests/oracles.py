@@ -4,11 +4,11 @@ The vector helpers (sign, regressor window, norms) restate by hand what
 the engine computes with reductions. The ground-truth oracles need the
 true channel, which a running filter never sees.
 
-Two references check the compiled kernel ``zapvss.filtercore.run_rows``:
+Two references check the compiled kernel ``zapvss.filtercore.run_sequence``:
 
 * the numpy engine, the batched per-sample loop that the kernel replaced:
   vectorized controller updates over many rows (``make_controller``) and
-  ``numpy_run_rows``/``numpy_run_all``, with the kernel's signature;
+  ``numpy_run_sequence``/``numpy_run_all``, with the kernel's signature;
 * the scalar reference ``step`` and ``run_scenario``: one run, one sample
   at a time, with the metrics recomputed from the weights.
 
@@ -605,25 +605,22 @@ def make_controller(kind: str, params: dict, mu: float,
 def numpy_run_all(cfg):
     """``zapvss.harness.run_all`` with the numpy engine in place of the
     kernel."""
-    with mock.patch.object(harness, "run_rows", numpy_run_rows):
+    with mock.patch.object(harness, "run_sequence", numpy_run_sequence):
         return harness.run_all(cfg)
 
 
-def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,
-                   workers: int = 1, fill=None, timings=None):
-    """``zapvss.filtercore.run_rows`` in numpy: every controller of
-    ``ctls``, ``(kind, params)`` pairs, on each of the S sequences of the
-    padded reversed inputs ``xpad`` (S, N + L) and the desired signals
-    ``d`` (S, N), in one per-sample loop over (sequence, controller, tap)
-    arrays on this thread (``workers`` and ``timings`` are ignored), after
-    ``fill(s)`` of every sequence if ``fill`` is given. Each controller
-    advances S rows. ``spans`` is the echo path as ``(start, stop, taps)``
-    slices covering [0, N). Per sample: regressor, a-priori error,
-    controller kappa, the update w + mu*e*x - kappa*sign(w) from zero
-    weights, then the metrics of the updated weights against the taps of
-    the span, every ``every`` samples. Returns, per controller, its rows'
-    records (ceil(N / every), S) of SAMPLE_DTYPE and the sample (S,) of
-    each row's diverging update, N for a row that never diverged.
+def numpy_run_sequence(x, d, spans, mu: float, ctls, every: int):
+    """``zapvss.filtercore.run_sequence`` in numpy: every controller of
+    ``ctls``, ``(kind, params)`` pairs, on the input ``x`` (N,) and the
+    desired signal ``d`` (N,), in one per-sample loop over (sequence,
+    controller, tap) arrays of S = 1 sequence. Each controller advances one
+    row. ``spans`` is the echo path as ``(start, stop, taps)`` slices
+    covering [0, N). Per sample: regressor, a-priori error, controller
+    kappa, the update w + mu*e*x - kappa*sign(w) from zero weights, then
+    the metrics of the updated weights against the taps of the span, every
+    ``every`` samples. Returns the rows' records (A, ceil(N / every)) of
+    SAMPLE_DTYPE and the sample (A,) of each row's diverging update, N for
+    a row that never diverged.
 
     The update of a sequence's rows is one BLAS product, which accumulates
     mu*e*x - kappa*sign(w) before adding it to w; its last digits depend on
@@ -634,15 +631,14 @@ def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,
     take their signs only at the recorded samples. A diverged row rests at
     zero from then on.
     """
-    S, N = d.shape
+    S, N = 1, d.size
     L, A = spans[0][2].size, len(ctls)
-    if fill is not None:
-        for s in range(S):
-            fill(s)
     ctls = [NumpyController(kind, params, S) for kind, params in ctls]
     # the regressor [x(n), ..., x(n-L+1)] of sample n is the slice
     # xpad[:, N-n:N-n+L]
-    d = d.T[:, :, None]
+    xpad = np.zeros((S, N + L))
+    xpad[0, 1:N + 1] = x[::-1]
+    d = d.reshape(S, N).T[:, :, None]
     # engine order: the rows that attract lead, in the order of KINDS so
     # that the readers of a reduction sit together; the others follow
     kinds = list(KINDS)
@@ -755,7 +751,8 @@ def numpy_run_rows(xpad, d, spans, mu: float, ctls, every: int,
             np.log10(mis, out=mis)
             mis *= 20.0
             rec_agree[rows] /= 2 * np.count_nonzero(h)
-    return [(rec[:, :, i], stop_at[:, i]) for i in map(order.index, range(A))]
+    rows = [order.index(a) for a in range(A)]
+    return rec[:, 0, rows].T, stop_at[0, rows]
 
 
 def _stop_diverged(w, suspect, live, stop_at, n, *rest) -> None:

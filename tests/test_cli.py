@@ -312,7 +312,7 @@ def pools(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr("zapvss.filtercore.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("zapvss.harness.ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr("zapvss.cli.ThreadPoolExecutor", CountingPool)
     return started
 

@@ -1,6 +1,6 @@
 """The compiled kernel against both references, and its build.
 
-The kernel (``zapvss.filtercore.run_rows``) is checked against the numpy
+The kernel (``zapvss.filtercore.run_sequence``) is checked against the numpy
 engine it replaced (``oracles.numpy_run_all``) and against the scalar
 ``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
 kind, filter lengths with and without a tail of the kernel's eight
@@ -102,18 +102,19 @@ def test_an_infinite_update_leaves_the_padding_lanes_zero(L, monkeypatch):
     # L % 8 != 0: the tail runs in zero-padded lanes, whose update must
     # stay +0.0 when mu*e is infinite, not turn NaN
     cfg = diverging_grid(L)
-    rows = []
+    runs = []
 
-    def keep_rows(*args, **kwargs):
-        rows[:] = filtercore.run_rows(*args, **kwargs)
-        return rows
+    def keep_run(*args, **kwargs):
+        runs.append(filtercore.run_sequence(*args, **kwargs))
+        return runs[-1]
 
-    monkeypatch.setattr(harness, "run_rows", keep_rows)
+    monkeypatch.setattr(harness, "run_sequence", keep_run)
     kernel = run_all(cfg, max_workers=1)
     assert [t.diverged_at for t in kernel] == [DIVERGING_STOPS[L]] * 4
-    for rec, stop_at in rows:
+    [(rec, stop_at)] = runs
+    for row, stop in zip(rec, stop_at):
         # the record of the diverging update: an infinite distance
-        assert rec["misalignment_db"][stop_at[0], 0] == math.inf
+        assert row["misalignment_db"][stop] == math.inf
     assert_matches_numpy(kernel, numpy_run_all(cfg))
     for trace in kernel:
         assert_matches_scalar(cfg, trace)
@@ -159,47 +160,55 @@ def test_a_sparser_record_is_every_third_row(L):
 
 
 def test_every_record_gets_its_n_and_a_stopped_row_rests_at_zero():
-    # the kernel threads write n into every record slot, those after a
-    # stop too; the other fields of a stopped row's later records stay 0
+    # the kernel writes n into every record slot, those after a stop too;
+    # the other fields of a stopped row's later records stay 0
     rng = np.random.default_rng(8)
-    S, N, L, every, mu = 3, 100, 5, 3, 0.01
-    x = rng.standard_normal((S, N))
-    xpad = np.zeros((S, N + L))
-    xpad[:, 1:N + 1] = x[:, ::-1]
+    N, L, every, mu = 100, 5, 3, 0.01
     h = rng.standard_normal(L)
-    d = np.array([np.convolve(row, h)[:N] for row in x])
     # kappa0 = 1e308 overflows the weights within a few samples
     ctls = [("lms", controller_params("lms", {}, mu)),
             ("fixed_zap", controller_params("fixed_zap", {"kappa0": 1e308},
                                             mu))]
-    (steady, never), (wild, stops) = filtercore.run_rows(
-        xpad, d, [(0, N, h)], mu, ctls, every, workers=2)
-    assert (never == N).all() and (stops < N - 2 * every).all()
-    for rec in (steady, wild):
-        assert rec.shape == (34, S)
-        assert (rec["n"] == np.arange(0, N, every)[:, None]).all()
-    for s, stop in enumerate(stops):
-        rest = wild[wild["n"][:, s] > stop, s]
+    for x in rng.standard_normal((3, N)):
+        d = np.convolve(x, h)[:N]
+        rec, (never, stop) = filtercore.run_sequence(x, d, [(0, N, h)], mu,
+                                                     ctls, every)
+        assert never == N and stop < N - 2 * every
+        assert rec.shape == (2, 34)
+        assert (rec["n"] == np.arange(0, N, every)).all()
+        rest = rec[1, rec["n"][1] > stop]
         assert rest.size >= 2
         for name in SAMPLE_DTYPE.names[1:]:
             assert not rest[name].any(), name
 
 
-def test_run_rows_checks_the_shapes_it_hands_the_kernel():
+def test_run_sequence_checks_the_shapes_it_hands_the_kernel(monkeypatch):
     h = np.ones(4)
-    xpad, d = np.zeros((2, 14)), np.zeros((2, 10))
+    x, d = np.zeros(10), np.zeros(10)
     ctl = [("lms", controller_params("lms", {}, 0.01))]
-    assert filtercore.run_rows(xpad, d, [(0, 10, h)], 0.01, ctl, 1)
-    for bad in ((xpad[:, :13], d, [(0, 10, h)], 1),
-                (xpad[:1], d, [(0, 10, h)], 1),
-                (xpad, np.zeros((10, 2)), [(0, 10, h)], 1),
-                (xpad, d.astype(np.float32), [(0, 10, h)], 1),
-                (np.zeros((14, 2)).T, d, [(0, 10, h)], 1),
-                (xpad, d, [(0, 10, h)], 0), (xpad, d, [(0, 9, h)], 1),
-                (xpad, d, [(0, 5, h), (6, 10, h)], 1),
-                (xpad, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
-        with pytest.raises(ValueError, match="run_rows needs"):
-            filtercore.run_rows(*bad[:3], 0.01, ctl, bad[3])
+    rec, stop_at = filtercore.run_sequence(x, d, [(0, 10, h)], 0.01, ctl, 1)
+    assert rec.shape == (1, 10) and stop_at.tolist() == [10]
+
+    class NoKernel:
+        @staticmethod
+        def zap_run(*args):
+            raise AssertionError("a pointer reached the kernel")
+
+    monkeypatch.setattr(filtercore, "_kernel", NoKernel())
+    for bad in ((x[:9], d, [(0, 10, h)], 1),  # x and d of different lengths
+                (x, d[:9], [(0, 9, h)], 1),
+                (np.zeros((1, 10)), d, [(0, 10, h)], 1),  # a 2-D x
+                (x, np.zeros((1, 10)), [(0, 10, h)], 1),
+                (x, d.astype(np.float32), [(0, 10, h)], 1),
+                (x.astype(np.float32), d, [(0, 10, h)], 1),
+                (x, np.zeros(20)[::2], [(0, 10, h)], 1),  # strided d
+                (np.zeros(20)[::2], d, [(0, 10, h)], 1),
+                (x, d, [(0, 10, h)], 0), (x, d, [(0, 9, h)], 1),
+                (x, d, [(0, 5, h), (6, 10, h)], 1),  # a gap
+                (x, d, [(0, 6, h), (5, 10, h)], 1),  # an overlap
+                (x, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
+        with pytest.raises(ValueError, match="run_sequence needs"):
+            filtercore.run_sequence(*bad[:3], 0.01, ctl, bad[3])
 
 
 def test_kernel_source_compiles_without_warnings():
@@ -299,6 +308,23 @@ def test_an_unwritable_cache_falls_back_to_the_next(tmp_path):
     built = filtercore.build(marker_source(tmp_path / "m.c", 1),
                              [blocked / "cache", tmp_path / "user"])
     assert built.parent == tmp_path / "user"
+
+
+@pytest.mark.parametrize("features", ["flags\t\t: fpu sse2 avx2 avx512f",
+                                      "Features\t: fp asimd sve"])
+def test_a_library_built_for_other_cpu_features_is_rebuilt(
+        tmp_path, monkeypatch, features):
+    # x86 lists the CPU's features as "flags", aarch64 as "Features": a
+    # -march=native library must not load on a CPU that lacks some of them
+    cpuinfo = tmp_path / "cpuinfo"
+    monkeypatch.setattr(filtercore, "CPUINFO", cpuinfo)
+    cpuinfo.write_text(f"processor\t: 0\nBogoMIPS\t: 50.00\n{features}\n"
+                       f"CPU part\t: 0xd40\n")
+    assert filtercore._cpu_flags() == features + "\n"
+    source, cache = marker_source(tmp_path / "m.c", 1), tmp_path / "c"
+    built = filtercore.build(source, [cache])
+    cpuinfo.write_text(f"processor\t: 0\n{features.split(':')[0]}: fp\n")
+    assert filtercore.build(source, [cache]) != built
 
 
 def test_a_failed_build_is_a_program_fault(tmp_path, monkeypatch, capsys):
