@@ -130,25 +130,11 @@ advance(double *restrict w, const double *xu, const double *xd,
                   TREE(dist), TREE(agree)};
 }
 
-/* which reductions a kind reads, and whether its attractor ever acts */
-enum { PLAIN, ATTRACT, L1_NORM, XI, PROJECTED, NORMALIZED };
-
+/* the pass of sample n in run_row, with the record flag a constant and a
+ * kind's attract, want_xsxx, want_ww and want_ws flags */
 #define ADVANCE(...)                                                       \
     (record ? advance(w, xu, xd, h, mue, kappa, L, __VA_ARGS__, 1)         \
             : advance(w, xu, xd, h, mue, kappa, L, __VA_ARGS__, 0))
-
-static sums pass(int mode, int record, double *w, const double *xu,
-                 const double *xd, const double *h, double mue, double kappa,
-                 int64_t L) {
-    switch (mode) {
-    case PLAIN: return ADVANCE(0, 0, 0, 0);
-    case ATTRACT: return ADVANCE(1, 0, 0, 0);
-    case L1_NORM: return ADVANCE(1, 0, 0, 1);
-    case XI: return ADVANCE(1, 0, 1, 1);
-    case PROJECTED: return ADVANCE(1, 1, 0, 0);
-    default: return ADVANCE(1, 1, 1, 0);
-    }
-}
 
 static int all_finite(const double *w, int64_t L) {
     for (int64_t k = 0; k < L; k++)
@@ -179,14 +165,6 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                        const double *hnorm, const int64_t *active, double mu,
                        const zap_ctl *c, double mse_beta, int64_t every,
                        zap_record *rec) {
-    int mode;
-    switch (c->kind) {
-    case LMS: case FIXED_ZAP: mode = c->kappa0 != 0.0 ? ATTRACT : PLAIN; break;
-    case YOU: mode = ATTRACT; break;
-    case LIU: mode = c->xi ? XI : L1_NORM; break;
-    case PROPOSED_L1: mode = PROJECTED; break;
-    default: mode = NORMALIZED;
-    }
     /* whole vectors of weights at a vector's alignment: no load of them
      * spans two cache lines */
     const size_t wbytes = (size_t)((L + LANES - 1) / LANES) * sizeof(vec);
@@ -205,8 +183,8 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
     double kappa = c->kappa0, mse = 0.0, detector = 0.0, phi = 0.0;
     int64_t cooldown_left = 0, stop = N;
     /* a pass that leaves the zero weights zero gives their sums with the
-     * regressor of sample 0 */
-    sums s = pass(mode, 0, w, xpad + N, xpad + N, taps, 0.0, 0.0, L);
+     * regressor of sample 0; on zero weights every sum but x.x is +0.0 */
+    sums s = advance(w, xpad + N, xpad + N, taps, 0.0, 0.0, L, 1, 1, 1, 1, 0);
     for (int64_t span = 0; span < nspans && stop == N; span++) {
         const double *h = taps + span * L;
         int64_t end = span + 1 < nspans ? starts[span + 1] : N;
@@ -220,7 +198,13 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                 stop = n - 1;
                 break;
             }
+            const int record = n % every == 0;
+            const double mue = mu * e;
+            /* the kind's kappa, then its pass */
             switch (c->kind) {
+            case LMS:
+                s = ADVANCE(0, 0, 0, 0);
+                break;
             case YOU: {
                 double *slot = history + n % c->window;
                 detector = (1.0 - c->beta) * detector + c->beta * e * e;
@@ -234,8 +218,11 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                         kappa *= c->eta;
                 }
                 *slot = detector;
-                break;
             }
+            /* fall through */
+            case FIXED_ZAP:  /* and you's pass */
+                s = ADVANCE(1, 0, 0, 0);
+                break;
             case LIU: {
                 double j = s.ws;
                 if (c->xi) {
@@ -246,20 +233,20 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                 double delta = j - phi;
                 phi = (1.0 - c->lambda) * phi + c->lambda * j;
                 kappa = smooth(c, kappa, delta);
+                s = ADVANCE(1, 0, 1, 1);
                 break;
             }
             case PROPOSED_L1:
                 kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs));
+                s = ADVANCE(1, 1, 0, 0);
                 break;
-            case PROPOSED_NORM: {
+            default: {  /* PROPOSED_NORM */
                 double r = sqrt(s.ww);
                 double m = (r >= c->w2_floor || r != r) ? r : c->w2_floor;
                 kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs) / (m * norm_scale));
-                break;
+                s = ADVANCE(1, 1, 1, 0);
             }
             }
-            int record = n % every == 0;
-            s = pass(mode, record, w, xu, xd, h, mu * e, kappa, L);
             mse = (1.0 - mse_beta) * mse + (mse_beta * e) * e;
             if (record) {
                 zap_record *r = rec + n / every;
@@ -313,7 +300,7 @@ int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
  * a power of 5, and digits are removed while the interval still holds a
  * shorter decimal; of the shortest, the one nearest the double is taken,
  * ties to even. The power-of-5 tables are computed with exact integers by
- * filtercore.py and handed over by zap_format_init. */
+ * filtercore.py and copied in by zap_format_init. */
 
 #define POW5_BITCOUNT 125  /* filtercore.POW5_BITCOUNT */
 
@@ -322,14 +309,14 @@ typedef unsigned __int128 u128;
 /* POW5_INV[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1 for q < 342 and
  * POW5[i] = 5^i scaled to 125 bits (truncated) for i < 326, as (low, high)
  * words; a double reads q <= 290 and i <= 325 */
-static const uint64_t (*POW5_INV)[2], (*POW5)[2];
+static uint64_t POW5_INV[342][2], POW5[326][2];
 /* "00", "01", ..., "99", and POW10[i] = 10^i */
 static char DIGIT_PAIRS[200];
 static uint64_t POW10[20];
 
 void zap_format_init(const uint64_t *pow5_inv, const uint64_t *pow5) {
-    POW5_INV = (const uint64_t (*)[2])pow5_inv;
-    POW5 = (const uint64_t (*)[2])pow5;
+    memcpy(POW5_INV, pow5_inv, sizeof POW5_INV);
+    memcpy(POW5, pow5, sizeof POW5);
     for (int i = 0; i < 100; i++) {
         DIGIT_PAIRS[2 * i] = (char)('0' + i / 10);
         DIGIT_PAIRS[2 * i + 1] = (char)('0' + i % 10);

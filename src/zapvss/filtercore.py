@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stepsize import KINDS
+from .stepsize import KINDS, controller_params
 
 MSE_BETA = 0.01  # smoothing constant for the recorded error power
 # one recorded row of a run trace; a run's trace is an array of these
@@ -138,10 +138,6 @@ def pow5_tables() -> tuple[np.ndarray, np.ndarray]:
                           dtype=np.uint64) for table in (inv, pow5))
 
 
-# the library keeps pointers into these: they live as long as the module
-_POW5_TABLES = pow5_tables()
-
-
 def load(path: Path) -> ctypes.CDLL:
     """The kernel library at ``path`` (a ``build``), its functions declared
     and its formatter's tables handed over. Raises OSError."""
@@ -153,7 +149,9 @@ def load(path: Path) -> ctypes.CDLL:
     lib.zap_compiler.restype = ctypes.c_char_p
     lib.zap_format_init.restype = None
     lib.zap_format_init.argtypes = [p, p]
-    lib.zap_format_init(*(t.ctypes.data for t in _POW5_TABLES))
+    # the library copies the tables; they are bound to names until it has
+    inv, pow5 = pow5_tables()
+    lib.zap_format_init(inv.ctypes.data, pow5.ctypes.data)
     lib.zap_format_rows.restype = i64
     lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, i64,
                                     p, p, p]
@@ -188,9 +186,12 @@ def build_info() -> dict:
             "flags": " ".join(CFLAGS)}
 
 
-def _pack(ctls) -> np.ndarray:
+def _pack(ctls, mu: float) -> np.ndarray:
+    """``ctls`` as the kernel reads them, each pair's parameters checked and
+    completed by ``controller_params``. Raises ValueError."""
     packed = np.zeros(len(ctls), CTL_DTYPE)
     for a, (kind, params) in enumerate(ctls):
+        params = controller_params(kind, params, mu)
         packed["kind"][a] = list(KINDS).index(kind)
         packed["xi"][a] = params.get("measure") == "xi"
         for name, value in params.items():
@@ -200,16 +201,18 @@ def _pack(ctls) -> np.ndarray:
 
 
 def run_sequence(x, d, spans, mu: float, ctls, every: int):
-    """Every controller of ``ctls``, ``(kind, params)`` pairs with every
-    parameter (``stepsize.controller_params``), on the input ``x`` (N,) and
-    the desired signal ``d`` (N,), in one kernel call: each controller
-    advances one row. ``spans`` is the echo path as ``(start, stop, taps)``
-    slices covering [0, N). Per sample: regressor [x(n), ..., x(n-L+1)],
-    a-priori error, controller kappa, the update w + mu*e*x - kappa*sign(w)
-    from zero weights, then the metrics of the updated weights against the
-    taps of the span, every ``every`` samples. Returns the rows' records
-    (A, ceil(N / every)) of SAMPLE_DTYPE and the sample (A,) of each row's
-    diverging update, N for a row that never diverged.
+    """Every controller of ``ctls``, ``(kind, params)`` pairs, on the input
+    ``x`` (N,) and the desired signal ``d`` (N,), in one kernel call: each
+    controller advances one row. ``stepsize.controller_params`` checks each
+    pair's params and fills in its defaults; resolved params pass through
+    unchanged. ``spans`` is the echo path as ``(start, stop, taps)`` slices,
+    each non-empty, covering [0, N) in order. Per sample: regressor
+    [x(n), ..., x(n-L+1)], a-priori error, controller kappa, the update
+    w + mu*e*x - kappa*sign(w) from zero weights, then the metrics of the
+    updated weights against the taps of the span, every ``every`` samples.
+    Returns the rows' records (A, ceil(N / every)) of SAMPLE_DTYPE and the
+    sample (A,) of each row's diverging update, N for a row that never
+    diverged.
 
     A row stops at the update that makes a weight non-finite. A non-finite
     error only makes a row suspect: a finite w whose dot product overflowed
@@ -230,10 +233,11 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
             or not a.flags.c_contiguous for a in (x, d))
             or every < 1 or bounds[0] != 0 or bounds[-1] != N
             or bounds[1:-1:2] != bounds[2::2]
+            or any(start >= stop for start, stop, _ in spans)
             or any(h.shape != (L,) for _, _, h in spans)):
         raise ValueError("run_sequence needs C-contiguous float64 x and d of "
-                         "one shape (N,), every >= 1 and spans of L taps "
-                         "covering [0, N) in order")
+                         "one shape (N,), every >= 1 and non-empty spans "
+                         "of L taps covering [0, N) in order")
     # a zero, the input reversed, L - 1 zeros: the regressor of sample n
     # is xpad[N - n:N - n + L]
     xpad = np.zeros(N + L)
@@ -242,7 +246,7 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     taps = np.array([h for _, _, h in spans], dtype=np.float64)
     hnorm = np.array([np.linalg.norm(h) for h in taps])
     active = np.count_nonzero(taps, axis=1).astype(np.int64)
-    packed = _pack(ctls)
+    packed = _pack(ctls, mu)
     rec = np.zeros((A, -(-N // every)), dtype=SAMPLE_DTYPE)
     stop_at = np.empty(A, dtype=np.int64)
     # every array whose address the kernel reads is bound to a name above,

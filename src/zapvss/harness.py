@@ -299,8 +299,7 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     timings = {} if timings is None else timings
     workers = resolve_workers(len(cfg.seeds), max_workers)
     spans = build_schedule(cfg)
-    ctls = [(alg.kind, controller_params(alg.kind, alg.params, cfg.mu))
-            for alg in cfg.algorithms]
+    ctls = [(alg.kind, alg.params) for alg in cfg.algorithms]
     every = cfg.record_every
 
     def run_seed(seed):

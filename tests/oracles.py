@@ -611,16 +611,17 @@ def numpy_run_all(cfg):
 
 def numpy_run_sequence(x, d, spans, mu: float, ctls, every: int):
     """``zapvss.filtercore.run_sequence`` in numpy: every controller of
-    ``ctls``, ``(kind, params)`` pairs, on the input ``x`` (N,) and the
-    desired signal ``d`` (N,), in one per-sample loop over (sequence,
-    controller, tap) arrays of S = 1 sequence. Each controller advances one
-    row. ``spans`` is the echo path as ``(start, stop, taps)`` slices
-    covering [0, N). Per sample: regressor, a-priori error, controller
-    kappa, the update w + mu*e*x - kappa*sign(w) from zero weights, then
-    the metrics of the updated weights against the taps of the span, every
-    ``every`` samples. Returns the rows' records (A, ceil(N / every)) of
-    SAMPLE_DTYPE and the sample (A,) of each row's diverging update, N for
-    a row that never diverged.
+    ``ctls``, ``(kind, params)`` pairs completed by ``controller_params``,
+    on the input ``x`` (N,) and the desired signal ``d`` (N,), in one
+    per-sample loop over (sequence, controller, tap) arrays of S = 1
+    sequence. Each controller advances one row. ``spans`` is the echo path
+    as ``(start, stop, taps)`` slices covering [0, N). Per sample:
+    regressor, a-priori error, controller kappa, the update
+    w + mu*e*x - kappa*sign(w) from zero weights, then the metrics of the
+    updated weights against the taps of the span, every ``every`` samples.
+    Returns the rows' records (A, ceil(N / every)) of SAMPLE_DTYPE and the
+    sample (A,) of each row's diverging update, N for a row that never
+    diverged.
 
     The update of a sequence's rows is one BLAS product, which accumulates
     mu*e*x - kappa*sign(w) before adding it to w; its last digits depend on
@@ -633,7 +634,7 @@ def numpy_run_sequence(x, d, spans, mu: float, ctls, every: int):
     """
     S, N = 1, d.size
     L, A = spans[0][2].size, len(ctls)
-    ctls = [NumpyController(kind, params, S) for kind, params in ctls]
+    ctls = [make_controller(kind, params, mu, S) for kind, params in ctls]
     # the regressor [x(n), ..., x(n-L+1)] of sample n is the slice
     # xpad[:, N-n:N-n+L]
     xpad = np.zeros((S, N + L))

@@ -171,9 +171,9 @@ PN = AlgorithmConfig("pn", "proposed_norm", {"alpha": 0.05, "gamma": 0.5})
 
 
 class TestAlgorithmOrder:
-    """The rows that never attract (lms, fixed_zap with kappa0=0) skip
-    their attractor; no trace may tell, nor the order of the
-    algorithms."""
+    """Of the rows that never attract, lms runs no attractor and fixed_zap
+    with kappa0=0 one that subtracts +-0.0, which changes no weight's bits;
+    no trace may tell them apart, nor the order of the algorithms."""
 
     @pytest.mark.parametrize("orders", [
         ([LMS, ZAP, ZAP0, PN], [PN, LMS, ZAP0, ZAP]),

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -522,19 +523,30 @@ class TestParallelism:
         assert threading.active_count() == threads
 
     def test_a_kernel_failure_raises_and_joins_its_threads(self, monkeypatch):
-        # the second of three kernel calls reports that it ran out of memory
-        calls = itertools.count()
+        # on 2 threads the first of 4 seeds fails at once and the next two
+        # hold both threads, so the fourth is still queued when the failure
+        # is read: it must run all the same
+        seed_of, ran = {}, []
+
+        def recording(seed):
+            seed_of[threading.get_ident()] = seed
+            return derive_stream_seeds(seed)
 
         class FailingKernel:
             @staticmethod
             def zap_run(*args):
-                return -1 if next(calls) == 1 else 0
+                seed = seed_of[threading.get_ident()]
+                ran.append(seed)
+                if seed in (2, 3):
+                    time.sleep(0.3)
+                return -1 if seed == 1 else 0
 
+        monkeypatch.setattr(harness, "derive_stream_seeds", recording)
         monkeypatch.setattr(filtercore, "_kernel", FailingKernel())
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="out of memory"):
-            run_all(small_config(seeds=[1, 2, 3], N=50), max_workers=2)
-        assert next(calls) == 3  # every call ran
+            run_all(small_config(seeds=[1, 2, 3, 4], N=50), max_workers=2)
+        assert sorted(ran) == [1, 2, 3, 4]  # every call ran
         assert threading.active_count() == threads
 
     def test_streams_are_synthesized_on_the_kernel_threads(self, monkeypatch):

@@ -206,9 +206,39 @@ def test_run_sequence_checks_the_shapes_it_hands_the_kernel(monkeypatch):
                 (x, d, [(0, 10, h)], 0), (x, d, [(0, 9, h)], 1),
                 (x, d, [(0, 5, h), (6, 10, h)], 1),  # a gap
                 (x, d, [(0, 6, h), (5, 10, h)], 1),  # an overlap
+                (x, d, [(0, 15, h), (15, 10, h)], 1),  # past N
+                (x, d, [(0, 6, h), (6, 3, h), (3, 10, h)], 1),  # backward
+                (x, d, [(0, 0, h), (0, 10, h)], 1),  # an empty span
                 (x, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
         with pytest.raises(ValueError, match="run_sequence needs"):
             filtercore.run_sequence(*bad[:3], 0.01, ctl, bad[3])
+
+
+def test_run_sequence_fills_in_and_checks_the_controller_params(monkeypatch):
+    # you's window, which the kernel divides by, is filled in for a pair
+    # that leaves it out; a pair that breaks a rule never reaches the kernel
+    rng = np.random.default_rng(4)
+    N, L, mu = 600, 5, 0.01
+    h = rng.standard_normal(L)
+    x = rng.standard_normal(N)
+    d = np.convolve(x, h)[:N]
+    bare = ("you", {"kappa0": 1e-3, "eta": 0.5, "kappa_min": 1e-5})
+    resolved = ("you", controller_params(*bare, mu))
+    got, want = (filtercore.run_sequence(x, d, [(0, N, h)], mu, [ctl], 1)
+                 for ctl in (bare, resolved))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tolist() == want[1].tolist() == [N]
+
+    class NoKernel:
+        @staticmethod
+        def zap_run(*args):
+            raise AssertionError("a pointer reached the kernel")
+
+    monkeypatch.setattr(filtercore, "_kernel", NoKernel())
+    for ctl in (("you", {**bare[1], "window": 0}), ("lms", {"kappa0": 1.0}),
+                ("liu", {"lambda": 0.01, "alpha": 0.05})):
+        with pytest.raises(ValueError):
+            filtercore.run_sequence(x, d, [(0, N, h)], mu, [ctl], 1)
 
 
 def test_kernel_source_compiles_without_warnings():
