@@ -7,7 +7,12 @@
  * fixed tree. Every tap is touched by one explicit vector step of LANES
  * doubles, the L % LANES tail too, in zero-padded vectors. With no
  * fast-math and no contraction a result therefore does not depend on the
- * compiler's flags or on the vector width of the target. */
+ * compiler's flags or on the vector width of the target.
+ *
+ * The clean echo (zap_echo) sums each output over the echo path's nonzero
+ * taps in ascending order of the tap, from +0.0, each product and each sum
+ * rounded on its own. Its vectors run across samples, never across taps,
+ * so that order too does not depend on the vector width. */
 
 #include <math.h>
 #include <stdint.h>
@@ -155,14 +160,30 @@ static double l1_delta(double e, double xx, double xs) {
     return fmax(fabs(e * xs) / xx, 0.0);
 }
 
+/* ||h|| of the L taps, their squares summed in LANES lanes and TREE as a
+ * pass sums, so that no record depends on a BLAS build */
+static double norm(const double *h, int64_t L) {
+    vec hh = {0.0};
+    int64_t k = 0;
+    for (; k + LANES <= L; k += LANES) {
+        vec v = LOAD(h + k);
+        hh += v * v;
+    }
+    if (k < L) {
+        vec pad = {0.0};
+        memcpy(&pad, h + k, (size_t)(L - k) * sizeof(double));
+        hh += pad * pad;
+    }
+    return sqrt(TREE(hh));
+}
+
 /* One row: controller c on the sequence from zero weights, writing its
  * records every `every` samples from rec on. Returns the sample of the
  * update that made a weight non-finite, N if none did, or -1 if memory ran
  * out. */
 static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                        const double *d, int64_t nspans,
-                       const int64_t *starts, const double *taps,
-                       const double *hnorm, const int64_t *active, double mu,
+                       const int64_t *starts, const double *taps, double mu,
                        const zap_ctl *c, double mse_beta, int64_t every,
                        zap_record *rec) {
     /* whole vectors of weights at a vector's alignment: no load of them
@@ -187,7 +208,10 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
     sums s = advance(w, xpad + N, xpad + N, taps, 0.0, 0.0, L, 1, 1, 1, 1, 0);
     for (int64_t span = 0; span < nspans && stop == N; span++) {
         const double *h = taps + span * L;
-        int64_t end = span + 1 < nspans ? starts[span + 1] : N;
+        const double hnorm = norm(h, L);
+        int64_t end = span + 1 < nspans ? starts[span + 1] : N, active = 0;
+        for (int64_t k = 0; k < L; k++)
+            active += h[k] != 0.0;
         for (int64_t n = starts[span]; n < end; n++) {
             /* the regressor [x(n), ..., x(n-L+1)] */
             const double *xu = xpad + (N - n), *xd = xu - 1;
@@ -250,10 +274,10 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
             mse = (1.0 - mse_beta) * mse + (mse_beta * e) * e;
             if (record) {
                 zap_record *r = rec + n / every;
-                r->misalignment_db = 20.0 * log10(sqrt(s.dist) / hnorm[span]);
+                r->misalignment_db = 20.0 * log10(sqrt(s.dist) / hnorm);
                 r->kappa = kappa;
                 r->error = e;
-                r->sign_agreement = s.agree / (double)active[span];
+                r->sign_agreement = s.agree / (double)active;
                 r->smoothed_mse = mse;
             }
         }
@@ -268,27 +292,87 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
 /* Every controller of ctls (A rows) on one input sequence. xpad holds
  * N + L samples: a zero, the input reversed, L - 1 zeros, so the regressor
  * of sample n starts at xpad + N - n. The echo path is nspans spans from
- * starts[i] with taps taps[i*L:(i+1)*L], norm hnorm[i] and active[i]
+ * starts[i] with taps taps[i*L:(i+1)*L], of which one or more are
+ * nonzero: the records divide by the span's norm and by its count of
  * nonzero taps. Row a writes its n_rec = ceil(N / every) records from
  * rec + a*n_rec on, their n after a stop too, and the sample of its
  * diverging update to stop_at[a] (N if none). Returns 0, or -1 if memory
  * ran out. The smoothed error power forgets at mse_beta. */
 int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
             int64_t nspans, const int64_t *starts, const double *taps,
-            const double *hnorm, const int64_t *active, double mu, int64_t A,
-            const zap_ctl *ctls, double mse_beta, int64_t every, zap_record *rec,
-            int64_t *stop_at) {
+            double mu, int64_t A, const zap_ctl *ctls, double mse_beta,
+            int64_t every, zap_record *rec, int64_t *stop_at) {
     const int64_t n_rec = (N + every - 1) / every;
     int status = 0;
     for (int64_t a = 0; a < A && status == 0; a++) {
         for (int64_t i = 0; i * every < N; i++)
             rec[a * n_rec + i].n = i * every;
-        stop_at[a] = run_row(N, L, xpad, d, nspans, starts, taps, hnorm,
-                             active, mu, ctls + a, mse_beta, every,
-                             rec + a * n_rec);
+        stop_at[a] = run_row(N, L, xpad, d, nspans, starts, taps, mu,
+                             ctls + a, mse_beta, every, rec + a * n_rec);
         status = stop_at[a] < 0 ? -1 : 0;
     }
     return status;
+}
+
+/* ---- the clean echo ---- */
+
+#define ECHO_TILE 512  /* samples per tile: their sums stay in the L1 cache */
+
+/* y[n] = y[n] + h[k[0]]*x[n - k[0]] + ... + h[k[count-1]]*x[n - k[count-1]],
+ * in that order, for a <= n < b, where no k[j] is above a: whole vectors
+ * of samples, then one sample at a time, each in the same order */
+static inline __attribute__((always_inline)) void
+echo_pass(double *restrict y, const double *restrict x, int64_t a, int64_t b,
+          const int64_t *k, const double *h, int count) {
+    const double *xk[4];
+    double hk[4];
+    for (int j = 0; j < count; j++) {
+        xk[j] = x + (a - k[j]);
+        hk[j] = h[k[j]];
+    }
+    y += a;
+    int64_t t = 0;
+    for (; t + LANES <= b - a; t += LANES) {
+        vec s = LOAD(y + t);
+        for (int j = 0; j < count; j++)
+            s = s + hk[j] * LOAD(xk[j] + t);
+        STORE(y + t, s);
+    }
+    for (; t < b - a; t++) {
+        double s = y[t];
+        for (int j = 0; j < count; j++)
+            s = s + hk[j] * xk[j][t];
+        y[t] = s;
+    }
+}
+
+/* The clean echo y[start:stop) of the input x through the L >= 1 taps h:
+ * y[n] = h[k]*x[n - k] summed over the nonzero taps k in ascending order,
+ * from +0.0, with x[m] = 0 for m < 0. A tap k > n is left out of y[n]: its
+ * product, +-0.0, would change no bits of a sum that starts at +0.0. The
+ * samples go in tiles of ECHO_TILE, whose sums take four taps per pass
+ * while all four are at or before the tile's start, then one at a time.
+ * Returns 0, or -1 if memory ran out. */
+int zap_echo(int64_t start, int64_t stop, int64_t L, const double *x,
+             const double *h, double *y) {
+    int64_t *nonzero = malloc((size_t)L * sizeof *nonzero), m = 0;
+    if (!nonzero)
+        return -1;
+    for (int64_t k = 0; k < L; k++)
+        if (h[k] != 0.0)
+            nonzero[m++] = k;
+    for (int64_t n0 = start; n0 < stop; n0 += ECHO_TILE) {
+        const int64_t n1 = stop - n0 < ECHO_TILE ? stop : n0 + ECHO_TILE;
+        memset(y + n0, 0, (size_t)(n1 - n0) * sizeof *y);
+        int64_t j = 0;
+        for (; j + 4 <= m && nonzero[j + 3] <= n0; j += 4)
+            echo_pass(y, x, n0, n1, nonzero + j, h, 4);
+        for (; j < m && nonzero[j] < n1; j++)
+            echo_pass(y, x, nonzero[j] > n0 ? nonzero[j] : n0, n1,
+                      nonzero + j, h, 1);
+    }
+    free(nonzero);
+    return 0;
 }
 
 /* ---- CSV rows ----

@@ -144,8 +144,10 @@ def load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.zap_run.restype = ctypes.c_int
-    lib.zap_run.argtypes = [i64, i64, p, p, i64, p, p, p, p, f64, i64, p, f64,
-                            i64, p, p]
+    lib.zap_run.argtypes = [i64, i64, p, p, i64, p, p, f64, i64, p, f64, i64,
+                            p, p]
+    lib.zap_echo.restype = ctypes.c_int
+    lib.zap_echo.argtypes = [i64, i64, i64, p, p, p]
     lib.zap_compiler.restype = ctypes.c_char_p
     lib.zap_format_init.restype = None
     lib.zap_format_init.argtypes = [p, p]
@@ -200,16 +202,51 @@ def _pack(ctls, mu: float) -> np.ndarray:
     return packed
 
 
+def _covers(spans, N: int) -> bool:
+    """Whether ``spans`` is one or more non-empty ``(start, stop, taps)``
+    slices covering [0, N) in order."""
+    bounds = [b for start, stop, _ in spans for b in (start, stop)]
+    return (bool(bounds) and bounds[0] == 0 and bounds[-1] == N
+            and bounds[1:-1:2] == bounds[2::2]
+            and all(start < stop for start, stop, _ in spans))
+
+
+def echo(x, spans) -> np.ndarray:
+    """The clean echo of the input ``x`` (N,) through the echo path
+    ``spans``, ``(start, stop, taps)`` slices covering [0, N) in order: for
+    n in a span, ``sum(taps[k] * x[n - k])`` over the span's nonzero taps k
+    in ascending order, from +0.0, each product and each sum rounded on its
+    own, with x[m] = 0 for m < 0. So it equals ``y[k:] += taps[k] *
+    x[:N - k]`` over those k bit for bit, on any CPU and at any vector
+    width, and depends on no BLAS. The call releases the GIL."""
+    lib = _library()
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    taps = [np.ascontiguousarray(h, dtype=np.float64) for _, _, h in spans]
+    # the kernel trusts these shapes
+    if x.ndim != 1 or not _covers(spans, x.size) or any(
+            h.ndim != 1 or h.size < 1 for h in taps):
+        raise ValueError("echo needs x of shape (N,) and non-empty spans of "
+                         "one or more taps covering [0, N) in order")
+    y = np.empty(x.size)
+    for (start, stop, _), h in zip(spans, taps):
+        if lib.zap_echo(start, stop, h.size, x.ctypes.data, h.ctypes.data,
+                        y.ctypes.data):
+            raise MemoryError("the echo kernel ran out of memory")
+    return y
+
+
 def run_sequence(x, d, spans, mu: float, ctls, every: int):
     """Every controller of ``ctls``, ``(kind, params)`` pairs, on the input
     ``x`` (N,) and the desired signal ``d`` (N,), in one kernel call: each
     controller advances one row. ``stepsize.controller_params`` checks each
     pair's params and fills in its defaults; resolved params pass through
     unchanged. ``spans`` is the echo path as ``(start, stop, taps)`` slices,
-    each non-empty, covering [0, N) in order. Per sample: regressor
+    one or more, each non-empty, covering [0, N) in order, each with a
+    nonzero tap. Per sample: regressor
     [x(n), ..., x(n-L+1)], a-priori error, controller kappa, the update
     w + mu*e*x - kappa*sign(w) from zero weights, then the metrics of the
     updated weights against the taps of the span, every ``every`` samples.
+    The kernel takes each span's ``||taps||`` in its own lanes and order.
     Returns the rows' records (A, ceil(N / every)) of SAMPLE_DTYPE and the
     sample (A,) of each row's diverging update, N for a row that never
     diverged.
@@ -225,36 +262,34 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     MemoryError.
     """
     lib = _library()
-    N = d.size
-    L, A = spans[0][2].size, len(ctls)
-    bounds = [b for start, stop, _ in spans for b in (start, stop)]
-    # the kernel trusts these shapes: check them before passing pointers
+    N, A = d.size, len(ctls)
+    # the kernel trusts these shapes and divides by each span's norm: check
+    # them before passing pointers
     if (any(a.dtype != np.float64 or a.shape != (N,)
             or not a.flags.c_contiguous for a in (x, d))
-            or every < 1 or bounds[0] != 0 or bounds[-1] != N
-            or bounds[1:-1:2] != bounds[2::2]
-            or any(start >= stop for start, stop, _ in spans)
-            or any(h.shape != (L,) for _, _, h in spans)):
+            or every < 1 or not _covers(spans, N)
+            or any(h.shape != spans[0][2].shape or h.ndim != 1
+                   or not np.any(h) for _, _, h in spans)):
         raise ValueError("run_sequence needs C-contiguous float64 x and d of "
-                         "one shape (N,), every >= 1 and non-empty spans "
-                         "of L taps covering [0, N) in order")
+                         "one shape (N,), every >= 1 and one or more "
+                         "non-empty spans of L taps, not all zero, covering "
+                         "[0, N) in order")
+    L = spans[0][2].size
     # a zero, the input reversed, L - 1 zeros: the regressor of sample n
     # is xpad[N - n:N - n + L]
     xpad = np.zeros(N + L)
     xpad[1:N + 1] = x[::-1]
     starts = np.array([start for start, _, _ in spans], dtype=np.int64)
     taps = np.array([h for _, _, h in spans], dtype=np.float64)
-    hnorm = np.array([np.linalg.norm(h) for h in taps])
-    active = np.count_nonzero(taps, axis=1).astype(np.int64)
     packed = _pack(ctls, mu)
     rec = np.zeros((A, -(-N // every)), dtype=SAMPLE_DTYPE)
     stop_at = np.empty(A, dtype=np.int64)
     # every array whose address the kernel reads is bound to a name above,
     # so it lives until the call returns
     if lib.zap_run(N, L, xpad.ctypes.data, d.ctypes.data, len(spans),
-                   starts.ctypes.data, taps.ctypes.data, hnorm.ctypes.data,
-                   active.ctypes.data, mu, A, packed.ctypes.data, MSE_BETA,
-                   every, rec.ctypes.data, stop_at.ctypes.data):
+                   starts.ctypes.data, taps.ctypes.data, mu, A,
+                   packed.ctypes.data, MSE_BETA, every, rec.ctypes.data,
+                   stop_at.ctypes.data):
         raise MemoryError("the filter kernel ran out of memory")
     return rec, stop_at
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filtercore import echo
+
 
 @dataclass(frozen=True, eq=False)
 class DesiredSignal:
@@ -32,7 +34,9 @@ def synthesize_desired(x, spans, snr_db: float,
 
     ``spans`` is the echo path as ``(start, stop, taps)`` slices covering
     [0, len(x)), as ``harness.build_schedule`` returns it: sample n of the
-    clean echo is the output of the taps whose span holds n.
+    clean echo is the output of the taps whose span holds n, the products
+    ``taps[k] * x[n - k]`` summed over the nonzero taps k in ascending
+    order (``filtercore.echo``, a compiled loop that uses no BLAS).
 
     The noise power is calibrated against the empirical power of the full
     clean sequence, mean(clean^2) / 10^(snr_db/10), so the realized SNR of
@@ -45,14 +49,7 @@ def synthesize_desired(x, spans, snr_db: float,
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a real value or +inf, got {snr_db}")
     N = x.size
-    clean = np.empty(N)
-    for start, stop, taps in spans:
-        # the span's outputs read the L - 1 samples before it; a slice of at
-        # least L samples keeps np.convolve from swapping its operands, so
-        # every output sums in the order of the full convolution
-        lo = max(0, start - taps.size + 1)
-        clean[start:stop] = np.convolve(
-            x[lo:max(stop, lo + taps.size)], taps)[start - lo:stop - lo]
+    clean = echo(x, spans)
     if math.isinf(snr_db):
         return DesiredSignal(d=clean.copy(), clean=clean, noise_variance=0.0)
     noise_variance = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)

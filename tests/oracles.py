@@ -1,8 +1,9 @@
 """References for the test suite.
 
 The vector helpers (sign, regressor window, norms) restate by hand what
-the engine computes with reductions. The ground-truth oracles need the
-true channel, which a running filter never sees.
+the engine computes with reductions. ``clean_echo`` is the clean echo in
+the kernel's summation order, one numpy pass per tap. The ground-truth
+oracles need the true channel, which a running filter never sees.
 
 Two references check the compiled kernel ``zapvss.filtercore.run_sequence``:
 
@@ -290,6 +291,18 @@ def regressor_at(x, n: int, L: int) -> np.ndarray:
     k = min(L, n + 1)
     out[:k] = x[n - k + 1:n + 1][::-1]
     return out
+
+
+def clean_echo(x, h) -> np.ndarray:
+    """The echo of x through the taps h, y[n] = sum of h[k] * x[n - k] with
+    x[m] = 0 for m < 0, summed from +0.0 one nonzero tap at a time in
+    ascending order of k, each product and each sum rounded on its own: the
+    order of ``zapvss.filtercore.echo``, which must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.zeros(x.size)
+    for k in np.flatnonzero(h[:x.size]):
+        y[k:] += h[k] * x[:x.size - k]
+    return y
 
 
 def norms(w) -> tuple[float, float]:

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
 import xml.etree.ElementTree as ET
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import run_scenario, trace_rows
+from zapvss import filtercore
 from zapvss.channel import generate_dispersive, generate_sparse, load_channel
 from zapvss.cli import (CSV_HEADER, ConfigError, canonical_config_text,
                         emit_aggregate_csv, emit_csv, emit_svg, main,
@@ -810,3 +814,78 @@ class TestMain:
         blocker.write_text("not a directory")
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(blocker)]) == 3
+
+
+# a grid whose echo paths have 64 taps, dispersive then sparse: long enough
+# that OpenBLAS's ddot kernels sum them in different orders
+BLAS_GRID = """\
+[scenario]
+L=64
+N=400
+snr_db=30
+mu=0.01
+change_at=200
+seeds=1,2
+
+[channel.before]
+kind=dispersive
+seed=5
+
+[channel.after]
+kind=sparse
+active_count=6
+seed=21
+
+[algorithm]
+name=lms
+kind=lms
+
+[algorithm]
+name=pn
+kind=proposed_norm
+alpha=0.05
+gamma=0.5
+"""
+# OpenBLAS core types (OPENBLAS_CORETYPE, read by its DYNAMIC_ARCH build),
+# each with the x86 CPU flags its kernels need
+CORE_TYPES = {"Prescott": {"pni"}, "Sandybridge": {"avx"},
+              "Haswell": {"avx2", "fma"}}
+
+
+def run_in_child(directory, core_type):
+    """The trace CSV, aggregate CSV and SVG bytes of ``zapvss run`` on
+    BLAS_GRID in a fresh interpreter, OPENBLAS_CORETYPE set to ``core_type``
+    or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(filtercore.SOURCE.parents[1])
+    if core_type is not None:
+        env["OPENBLAS_CORETYPE"] = core_type
+    directory.mkdir()
+    (directory / "grid.cfg").write_text(BLAS_GRID)
+    done = subprocess.run(
+        [sys.executable, "-m", "zapvss", "run", "--config",
+         str(directory / "grid.cfg"), "--out", str(directory / "out")],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return [(directory / "out" / name).read_bytes() for name in (
+        "grid_trace.csv", "grid_aggregate.csv", "grid.svg")]
+
+
+@pytest.fixture(scope="module")
+def default_blas_outputs(tmp_path_factory):
+    return run_in_child(tmp_path_factory.mktemp("blas") / "default", None)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS core types of x86-64")
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPES))
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path, core_type,
+                                                  default_blas_outputs):
+    # the clean echo and each span's ||h|| are summed by the filter kernel
+    # in its own order, so no output byte depends on which ddot kernel
+    # OpenBLAS picks for this CPU
+    flags = set(filtercore._cpu_flags().partition(":")[2].split())
+    if not CORE_TYPES[core_type] <= flags:
+        pytest.skip(f"this CPU lacks {CORE_TYPES[core_type] - flags}")
+    assert run_in_child(tmp_path / core_type, core_type) == \
+        default_blas_outputs

@@ -533,6 +533,9 @@ class TestParallelism:
             return derive_stream_seeds(seed)
 
         class FailingKernel:
+            # the real echo: only the filter's call fails
+            zap_echo = filtercore._library().zap_echo
+
             @staticmethod
             def zap_run(*args):
                 seed = seed_of[threading.get_ident()]

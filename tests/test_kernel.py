@@ -28,7 +28,7 @@ from oracles import numpy_run_all, run_scenario
 from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
                           assert_matches_scalar, grid, trace_key)
 from zapvss import filtercore, harness
-from zapvss.cli import main
+from zapvss.cli import main, parse_config
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import ChannelSpec, recovery_time, run_all
 from zapvss.stepsize import controller_params
@@ -209,9 +209,27 @@ def test_run_sequence_checks_the_shapes_it_hands_the_kernel(monkeypatch):
                 (x, d, [(0, 15, h), (15, 10, h)], 1),  # past N
                 (x, d, [(0, 6, h), (6, 3, h), (3, 10, h)], 1),  # backward
                 (x, d, [(0, 0, h), (0, 10, h)], 1),  # an empty span
-                (x, d, [(0, 5, h), (5, 10, np.ones(3))], 1)):
+                (x, d, [(0, 5, h), (5, 10, np.ones(3))], 1),
+                (x, d, [], 1),  # no span
+                # the records divide by ||h|| and by the nonzero taps
+                (x, d, [(0, 10, np.zeros(4))], 1),
+                (x, d, [(0, 5, h), (5, 10, np.array([0.0, -0.0, 0, 0]))], 1)):
         with pytest.raises(ValueError, match="run_sequence needs"):
             filtercore.run_sequence(*bad[:3], 0.01, ctl, bad[3])
+
+
+@pytest.mark.parametrize("path", ["sparse.cfg", "dispersive.cfg"])
+def test_the_records_take_h_norm_in_the_kernels_order(path):
+    # on a zero input the weights stay zero, so every record's distance is
+    # ||0 - h||: in the kernel's lanes and order it is ||h||, and the
+    # misalignment reads exactly 0 dB (the shipped spans include two whose
+    # ||h|| from BLAS's order differs by one ulp)
+    cfg = parse_config(Path(__file__).parents[1] / "configs" / path)
+    spans = harness.build_schedule(cfg)
+    x = d = np.zeros(cfg.N)
+    ctl = [("lms", controller_params("lms", {}, cfg.mu))]
+    rec, _ = filtercore.run_sequence(x, d, spans, cfg.mu, ctl, 97)
+    assert (rec["misalignment_db"] == 0.0).all()
 
 
 def test_run_sequence_fills_in_and_checks_the_controller_params(monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import regressor_at
+from oracles import clean_echo, regressor_at
+from zapvss import filtercore
 from zapvss.channel import generate_sparse
 from zapvss.signal import generate_input, synthesize_desired
 
@@ -118,19 +119,22 @@ class TestSynthesizeDesired:
     @pytest.mark.parametrize("L", [8, 32])
     @pytest.mark.parametrize("change", [1, 5, -2, -1, 0, 40])
     def test_spans_equal_the_full_convolution(self, L, change):
-        # each span convolves only its own slice of the input (and the L - 1
-        # samples before it); that must give the full convolution's values
-        # bit for bit, for a change before L - 1 too (change <= 0: L + change)
+        # each span's samples are those of its taps' echo of the whole input,
+        # bit for bit in the kernel's order, for a change before L - 1 too
+        # (change <= 0: L + change); np.convolve sums in another order, so
+        # it agrees to rounding: within 1e-12 of the sum of |h[k] x[n-k]|
         change_at = change if change > 0 else L + change
         x = generate_input(3 * L + 50, 31)
         rng = np.random.default_rng(L)
         before, after = rng.standard_normal(L), rng.standard_normal(L)
         spans = [(0, change_at, before), (change_at, x.size, after)]
         out = synthesize_desired(x, spans, math.inf, noise_seed=0)
-        assert np.array_equal(out.clean[:change_at],
-                              np.convolve(x, before)[:change_at])
-        assert np.array_equal(out.clean[change_at:],
-                              np.convolve(x, after)[change_at:x.size])
+        for start, stop, h in spans:
+            got = out.clean[start:stop]
+            assert got.tobytes() == clean_echo(x, h)[start:stop].tobytes()
+            full = np.convolve(x, h)[start:stop]
+            scale = np.convolve(np.abs(x), np.abs(h))[start:stop]
+            assert (np.abs(got - full) <= 1e-12 * scale).all()
 
     def test_bad_snr_rejected(self):
         x = generate_input(10, 1)
@@ -139,3 +143,60 @@ class TestSynthesizeDesired:
             synthesize_desired(x, spans, -math.inf, noise_seed=0)
         with pytest.raises(ValueError):
             synthesize_desired(x, spans, math.nan, noise_seed=0)
+
+
+def _echo_path(L, seed):
+    """L normal taps, about a third of them exact zeros, half of those -0.0."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(L)
+    zero = rng.random(L) < 0.35
+    h[zero] = 0.0
+    h[zero & (rng.random(L) < 0.5)] = -0.0
+    return h
+
+
+# (L, N, change_at): a change after the first L - 1 samples, before them,
+# at the first sample after the start, N below L, several 512-sample tiles
+# of the kernel with changes inside them, and taps beyond a tile
+ECHO_CASES = sorted({(L, N, change) for L in (1, 3, 17, 61)
+                     for N, change in ((3 * L + 50, None), (3 * L + 50, L + 7),
+                                       (3 * L + 50, 1),
+                                       (3 * L + 50, max(1, L // 2)),
+                                       (1300, 530))}
+                    | {(61, 20, None), (61, 20, 7), (17, 5, 2),
+                       (600, 2000, 700)}, key=str)
+
+
+class TestEcho:
+    @pytest.mark.parametrize("L, N, change_at", ECHO_CASES)
+    def test_equals_the_ascending_tap_oracle_bit_for_bit(self, L, N,
+                                                        change_at):
+        x = generate_input(N, L + N)
+        before, after = _echo_path(L, 1), _echo_path(L, 2)
+        spans = ([(0, N, before)] if change_at is None else
+                 [(0, change_at, before), (change_at, N, after)])
+        got = filtercore.echo(x, spans)
+        for start, stop, h in spans:
+            want = clean_echo(x, h)[start:stop]
+            assert got[start:stop].tobytes() == want.tobytes()
+
+    def test_zero_taps_add_nothing(self):
+        # a path of +0.0 or -0.0 taps gives +0.0, and so do the samples
+        # before the first nonzero tap: no -0.0 product reaches a sum
+        x = generate_input(40, 3)
+        for h, zeros in ((np.zeros(5), 40), (np.full(5, -0.0), 40),
+                         (np.array([0.0, -0.0, 0.0, 2.0]), 3)):
+            got = filtercore.echo(x, [(0, 40, h)])
+            assert got.tobytes() == clean_echo(x, h).tobytes()
+            assert got[:zeros].tobytes() == bytes(8 * zeros)
+
+    def test_bad_spans_rejected(self):
+        x = generate_input(10, 1)
+        h = np.ones(3)
+        for spans in ([], [(0, 9, h)], [(0, 5, h), (6, 10, h)],
+                      [(0, 0, h), (0, 10, h)], [(0, 10, np.ones((1, 3)))],
+                      [(0, 10, np.ones(0))]):
+            with pytest.raises(ValueError, match="echo needs"):
+                filtercore.echo(x, spans)
+        with pytest.raises(ValueError, match="echo needs"):
+            filtercore.echo(np.zeros((1, 10)), [(0, 10, h)])
