@@ -202,7 +202,7 @@ def canonical_config_text(cfg: ScenarioConfig) -> str:
 
 
 def _write_chunks(destination, chunks) -> None:
-    """Write the byte strings ``chunks`` to ``destination``, a binary file
+    """Write the bytes-like ``chunks`` to ``destination``, a binary file
     object or a path."""
     if hasattr(destination, "write"):
         for chunk in chunks:
@@ -228,7 +228,7 @@ def _check_label(scenario: str) -> None:
                           f"UTF-8") from None
 
 
-def _trace_rows(trace: RunTrace, scenario: str) -> bytes:
+def _trace_rows(trace: RunTrace, scenario: str) -> memoryview:
     return format_rows(f"{scenario},{trace.algorithm},{trace.seed},",
                        trace.column("n"),
                        [trace.column(name) for name in CSV_FIELDS[1:]])
@@ -340,7 +340,7 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
         px = x0 + (agg.n[keep] / xmax) * (x1 - x0)
         py = y1 - ((agg.mean_misalignment_db[keep] - ymin) / (ymax - ymin)
                    * (y1 - y0))
-        pts = format_points(px, py).decode()
+        pts = str(format_points(px, py), "ascii")
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
         ly = y0 + 14 + 18 * i

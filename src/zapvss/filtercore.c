@@ -24,7 +24,9 @@
 /* the kinds in the order of stepsize.KINDS */
 enum { LMS, FIXED_ZAP, YOU, LIU, PROPOSED_L1, PROPOSED_NORM };
 
-/* one controller's parameters, packed by filtercore.CTL_DTYPE */
+/* one controller's parameters, packed by filtercore.CTL_DTYPE: the kind and
+ * xi, then the int keys and the float keys of stepsize.PARAMS, each in the
+ * table's order */
 typedef struct {
     int64_t kind, xi, window, cooldown;
     double kappa0, eta, kappa_min, beta, tolerance, lambda, alpha, gamma,

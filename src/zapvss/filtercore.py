@@ -18,12 +18,11 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
 
-from .stepsize import KINDS, controller_params
+from .stepsize import KINDS, PARAMS, controller_params
 
 MSE_BETA = 0.01  # smoothing constant for the recorded error power
 # one recorded row of a run trace; a run's trace is an array of these
@@ -31,13 +30,12 @@ SAMPLE_DTYPE = np.dtype([("n", np.int64), ("misalignment_db", np.float64),
                          ("kappa", np.float64), ("error", np.float64),
                          ("sign_agreement", np.float64),
                          ("smoothed_mse", np.float64)])
-# one controller's parameters as the kernel reads them (zap_ctl); xi is 1
-# for liu on the xi measure
-CTL_DTYPE = np.dtype(
-    [(name, np.int64) for name in ("kind", "xi", "window", "cooldown")]
-    + [(name, np.float64) for name in (
-        "kappa0", "eta", "kappa_min", "beta", "tolerance", "lambda", "alpha",
-        "gamma", "kappa_max", "w2_floor")])
+# one controller's parameters as the kernel reads them (zap_ctl): the kind
+# and xi, 1 for liu on the xi measure, then the int keys of PARAMS and its
+# float keys, each in the table's order
+CTL_DTYPE = np.dtype([("kind", np.int64), ("xi", np.int64)] + [
+    (key, dtype) for typ, dtype in ((int, np.int64), (float, np.float64))
+    for key, spec in PARAMS.items() if spec[0] is typ])
 
 SOURCE = Path(__file__).with_name("filtercore.c")
 CC = "cc"
@@ -294,21 +292,7 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     return rec, stop_at
 
 
-# each thread's output buffer of the formatters (see _buffer)
-_local = threading.local()
-
-
-def _buffer(size: int) -> np.ndarray:
-    """The calling thread's output buffer, at least ``size`` bytes. It grows
-    to the largest size the thread has asked for and is reused, so a call
-    faults in no new pages unless it needs more than every earlier one."""
-    if getattr(_local, "buffer", None) is None or _local.buffer.size < size:
-        _local.buffer = None  # freed before its successor is allocated
-        _local.buffer = np.empty(size, dtype=np.uint8)
-    return _local.buffer
-
-
-def format_rows(prefix: str, n, columns) -> bytes:
+def format_rows(prefix: str, n, columns) -> memoryview:
     """One UTF-8 line per entry of ``n``: ``prefix``, then n[r] and each of
     ``columns`` at r, comma-separated. The integers read as int64 and are
     written as ``str(int)`` writes them; the values read as float64 and are
@@ -316,8 +300,9 @@ def format_rows(prefix: str, n, columns) -> bytes:
     back to the same double. A prefix that is not valid UTF-8 (a lone
     surrogate) raises UnicodeEncodeError. Strided arrays, such as the
     fields of a record array, are read in place. The library call releases
-    the GIL, so calls on several threads format in parallel, each into its
-    own thread's buffer, of which the result is a copy."""
+    the GIL, so calls on several threads format in parallel. The result is
+    a view of the bytes written into an array this call allocated, so no
+    later call writes over it."""
     lib = _library()
     n = np.asarray(n, dtype=np.int64)
     values = [np.asarray(column, dtype=np.float64) for column in columns]
@@ -328,29 +313,31 @@ def format_rows(prefix: str, n, columns) -> bytes:
     head = prefix.encode("utf-8")
     pointers = np.array([v.ctypes.data for v in values], dtype=np.uintp)
     strides = np.array([v.strides[0] for v in values], dtype=np.int64)
-    out = _buffer(n.size * (len(head) + ROW_BYTES + VALUE_BYTES * len(values)))
+    out = np.empty(n.size * (len(head) + ROW_BYTES + VALUE_BYTES * len(values)),
+                   dtype=np.uint8)
     used = lib.zap_format_rows(head, len(head), n.size, n.ctypes.data,
                                n.strides[0], len(values), pointers.ctypes.data,
                                strides.ctypes.data, out.ctypes.data)
-    return out[:used].tobytes()
+    return out[:used].data
 
 
-def format_points(px, py) -> bytes:
+def format_points(px, py) -> memoryview:
     """The points ``"x,y x,y ..."`` of an SVG polyline, each coordinate as
     ``"{:.2f}".format`` writes it, byte for byte. The text is exact: for
     |v| = M * 2^E, M the integer mantissa and E <= 0, the digits are
     M * 100 >> -E rounded half to even on the remainder, and the sign is
     kept (-0.0 gives "-0.00"). A coordinate that is not finite or not below
-    2^53 in magnitude raises ValueError."""
+    2^53 in magnitude raises ValueError. Like ``format_rows``'s, the result
+    is a view of the bytes written into an array this call allocated."""
     lib = _library()
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
     if px.ndim != 1 or py.shape != px.shape:
         raise ValueError("format_points needs px and py of one shape (points,)")
-    out = _buffer(POINT_BYTES * px.size)
+    out = np.empty(POINT_BYTES * px.size, dtype=np.uint8)
     used = lib.zap_format_points(px.size, px.ctypes.data, py.ctypes.data,
                                  out.ctypes.data)
     if used < 0:
         raise ValueError("format_points needs finite coordinates below 2^53 "
                          "in magnitude")
-    return out[:used].tobytes()
+    return out[:used].data

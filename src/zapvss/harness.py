@@ -173,7 +173,9 @@ class RunTrace:
     diverged_at: int | None = None
 
     def column(self, name: str) -> np.ndarray:
-        """One recorded field over the run, e.g. ``column("kappa")``."""
+        """One recorded field over the run, e.g. ``column("kappa")``. Plain
+        rows are read too: perfbench's recovery test builds them, until the
+        benchmark change of ROADMAP item 1 rewrites it."""
         if isinstance(self.samples, np.ndarray):
             return self.samples[name]
         return np.array([getattr(s, name) for s in self.samples])

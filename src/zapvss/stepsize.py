@@ -15,7 +15,7 @@ sample:
                     the attraction safe on dispersive responses
 
 ``KINDS`` is the one table of them: each kind's config keys and their
-defaults. ``PARAMS`` holds each key's type, rule and unit, and
+defaults. ``PARAMS`` holds each key's type and rule, and
 ``controller_params`` is the one place that applies them. The updates run
 in the compiled kernel of ``filtercore``; each reads per-row values that
 the kernel reduces from the regressor and the weights, never a tap vector.
@@ -38,39 +38,24 @@ def _positive(v) -> bool:
     return v > 0.0 and math.isfinite(v)
 
 
-# config key -> (type, check, what the check demands, unit). A key in
-# "weight" units scales with the echo path, a "none" key does not; gamma
-# turns the kind's drive into kappa, which is in weight units (param_unit)
-PARAMS: dict[str, tuple[type, Callable, str, str]] = {
+# config key -> (type, check, what the check demands); the kernel's
+# zap_ctl holds the int and float keys in this order (filtercore.CTL_DTYPE)
+PARAMS: dict[str, tuple[type, Callable, str]] = {
     "kappa0": (float, lambda v: v >= 0.0 and math.isfinite(v),
-               ">= 0 and finite", "weight"),
-    "eta": (float, _open_unit, "in (0,1)", "none"),
-    "kappa_min": (float, _positive, "> 0 and finite", "weight"),
-    "beta": (float, _open_unit, "in (0,1)", "none"),
-    "window": (int, lambda v: v >= 1, "an integer >= 1", "none"),
-    "tolerance": (float, _positive, "> 0 and finite", "none"),
-    "cooldown": (int, lambda v: v >= 0, "an integer >= 0", "none"),
-    "lambda": (float, _open_unit, "in (0,1)", "none"),
-    "alpha": (float, _open_unit, "in (0,1)", "none"),
-    "gamma": (float, _positive, "> 0 and finite", "weight/drive"),
-    "measure": (str, lambda v: v in MEASURES, "'l1' or 'xi'", "none"),
-    "kappa_max": (float, _positive, "> 0 and finite", "weight"),
-    "w2_floor": (float, _positive, "> 0 and finite", "weight"),
+               ">= 0 and finite"),
+    "eta": (float, _open_unit, "in (0,1)"),
+    "kappa_min": (float, _positive, "> 0 and finite"),
+    "beta": (float, _open_unit, "in (0,1)"),
+    "window": (int, lambda v: v >= 1, "an integer >= 1"),
+    "tolerance": (float, _positive, "> 0 and finite"),
+    "cooldown": (int, lambda v: v >= 0, "an integer >= 0"),
+    "lambda": (float, _open_unit, "in (0,1)"),
+    "alpha": (float, _open_unit, "in (0,1)"),
+    "gamma": (float, _positive, "> 0 and finite"),
+    "measure": (str, lambda v: v in MEASURES, "'l1' or 'xi'"),
+    "kappa_max": (float, _positive, "> 0 and finite"),
+    "w2_floor": (float, _positive, "> 0 and finite"),
 }
-
-
-def param_unit(kind: str, key: str, params: dict) -> str:
-    """The unit of controller key ``key`` of a ``kind`` controller with
-    config ``params``: "weight" or "none". gamma is in weight units where
-    the drive is dimensionless (proposed_norm, and liu on the xi measure)
-    and has no unit where the drive is in weight units (proposed_l1, and
-    liu on the l1 measure)."""
-    unit = PARAMS[key][3]
-    if unit != "weight/drive":
-        return unit
-    dimensionless = kind == "proposed_norm" or (
-        kind == "liu" and params.get("measure", "xi") == "xi")
-    return "weight" if dimensionless else "none"
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,7 @@ def controller_params(kind: str, params: dict, mu: float) -> dict:
         if key not in params:
             raise ValueError(f"algorithm kind '{kind}' requires key '{key}'")
     for key, value in params.items():
-        typ, ok, rule, _ = PARAMS[key]
+        typ, ok, rule = PARAMS[key]
         int_as_float = typ is float and isinstance(value, int)
         # a bool is an int to isinstance, but no number of any key
         if isinstance(value, bool) or not (

@@ -7,6 +7,7 @@ was copied from the row above; every coordinate's text must equal
 ``"{:.2f}".format(v)``.
 """
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zapvss import filtercore
-from zapvss.filtercore import (ROW_BYTES, SAMPLE_DTYPE, VALUE_BYTES,
-                               format_points, format_rows, pow5_tables)
+from zapvss.filtercore import (SAMPLE_DTYPE, format_points, format_rows,
+                               pow5_tables)
 
 RANDOM_PATTERNS = 1 << 20
 CHUNK = 1 << 17
@@ -27,7 +27,8 @@ CHUNK = 1 << 17
 def mismatches(values) -> list[tuple[str, str, str]]:
     """(hex, formatted, repr) of every value whose text differs from repr."""
     values = np.asarray(values, dtype=np.float64)
-    got = format_rows("", np.zeros(values.size), [values]).decode().splitlines()
+    got = bytes(format_rows("", np.zeros(values.size),
+                            [values])).decode().splitlines()
     want = list(map(repr, values.tolist()))
     assert len(got) == len(want)
     return [(float(v).hex(), g[2:], w) for v, g, w in
@@ -57,7 +58,7 @@ def point_mismatches(values) -> list[tuple[str, str, str]]:
     "{:.2f}", with x running over ``values`` and y over them reversed."""
     xs = np.asarray(values, dtype=np.float64)
     ys = xs[::-1]
-    got = format_points(xs, ys).decode().split(" ") if xs.size else []
+    got = bytes(format_points(xs, ys)).decode().split(" ") if xs.size else []
     want = list(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     assert len(got) == len(want)
     return [(float(x).hex(), g, w) for x, g, w in zip(xs.tolist(), got, want)
@@ -104,9 +105,9 @@ class TestAgainstRepr:
                              0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
                             dtype=np.uint64)
         values = [math.inf, -math.inf, math.nan, *nan_bits.view(np.float64)]
-        assert format_rows("", [0] * len(values), [values]).splitlines() == [
-            b"0,inf", b"0,-inf", b"0,nan", b"0,nan", b"0,nan", b"0,nan",
-            b"0,nan"]
+        text = bytes(format_rows("", [0] * len(values), [values]))
+        assert text.splitlines() == [b"0,inf", b"0,-inf", b"0,nan", b"0,nan",
+                                     b"0,nan", b"0,nan", b"0,nan"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
@@ -277,26 +278,32 @@ def rows_of(size: int, seed: int):
 
 
 class TestBuffer:
-    """Each thread formats into its own buffer, kept at the largest size it
-    has needed; a result holds no byte of an earlier, larger one."""
+    """Each call formats into an array of its own and returns a view of the
+    bytes it wrote; no later call, on any thread, writes over them."""
 
-    def test_large_small_large_on_one_thread(self):
-        def formats():
-            largest = 0
-            for size, seed in ((3000, 1), (2, 2), (0, 3), (40, 4), (3000, 5)):
-                prefix, n, columns = rows_of(size, seed)
-                assert format_rows(prefix, n, columns) == repr_rows(
-                    prefix, n, columns)
-                largest = max(largest, size * (len(prefix) + ROW_BYTES
-                                               + 5 * VALUE_BYTES))
-                assert filtercore._local.buffer.size == largest
-            # the points share the buffer
-            assert format_points([0.5], [0.25]) == b"0.50,0.25"
-            assert filtercore._local.buffer.size == largest
+    def test_a_result_keeps_its_bytes(self):
+        # large, then small and empty calls, on this thread and on another;
+        # every result is read only after all of them have run
+        sizes = (3000, 2, 3000, 0, 40, 3000, 1)
+        rows = [rows_of(size, seed) for seed, size in enumerate(sizes)]
+        rng = np.random.default_rng(5)
+        points = [rng.uniform(-1e4, 1e4, (2, size)) for size in sizes]
 
-        # a new thread starts without a buffer
+        def both(i):
+            return format_rows(*rows[i]), format_points(*points[i])
+
         with ThreadPoolExecutor(1) as pool:
-            pool.submit(formats).result()
+            other = pool.submit
+            got = [both(0), both(1), other(both, 2).result(),
+                   other(both, 3).result(), other(both, 4).result(), both(5),
+                   both(6)]
+        for (text, pts), job, (xs, ys) in zip(got, rows, points):
+            assert text == repr_rows(*job)
+            assert bytes(pts) == " ".join(map(
+                "{:.2f},{:.2f}".format, xs.tolist(), ys.tolist())).encode()
+        views = [np.frombuffer(view, np.uint8) for pair in got for view in pair]
+        assert not any(np.shares_memory(a, b)
+                       for a, b in itertools.combinations(views, 2))
 
     def test_threads_format_at_once(self):
         # more threads than this machine is likely to have cores, switching

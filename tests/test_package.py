@@ -3,11 +3,31 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import zapvss
 from zapvss.cli import _SCENARIO_KEYS, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TINY = """[scenario]
+L=16
+N=400
+snr_db=30
+mu=0.01
+change_at=200
+seeds=1,2
+[channel.before]
+kind=sparse
+active_count=3
+seed=297
+[channel.after]
+kind=sparse
+active_count=3
+seed=310
+[algorithm]
+name=lms
+kind=lms
+"""
 
 
 def test_every_export_resolves_and_is_unique():
@@ -41,6 +61,17 @@ def test_the_names_the_benchmark_reaches_into_exist():
                for name in names
                if not callable(getattr(modules[module], name, None))]
     assert not missing
+    # and the call shapes it uses: a trace of plain rows with n and
+    # misalignment_db (its check of the recovery time), that trace's
+    # recovery time, and a serial run_all
+    harness = modules["harness"]
+    rows = [SimpleNamespace(n=n, misalignment_db=0.0 if 200 <= n < 300
+                            else -30.0) for n in range(600)]
+    trace = harness.RunTrace("lms", 1, rows, rows[-1].misalignment_db)
+    assert harness.recovery_time(trace, 200) == 100
+    traces = harness.run_all(parse_config_text(TINY), max_workers=1)
+    assert [(t.algorithm, t.seed, t.column("n").size) for t in traces] == [
+        ("lms", 1, 400), ("lms", 2, 400)]
 
 
 def test_import_loads_no_network_or_mail_modules():

@@ -3,11 +3,11 @@
 The input has unit power and the noise is calibrated to the SNR, so
 scaling both echo paths by c scales the ideal weights, the errors and
 the noise by c. A run stays the same run if every parameter in weight
-units (the unit column of ``zapvss.stepsize.PARAMS``, read through
-``param_unit``) is scaled by c too: ``kappa0``, ``kappa_min``,
-``kappa_max``, ``w2_floor``, and ``gamma`` where the drive is
-dimensionless (``proposed_norm``, and ``liu`` on the xi measure). Every
-other key is dimensionless, and ``mu`` is in units of 1/(input power).
+units (``UNITS``, read through ``param_unit``) is scaled by c too:
+``kappa0``, ``kappa_min``, ``kappa_max``, ``w2_floor``, and ``gamma`` where
+the drive is dimensionless (``proposed_norm``, and ``liu`` on the xi
+measure). Every other key is dimensionless, and ``mu`` is in units of
+1/(input power).
 For a power of two c every scaled operation is exact, so the misalignment
 must be bit-identical and kappa exactly c times the base kappa.
 """
@@ -18,7 +18,31 @@ import pytest
 from zapvss.channel import Channel, generate_sparse, save_channel
 from zapvss.harness import (AlgorithmConfig, ChannelSpec, ScenarioConfig,
                             run_all)
-from zapvss.stepsize import PARAMS, param_unit
+from zapvss.stepsize import PARAMS
+
+# each controller key of zapvss.stepsize.PARAMS -> its unit. A key in
+# "weight" units scales with the echo path, a "none" key does not; gamma
+# turns the kind's drive into kappa, which is in weight units (param_unit)
+UNITS = {"kappa0": "weight", "eta": "none", "kappa_min": "weight",
+         "beta": "none", "window": "none", "tolerance": "none",
+         "cooldown": "none", "lambda": "none", "alpha": "none",
+         "gamma": "weight/drive", "measure": "none", "kappa_max": "weight",
+         "w2_floor": "weight"}
+
+
+def param_unit(kind: str, key: str, params: dict) -> str:
+    """The unit of controller key ``key`` of a ``kind`` controller with
+    config ``params``: "weight" or "none". gamma is in weight units where
+    the drive is dimensionless (proposed_norm, and liu on the xi measure)
+    and has no unit where the drive is in weight units (proposed_l1, and
+    liu on the l1 measure)."""
+    unit = UNITS[key]
+    if unit != "weight/drive":
+        return unit
+    dimensionless = kind == "proposed_norm" or (
+        kind == "liu" and params.get("measure", "xi") == "xi")
+    return "weight" if dimensionless else "none"
+
 
 # kappa_max and w2_floor are set because their defaults, mu and 1e-2, are
 # not in weight units: a default guard would not scale with the path
@@ -51,10 +75,11 @@ def _scaled(alg, c):
 
 
 def test_the_unit_column():
-    assert {key for key, spec in PARAMS.items() if spec[3] == "weight"} == {
+    # every controller key has a unit, and only those keys
+    assert list(UNITS) == list(PARAMS)
+    assert {key for key, unit in UNITS.items() if unit == "weight"} == {
         "kappa0", "kappa_min", "kappa_max", "w2_floor"}
-    assert {spec[3] for spec in PARAMS.values()} == {
-        "weight", "none", "weight/drive"}
+    assert set(UNITS.values()) == {"weight", "none", "weight/drive"}
     gamma = {(alg.kind, alg.params.get("measure")):
              param_unit(alg.kind, "gamma", alg.params)
              for alg in ALGORITHMS if "gamma" in alg.params}
