@@ -57,19 +57,21 @@ typedef double vec_at __attribute__((vector_size(LANES * sizeof(double)),
                                      aligned(sizeof(double)), may_alias));
 
 /* these and TREE spell out the LANES = 8 lanes */
-static const vec ONE = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
-                 NEGATIVE_ZERO = {-0.0, -0.0, -0.0, -0.0,
-                                  -0.0, -0.0, -0.0, -0.0};
+static const vec ONE = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
-                  LANE = {0, 1, 2, 3, 4, 5, 6, 7};
+                  LANE = {0, 1, 2, 3, 4, 5, 6, 7},
+                  SIGN = {INT64_MIN, INT64_MIN, INT64_MIN, INT64_MIN,
+                          INT64_MIN, INT64_MIN, INT64_MIN, INT64_MIN};
 
 #define LOAD(p) (*(const vec_at *)(p))
 #define STORE(p, v) (*(vec_at *)(p) = (v))
 /* 1.0 in the lanes of mask m, +0.0 elsewhere */
 #define ONES(m) ((vec)((mask)ONE & (m)))
+/* the lanes where v is neither zero nor NaN: one ordered compare */
+#define NONZERO(v) (((v) > 0.0) | ((v) < 0.0))
 /* sign (-1, 0 or 1) and fabs (the sign bit cleared) in every lane */
-#define VSGN(v) (ONES((v) > 0.0) - ONES((v) < 0.0))
-#define VABS(v) ((vec)((mask)(v) & ~(mask)NEGATIVE_ZERO))
+#define VSGN(v) ((vec)(((mask)ONE | ((mask)(v) & SIGN)) & NONZERO(v)))
+#define VABS(v) ((vec)((mask)(v) & ~SIGN))
 #define TREE(a) ((((a)[0] + (a)[1]) + ((a)[2] + (a)[3])) +                  \
                  (((a)[4] + (a)[5]) + ((a)[6] + (a)[7])))
 
@@ -77,22 +79,27 @@ const char *zap_compiler(void) { return __VERSION__; }
 
 /* The update w + mu*e*x - kappa*sign(w) of sample n on the LANES taps from
  * k, of regressor XU, then the reductions of the updated taps against the
- * regressor XD of sample n+1 (and the echo path H at a recorded sample),
- * one tap in each lane. The update is zeroed outside the lanes of LIVE. Two
- * selects stand for products of signs, with the same bits:
- * - kappa is finite and not below zero, so kappa * sign(w) is kappa where
- *   w > 0, -kappa where w < 0 and +0.0 elsewhere (pull holds kappa in every
- *   lane; were kappa -0.0, only the sign of a zero weight could differ,
- *   and a signed zero changes no sum that starts at +0.0);
- * - sign(v) * sign(h) > 0 holds exactly where v and h are both positive or
- *   both negative. */
-#define TAPS(k, XU, XD, H, LIVE)                                           \
+ * regressor XD of sample n+1 (and the echo path H and its signs S at a
+ * recorded sample), one tap in each lane. The update is zeroed outside the
+ * lanes of LIVE. Each sign test is one compare, and the bit operations that
+ * stand for products of signs give the products' bits:
+ * - kappa * sign(w) is pull where w > 0, pull with its sign bit flipped,
+ *   which is -pull, where w < 0, and +0.0 elsewhere (pull holds kappa in
+ *   every lane; kappa is finite and not below zero, and were it -0.0, only
+ *   the sign of a zero weight could differ, which changes no sum that
+ *   starts at +0.0);
+ * - VSGN(v) is 1.0 or -1.0, the sign bit of v on the bits of 1.0, where v
+ *   is nonzero, and +0.0 elsewhere; x is still multiplied by it, so that an
+ *   infinite x times a zero sign stays NaN;
+ * - sign(v) * sign(h) > 0 holds exactly where v * S > 0, S = sign(h) being
+ *   -1.0, +0.0 or 1.0: times +-1 is exact, and times +0.0 gives +-0.0 or
+ *   NaN, neither of which is above 0. */
+#define TAPS(k, XU, XD, H, S, LIVE)                                        \
     do {                                                                   \
         vec w0 = LOAD(w + (k)), x1 = (XD);                                 \
         vec v = w0 + mue * (XU);                                           \
         if (attract)                                                       \
-            v -= (vec)(((mask)pull & (w0 > 0.0)) |                         \
-                       ((mask)-pull & (w0 < 0.0)));                        \
+            v -= (vec)(((mask)pull ^ ((mask)w0 & SIGN)) & NONZERO(w0));    \
         v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
         xw += v * x1;                                                      \
@@ -100,38 +107,40 @@ const char *zap_compiler(void) { return __VERSION__; }
         if (want_ww) ww += v * v;                                          \
         if (want_ws) ws += VABS(v);                                        \
         if (record) {                                                      \
-            vec hk = (H), r = v - hk;                                      \
+            vec r = v - (H);                                               \
             dist += r * r;                                                 \
-            agree += ONES(((v > 0.0) & (hk > 0.0)) |                       \
-                          ((v < 0.0) & (hk < 0.0)));                       \
+            agree += ONES(v * (S) > 0.0);                                  \
         }                                                                  \
     } while (0)
 
 /* The flags are constants at every call, so each call site compiles to a
  * loop without the reductions it does not want. The weights are whole
  * vectors, so the tail loads and stores them in place. Its L - k taps of
- * xu, xd and h go into zeroed vectors: a padding lane updates its +0.0
+ * xu, xd, h and sg go into zeroed vectors: a padding lane updates its +0.0
  * weight to +0.0 (the mask keeps a non-finite mu*e from making it NaN)
  * and adds +0.0 to each sum, which changes no bits of an accumulator that
  * starts at +0.0. */
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
-        const double *h, double mue, double kappa, int64_t L, int attract,
-        int want_xsxx, int want_ww, int want_ws, int record) {
+        const double *h, const double *sg, double mue, double kappa,
+        int64_t L, int attract, int want_xsxx, int want_ww, int want_ws,
+        int record) {
     const vec pull = kappa * ONE;
     vec xw = {0.0}, xs = {0.0}, xx = {0.0}, ww = {0.0}, ws = {0.0},
         dist = {0.0}, agree = {0.0};
     int64_t k = 0;
     for (; k + LANES <= L; k += LANES)
-        TAPS(k, LOAD(xu + k), LOAD(xd + k), LOAD(h + k), ALL);
+        TAPS(k, LOAD(xu + k), LOAD(xd + k), LOAD(h + k), LOAD(sg + k), ALL);
     if (k < L) {
         const size_t tail = (size_t)(L - k) * sizeof(double);
-        vec pad_u = {0.0}, pad_d = {0.0}, pad_h = {0.0};
+        vec pad_u = {0.0}, pad_d = {0.0}, pad_h = {0.0}, pad_s = {0.0};
         memcpy(&pad_u, xu + k, tail);
         memcpy(&pad_d, xd + k, tail);
-        if (record)
+        if (record) {
             memcpy(&pad_h, h + k, tail);
-        TAPS(k, pad_u, pad_d, pad_h, LANE < L - k);
+            memcpy(&pad_s, sg + k, tail);
+        }
+        TAPS(k, pad_u, pad_d, pad_h, pad_s, LANE < L - k);
     }
     return (sums){TREE(xw), TREE(xs), TREE(xx), TREE(ww), TREE(ws),
                   TREE(dist), TREE(agree)};
@@ -140,8 +149,8 @@ advance(double *restrict w, const double *xu, const double *xd,
 /* the pass of sample n in run_row, with the record flag a constant and a
  * kind's attract, want_xsxx, want_ww and want_ws flags */
 #define ADVANCE(...)                                                       \
-    (record ? advance(w, xu, xd, h, mue, kappa, L, __VA_ARGS__, 1)         \
-            : advance(w, xu, xd, h, mue, kappa, L, __VA_ARGS__, 0))
+    (record ? advance(w, xu, xd, h, sg, mue, kappa, L, __VA_ARGS__, 1)     \
+            : advance(w, xu, xd, h, sg, mue, kappa, L, __VA_ARGS__, 0))
 
 static int all_finite(const double *w, int64_t L) {
     for (int64_t k = 0; k < L; k++)
@@ -188,16 +197,18 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                        const int64_t *starts, const double *taps, double mu,
                        const zap_ctl *c, double mse_beta, int64_t every,
                        zap_record *rec) {
-    /* whole vectors of weights at a vector's alignment: no load of them
-     * spans two cache lines */
+    /* whole vectors of weights, and of the span's signs of h, at a
+     * vector's alignment: no load of them spans two cache lines */
     const size_t wbytes = (size_t)((L + LANES - 1) / LANES) * sizeof(vec);
-    double *w = aligned_alloc(sizeof(vec), wbytes);
+    double *w = aligned_alloc(sizeof(vec), wbytes),
+           *sg = aligned_alloc(sizeof(vec), wbytes);
     if (w)
         memset(w, 0, wbytes);
     double *history = c->kind == YOU ? calloc((size_t)c->window, sizeof *history)
                                      : NULL;
-    if (!w || (c->kind == YOU && !history)) {
+    if (!w || !sg || (c->kind == YOU && !history)) {
         free(w);
+        free(sg);
         free(history);
         return -1;
     }
@@ -207,13 +218,16 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
     int64_t cooldown_left = 0, stop = N;
     /* a pass that leaves the zero weights zero gives their sums with the
      * regressor of sample 0; on zero weights every sum but x.x is +0.0 */
-    sums s = advance(w, xpad + N, xpad + N, taps, 0.0, 0.0, L, 1, 1, 1, 1, 0);
+    sums s = advance(w, xpad + N, xpad + N, taps, taps, 0.0, 0.0, L, 1, 1, 1,
+                     1, 0);
     for (int64_t span = 0; span < nspans && stop == N; span++) {
         const double *h = taps + span * L;
         const double hnorm = norm(h, L);
         int64_t end = span + 1 < nspans ? starts[span + 1] : N, active = 0;
-        for (int64_t k = 0; k < L; k++)
+        for (int64_t k = 0; k < L; k++) {
+            sg[k] = (h[k] > 0.0) - (h[k] < 0.0);
             active += h[k] != 0.0;
+        }
         for (int64_t n = starts[span]; n < end; n++) {
             /* the regressor [x(n), ..., x(n-L+1)] */
             const double *xu = xpad + (N - n), *xd = xu - 1;
@@ -287,6 +301,7 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
     if (stop == N && !all_finite(w, L))
         stop = N - 1;
     free(w);
+    free(sg);
     free(history);
     return stop;
 }

@@ -16,6 +16,7 @@ import ctypes
 import dataclasses
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -24,13 +25,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import numpy_run_all, run_scenario
+from oracles import numpy_run_all, numpy_run_sequence, run_scenario
 from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
                           assert_matches_scalar, grid, trace_key)
 from zapvss import filtercore, harness
 from zapvss.cli import main, parse_config
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import ChannelSpec, recovery_time, run_all
+from zapvss.signal import synthesize_desired
 from zapvss.stepsize import controller_params
 
 
@@ -130,21 +132,72 @@ def test_a_trace_does_not_depend_on_its_batch():
             [t for t in together if t.seed == seed])
 
 
+def built(flags, cache, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(filtercore, "CFLAGS", (*flags, "-fPIC", "-shared"))
+        return filtercore.load(filtercore.build(caches=[cache]))
+
+
 def test_records_do_not_depend_on_the_flags(tmp_path, monkeypatch):
     # no optimization and the compiler's default target: no vector unit
-    # wider than the ABI's, nothing inlined
-    with monkeypatch.context() as m:
-        m.setattr(filtercore, "CFLAGS",
-                  ("-O0", "-ffp-contract=off", "-fPIC", "-shared"))
-        plain = filtercore.load(filtercore.build(caches=[tmp_path]))
-    shipped = filtercore._library()
+    # wider than the ABI's, nothing inlined. Against it the shipped build
+    # and, where the CPU runs it, an AVX2 build: the step's selects take
+    # mask registers under AVX-512 and ANDs and blends under AVX2
+    plain = built(("-O0", "-ffp-contract=off"), tmp_path, monkeypatch)
+    optimized = [filtercore._library()]
+    if (platform.machine() in ("x86_64", "AMD64")
+            and "avx2" in filtercore._cpu_flags().split()):
+        optimized.append(built(("-O3", "-march=x86-64-v3", "-ffp-contract=off"),
+                               tmp_path, monkeypatch))
     for L in (3, 17, 64):
         for record_every in (1, 3):
             cfg = small_grid(L, record_every=record_every)
             monkeypatch.setattr(filtercore, "_kernel", plain)
             want = trace_key(run_all(cfg, max_workers=1))
-            monkeypatch.setattr(filtercore, "_kernel", shipped)
-            assert trace_key(run_all(cfg, max_workers=1)) == want
+            for library in optimized:
+                monkeypatch.setattr(filtercore, "_kernel", library)
+                assert trace_key(run_all(cfg, max_workers=1)) == want
+
+
+@pytest.mark.parametrize("L", [17, 64])
+def test_sign_tests_on_zeros_and_subnormals(L):
+    # the step's sign tests are one compare and bit operations: on exact
+    # zeros, subnormal inputs and weights, and a path whose taps have both
+    # signs, zeros and subnormals (and change at a span), every kind must
+    # count and stop as the products of signs do
+    rng = np.random.default_rng(5)
+    N = 600
+    tiny = np.array([5e-324, -5e-324, 2.5e-310, -1e-315])
+    x = rng.standard_normal(N)
+    x[:40] = 0.0
+    x[8:40:2] = np.resize(tiny, 16)  # the first weights are subnormal
+    x[40::6] = 0.0
+    x[43::11] = -0.0
+    x[45::13] = np.resize(tiny, x[45::13].size)
+    before = np.zeros(L)
+    before[::3] = rng.standard_normal(before[::3].size)
+    before[1::3] = -np.abs(rng.standard_normal(before[1::3].size))
+    # the least subnormal taps: w * h underflows to 0 for every |w| < 0.5
+    before[5::9] = 5e-324
+    before[8::9] = -5e-324
+    after = -before[::-1]
+    spans = [(0, N // 2, before), (N // 2, N, after)]
+    d = synthesize_desired(x, spans, 30.0, 7).d
+    mu = 0.01
+    ctls = [(a.kind, controller_params(a.kind, a.params, mu))
+            for a in ALL_KINDS]
+    rec, stop_at = filtercore.run_sequence(x, d, spans, mu, ctls, 1)
+    want, want_stop = numpy_run_sequence(x, d, spans, mu, ctls, 1)
+    assert stop_at.tolist() == want_stop.tolist() == [N] * len(ctls)
+    np.testing.assert_array_equal(rec["sign_agreement"],
+                                  want["sign_agreement"])
+    # the weights learn each span's signs
+    assert (rec["sign_agreement"][:, [N // 2 - 1, N - 1]] > 0.5).all()
+    np.testing.assert_allclose(rec["misalignment_db"], want["misalignment_db"],
+                               rtol=0.0, atol=MIS_TOL_DB)
+    for name in ("kappa", "error", "smoothed_mse"):
+        np.testing.assert_allclose(rec[name], want[name], rtol=REL_TOL,
+                                   atol=ABS_TOL, err_msg=name)
 
 
 @pytest.mark.parametrize("L", [17, 64])
