@@ -204,7 +204,9 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
            *sg = aligned_alloc(sizeof(vec), wbytes);
     if (w)
         memset(w, 0, wbytes);
-    double *history = c->kind == YOU ? calloc((size_t)c->window, sizeof *history)
+    /* you's sample n < N takes slot n % window: never more than N slots */
+    const int64_t slots = c->window < N ? c->window : N;
+    double *history = c->kind == YOU ? calloc((size_t)slots, sizeof *history)
                                      : NULL;
     if (!w || !sg || (c->kind == YOU && !history)) {
         free(w);
@@ -333,63 +335,43 @@ int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
 
 /* ---- the clean echo ---- */
 
-#define ECHO_TILE 512  /* samples per tile: their sums stay in the L1 cache */
-
-/* y[n] = y[n] + h[k[0]]*x[n - k[0]] + ... + h[k[count-1]]*x[n - k[count-1]],
- * in that order, for a <= n < b, where no k[j] is above a: whole vectors
- * of samples, then one sample at a time, each in the same order */
-static inline __attribute__((always_inline)) void
-echo_pass(double *restrict y, const double *restrict x, int64_t a, int64_t b,
-          const int64_t *k, const double *h, int count) {
-    const double *xk[4];
-    double hk[4];
-    for (int j = 0; j < count; j++) {
-        xk[j] = x + (a - k[j]);
-        hk[j] = h[k[j]];
-    }
-    y += a;
-    int64_t t = 0;
-    for (; t + LANES <= b - a; t += LANES) {
-        vec s = LOAD(y + t);
-        for (int j = 0; j < count; j++)
-            s = s + hk[j] * LOAD(xk[j] + t);
-        STORE(y + t, s);
-    }
-    for (; t < b - a; t++) {
-        double s = y[t];
-        for (int j = 0; j < count; j++)
-            s = s + hk[j] * xk[j][t];
-        y[t] = s;
-    }
+/* h[k[j]]*x[n - k[j]] summed from +0.0 over j = 0, 1, ... while k[j] <= n */
+static double echo_at(int64_t n, const int64_t *k, int64_t m, const double *x,
+                      const double *h) {
+    double s = 0.0;
+    for (int64_t j = 0; j < m && k[j] <= n; j++)
+        s = s + h[k[j]] * x[n - k[j]];
+    return s;
 }
 
-/* The clean echo y[start:stop) of the input x through the L >= 1 taps h:
- * y[n] = h[k]*x[n - k] summed over the nonzero taps k in ascending order,
- * from +0.0, with x[m] = 0 for m < 0. A tap k > n is left out of y[n]: its
- * product, +-0.0, would change no bits of a sum that starts at +0.0. The
- * samples go in tiles of ECHO_TILE, whose sums take four taps per pass
- * while all four are at or before the tile's start, then one at a time.
- * Returns 0, or -1 if memory ran out. */
-int zap_echo(int64_t start, int64_t stop, int64_t L, const double *x,
-             const double *h, double *y) {
-    int64_t *nonzero = malloc((size_t)L * sizeof *nonzero), m = 0;
-    if (!nonzero)
-        return -1;
-    for (int64_t k = 0; k < L; k++)
-        if (h[k] != 0.0)
-            nonzero[m++] = k;
-    for (int64_t n0 = start; n0 < stop; n0 += ECHO_TILE) {
-        const int64_t n1 = stop - n0 < ECHO_TILE ? stop : n0 + ECHO_TILE;
-        memset(y + n0, 0, (size_t)(n1 - n0) * sizeof *y);
-        int64_t j = 0;
-        for (; j + 4 <= m && nonzero[j + 3] <= n0; j += 4)
-            echo_pass(y, x, n0, n1, nonzero + j, h, 4);
-        for (; j < m && nonzero[j] < n1; j++)
-            echo_pass(y, x, nonzero[j] > n0 ? nonzero[j] : n0, n1,
-                      nonzero + j, h, 1);
+/* The clean echo y[start:stop) of the input x through the taps h, whose
+ * nonzero taps are k[0] < ... < k[m-1]: y[n] = h[k]*x[n - k] summed over
+ * those k in ascending order, from +0.0, with x[i] = 0 for i < 0. A tap
+ * k > n is left out of y[n]: its product, +-0.0, would change no bits of a
+ * sum that starts at +0.0. From the last nonzero tap on, blocks of
+ * 4 * LANES samples take the taps in that order, one sample in each lane. */
+void zap_echo(int64_t start, int64_t stop, const int64_t *k, int64_t m,
+              const double *x, const double *h, double *y) {
+    const int64_t full = m > 0 ? k[m - 1] : 0;
+    int64_t n = start;
+    for (; n < stop && n < full; n++)
+        y[n] = echo_at(n, k, m, x, h);
+    for (; n + 4 * LANES <= stop; n += 4 * LANES) {
+        vec s0 = {0.0}, s1 = {0.0}, s2 = {0.0}, s3 = {0.0};
+        for (int64_t j = 0; j < m; j++) {
+            const double hj = h[k[j]], *xj = x + (n - k[j]);
+            s0 = s0 + hj * LOAD(xj);
+            s1 = s1 + hj * LOAD(xj + LANES);
+            s2 = s2 + hj * LOAD(xj + 2 * LANES);
+            s3 = s3 + hj * LOAD(xj + 3 * LANES);
+        }
+        STORE(y + n, s0);
+        STORE(y + n + LANES, s1);
+        STORE(y + n + 2 * LANES, s2);
+        STORE(y + n + 3 * LANES, s3);
     }
-    free(nonzero);
-    return 0;
+    for (; n < stop; n++)
+        y[n] = echo_at(n, k, m, x, h);
 }
 
 /* ---- CSV rows ----

@@ -144,9 +144,10 @@ def load(path: Path) -> ctypes.CDLL:
     lib.zap_run.restype = ctypes.c_int
     lib.zap_run.argtypes = [i64, i64, p, p, i64, p, p, f64, i64, p, f64, i64,
                             p, p]
-    lib.zap_echo.restype = ctypes.c_int
-    lib.zap_echo.argtypes = [i64, i64, i64, p, p, p]
+    lib.zap_echo.restype = None
+    lib.zap_echo.argtypes = [i64, i64, p, i64, p, p, p]
     lib.zap_compiler.restype = ctypes.c_char_p
+    lib.zap_compiler.argtypes = []
     lib.zap_format_init.restype = None
     lib.zap_format_init.argtypes = [p, p]
     # the library copies the tables; they are bound to names until it has
@@ -227,9 +228,9 @@ def echo(x, spans) -> np.ndarray:
                          "one or more taps covering [0, N) in order")
     y = np.empty(x.size)
     for (start, stop, _), h in zip(spans, taps):
-        if lib.zap_echo(start, stop, h.size, x.ctypes.data, h.ctypes.data,
-                        y.ctypes.data):
-            raise MemoryError("the echo kernel ran out of memory")
+        k = np.flatnonzero(h).astype(np.int64)
+        lib.zap_echo(start, stop, k.ctypes.data, k.size, x.ctypes.data,
+                     h.ctypes.data, y.ctypes.data)
     return y
 
 
@@ -280,6 +281,8 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     starts = np.array([start for start, _, _ in spans], dtype=np.int64)
     taps = np.array([h for _, _, h in spans], dtype=np.float64)
     packed = _pack(ctls, mu)
+    # any every >= N records sample 0 only, as N does, and N fits an int64
+    every = min(every, N)
     rec = np.zeros((A, -(-N // every)), dtype=SAMPLE_DTYPE)
     stop_at = np.empty(A, dtype=np.int64)
     # every array whose address the kernel reads is bound to a name above,

@@ -46,9 +46,9 @@ PARAMS: dict[str, tuple[type, Callable, str]] = {
     "eta": (float, _open_unit, "in (0,1)"),
     "kappa_min": (float, _positive, "> 0 and finite"),
     "beta": (float, _open_unit, "in (0,1)"),
-    "window": (int, lambda v: v >= 1, "an integer >= 1"),
+    "window": (int, lambda v: 1 <= v < 2**63, "an integer >= 1 and < 2**63"),
     "tolerance": (float, _positive, "> 0 and finite"),
-    "cooldown": (int, lambda v: v >= 0, "an integer >= 0"),
+    "cooldown": (int, lambda v: 0 <= v < 2**63, "an integer >= 0 and < 2**63"),
     "lambda": (float, _open_unit, "in (0,1)"),
     "alpha": (float, _open_unit, "in (0,1)"),
     "gamma": (float, _positive, "> 0 and finite"),

@@ -44,6 +44,16 @@ name=lms
 kind=lms
 """
 
+# MINIMAL with a you controller, whose section is last
+YOU = MINIMAL + """
+[algorithm]
+name=you
+kind=you
+kappa0=1e-4
+eta=0.5
+kappa_min=1e-6
+"""
+
 FULL = """\
 # comparison grid with a path change
 [scenario]
@@ -626,6 +636,34 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == 1
         assert "config error: record_every=300" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("every", [2**64 - 1, 2**63])
+    def test_record_every_beyond_int64_records_sample_0(self, tmp_path, every):
+        # no int64 holds it, and ctypes would wrap it into a negative one
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("N=50", "N=400").replace(
+            "seeds=1,2", f"seeds=1\nrecord_every={every}"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "grid_trace.csv").read_text().splitlines()
+        assert [row.split(",")[1:4] for row in rows[1:]] == [["lms", "1", "0"]]
+
+    @pytest.mark.parametrize("key", ["window", "cooldown"])
+    def test_you_int_key_beyond_int64_exit_code(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(YOU + f"{key}={10**20}\n")
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: [algorithm] 'you': {key} must be" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_you_window_beyond_memory_runs(self, tmp_path):
+        # the kernel keeps no more slots than samples
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(YOU + f"window={10**11}\n")
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_comma_in_label_exit_code(self, tmp_path, capsys):
         # the label is the config's file name, checked before any run

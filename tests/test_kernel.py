@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -310,6 +311,53 @@ def test_run_sequence_fills_in_and_checks_the_controller_params(monkeypatch):
                 ("liu", {"lambda": 0.01, "alpha": 0.05})):
         with pytest.raises(ValueError):
             filtercore.run_sequence(x, d, [(0, N, h)], mu, [ctl], 1)
+
+
+def test_a_window_of_n_or_more_samples_takes_n_slots():
+    # sample n < N writes you's slot n % window, which is n for any window
+    # >= N, and the detector never fires: the records are those of window
+    # N, also for a window whose slots would not fit in memory
+    rng = np.random.default_rng(6)
+    N, L, mu = 300, 5, 0.01
+    h = rng.standard_normal(L)
+    x = rng.standard_normal(N)
+    d = np.convolve(x, h)[:N]
+    you = {"kappa0": 1e-3, "eta": 0.5, "kappa_min": 1e-5, "tolerance": 10.0}
+    recs = [filtercore.run_sequence(
+        x, d, [(0, N, h)], mu, [("you", {**you, "window": window})], 1)[0]
+        for window in (N, 10 * N, 10**11)]
+    assert recs[0].tobytes() == recs[1].tobytes() == recs[2].tobytes()
+    assert (recs[0]["kappa"] == 1e-3).all()
+
+
+# the ctypes types that stand for each C type of a library function's
+# signature
+C_TYPES = {"void": (None,), "int": (ctypes.c_int,),
+           "int64_t": (ctypes.c_int64,), "double": (ctypes.c_double,)}
+C_POINTER = (ctypes.c_void_p, ctypes.c_char_p)
+
+
+def test_the_library_declares_each_function_as_the_source_defines_it():
+    # ctypes calls with what load() declares: a wrong count or type of
+    # arguments, or a result read from a void function, is undefined
+    # behaviour that no output test is sure to catch
+    def ctypes_of(c_type):
+        return C_POINTER if "*" in c_type else C_TYPES[c_type.strip()]
+
+    lib = filtercore._library()
+    defined = re.findall(r"^((?:const )?\w+ \**)(zap_\w+)\(([^)]*)\)\s*\{",
+                         filtercore.SOURCE.read_text(), re.M)
+    assert {"zap_run", "zap_echo"} <= {name for _, name, _ in defined}
+    for result, name, params in defined:
+        # each parameter's type: its text without the name
+        types = [] if params == "void" else [
+            re.sub(r"\w+$", "", param.strip()) for param in params.split(",")]
+        function = getattr(lib, name)
+        assert function.argtypes is not None, name
+        assert len(function.argtypes) == len(types), name
+        for argtype, c_type in zip(function.argtypes, types):
+            assert argtype in ctypes_of(c_type), (name, c_type)
+        assert function.restype in ctypes_of(result), name
 
 
 def test_kernel_source_compiles_without_warnings():

@@ -155,16 +155,29 @@ def _echo_path(L, seed):
     return h
 
 
+def _past_last_tap(L, r):
+    """(L, N, change_at) of one span, and of two, each running r samples past
+    the last nonzero tap of its path."""
+    before, after = (int(np.flatnonzero(_echo_path(L, seed))[-1])
+                     for seed in (1, 2))
+    return {(L, before + r, None), (L, max(before + r, after) + r, before + r)}
+
+
 # (L, N, change_at): a change after the first L - 1 samples, before them,
-# at the first sample after the start, N below L, several 512-sample tiles
-# of the kernel with changes inside them, and taps beyond a tile
+# at the first sample after the start, N below L, spans of many of the
+# kernel's blocks of 32 samples, and a path of 600 taps; then spans that
+# run 31, 32 and 33 samples past their path's last nonzero tap, from where
+# the kernel takes whole blocks: one sample short of a block, one block,
+# and one sample more
 ECHO_CASES = sorted({(L, N, change) for L in (1, 3, 17, 61)
                      for N, change in ((3 * L + 50, None), (3 * L + 50, L + 7),
                                        (3 * L + 50, 1),
                                        (3 * L + 50, max(1, L // 2)),
                                        (1300, 530))}
                     | {(61, 20, None), (61, 20, 7), (17, 5, 2),
-                       (600, 2000, 700)}, key=str)
+                       (600, 2000, 700)}
+                    | {case for L in (17, 61) for r in (31, 32, 33)
+                       for case in _past_last_tap(L, r)}, key=str)
 
 
 class TestEcho:
