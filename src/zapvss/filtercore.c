@@ -2,12 +2,16 @@
  * step-size controllers, one call per input sequence, and the text of the
  * CSV rows and of the SVG points (see filtercore.py).
  *
- * Every sum over the taps runs in LANES fixed accumulators, lane j taking
- * taps j, j + LANES, ..., the tail included, and the lanes are added in one
- * fixed tree. Every tap is touched by one explicit vector step of LANES
- * doubles, the L % LANES tail too, in zero-padded vectors. With no
- * fast-math and no contraction a result therefore does not depend on the
- * compiler's flags or on the vector width of the target.
+ * Every sum over the taps runs in two accumulator vectors of LANES lanes:
+ * the vector of taps k, ..., k + LANES - 1 adds into accumulator
+ * (k / LANES) % 2, the zero-padded vector of the L % LANES tail too; the
+ * two are added lane by lane, and the lanes in one fixed tree. Each
+ * product-sum term, a * b + acc, and the update w + (mu*e)*x are one fused
+ * multiply-add per lane, rounded once (FMA); every other operation is
+ * rounded on its own. Every tap is touched by one explicit vector step of
+ * LANES doubles. With no fast-math and no contraction beyond those explicit
+ * FMAs, a result therefore does not depend on the compiler's flags or on
+ * the vector width of the target.
  *
  * The clean echo (zap_echo) sums each output over the echo path's nonzero
  * taps in ascending order of the tap, from +0.0, each product and each sum
@@ -18,6 +22,13 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* GCC 12 turns the lane loop of FMA into two 256-bit halves and shuffles
+ * unless it prefers 512-bit vectors, where the target has them; that
+ * preference exists on x86 only */
+#if defined(__x86_64__) && !defined(__clang__)
+#pragma GCC target("prefer-vector-width=512")
+#endif
 
 #define LANES 8
 
@@ -74,15 +85,27 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 #define VABS(v) ((vec)((mask)(v) & ~SIGN))
 #define TREE(a) ((((a)[0] + (a)[1]) + ((a)[2] + (a)[3])) +                  \
                  (((a)[4] + (a)[5]) + ((a)[6] + (a)[7])))
+/* a * b + c in every lane, rounded once: __builtin_fma, which the compiler
+ * turns into one vector fused multiply-add where the target has one and
+ * into calls of libm's correctly rounded fma where it has none, so every
+ * build gives the same bits */
+#define FMA(a, b, c)                                                       \
+    ({                                                                     \
+        vec a_ = (a), b_ = (b), c_ = (c);                                  \
+        for (int j_ = 0; j_ < LANES; j_++)                                 \
+            c_[j_] = __builtin_fma(a_[j_], b_[j_], c_[j_]);                \
+        c_;                                                                \
+    })
 
 const char *zap_compiler(void) { return __VERSION__; }
 
 /* The update w + mu*e*x - kappa*sign(w) of sample n on the LANES taps from
  * k, of regressor XU, then the reductions of the updated taps against the
  * regressor XD of sample n+1 (and the echo path H and its signs S at a
- * recorded sample), one tap in each lane. The update is zeroed outside the
- * lanes of LIVE. Each sign test is one compare, and the bit operations that
- * stand for products of signs give the products' bits:
+ * recorded sample), one tap in each lane, into accumulator A of each sum.
+ * The update is zeroed outside the lanes of LIVE. Each sign test is one
+ * compare, and the bit operations that stand for products of signs give
+ * the products' bits:
  * - kappa * sign(w) is pull where w > 0, pull with its sign bit flipped,
  *   which is -pull, where w < 0, and +0.0 elsewhere (pull holds kappa in
  *   every lane; kappa is finite and not below zero, and were it -0.0, only
@@ -94,43 +117,61 @@ const char *zap_compiler(void) { return __VERSION__; }
  * - sign(v) * sign(h) > 0 holds exactly where v * S > 0, S = sign(h) being
  *   -1.0, +0.0 or 1.0: times +-1 is exact, and times +0.0 gives +-0.0 or
  *   NaN, neither of which is above 0. */
-#define TAPS(k, XU, XD, H, S, LIVE)                                        \
+#define TAPS(A, k, XU, XD, H, S, LIVE)                                     \
     do {                                                                   \
         vec w0 = LOAD(w + (k)), x1 = (XD);                                 \
-        vec v = w0 + mue * (XU);                                           \
+        vec v = FMA(step, (XU), w0);                                       \
         if (attract)                                                       \
             v -= (vec)(((mask)pull ^ ((mask)w0 & SIGN)) & NONZERO(w0));    \
         v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
-        xw += v * x1;                                                      \
-        if (want_xsxx) { xs += x1 * VSGN(v); xx += x1 * x1; }              \
-        if (want_ww) ww += v * v;                                          \
-        if (want_ws) ws += VABS(v);                                        \
+        xw[A] = FMA(v, x1, xw[A]);                                         \
+        if (want_xsxx) {                                                   \
+            xs[A] = FMA(x1, VSGN(v), xs[A]);                               \
+            xx[A] = FMA(x1, x1, xx[A]);                                    \
+        }                                                                  \
+        if (want_ww) ww[A] = FMA(v, v, ww[A]);                             \
+        if (want_ws) ws[A] += VABS(v);                                     \
         if (record) {                                                      \
             vec r = v - (H);                                               \
-            dist += r * r;                                                 \
-            agree += ONES(v * (S) > 0.0);                                  \
+            dist[A] = FMA(r, r, dist[A]);                                  \
+            agree[A] += ONES(v * (S) > 0.0);                               \
         }                                                                  \
     } while (0)
 
+/* the whole vector of taps from k, into accumulator A */
+#define FULL(A, k)                                                         \
+    TAPS(A, k, LOAD(xu + (k)), LOAD(xd + (k)), LOAD(h + (k)),              \
+         LOAD(sg + (k)), ALL)
+
+/* the two accumulators of a sum, added lane by lane, then over the lanes */
+#define TOTAL(a) TREE((a)[0] + (a)[1])
+
 /* The flags are constants at every call, so each call site compiles to a
- * loop without the reductions it does not want. The weights are whole
- * vectors, so the tail loads and stores them in place. Its L - k taps of
- * xu, xd, h and sg go into zeroed vectors: a padding lane updates its +0.0
- * weight to +0.0 (the mask keeps a non-finite mu*e from making it NaN)
- * and adds +0.0 to each sum, which changes no bits of an accumulator that
- * starts at +0.0. */
+ * loop without the reductions it does not want. The accumulator of the
+ * vector from k is a constant at each step: the loop takes the vectors in
+ * pairs. The weights are whole vectors, so the tail loads and stores them
+ * in place. Its L - k taps of xu, xd, h and sg go into zeroed vectors: a
+ * padding lane updates its +0.0 weight to +0.0 (the mask keeps a
+ * non-finite mu*e from making it NaN) and adds +0.0 * +0.0 or +0.0 to
+ * each sum, which changes no bits of an accumulator that starts at +0.0. */
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, const double *sg, double mue, double kappa,
         int64_t L, int attract, int want_xsxx, int want_ww, int want_ws,
         int record) {
-    const vec pull = kappa * ONE;
-    vec xw = {0.0}, xs = {0.0}, xx = {0.0}, ww = {0.0}, ws = {0.0},
-        dist = {0.0}, agree = {0.0};
+    const vec pull = kappa * ONE, step = mue * ONE;
+    vec xw[2] = {{0.0}}, xs[2] = {{0.0}}, xx[2] = {{0.0}}, ww[2] = {{0.0}},
+        ws[2] = {{0.0}}, dist[2] = {{0.0}}, agree[2] = {{0.0}};
     int64_t k = 0;
-    for (; k + LANES <= L; k += LANES)
-        TAPS(k, LOAD(xu + k), LOAD(xd + k), LOAD(h + k), LOAD(sg + k), ALL);
+    for (; k + 2 * LANES <= L; k += 2 * LANES) {
+        FULL(0, k);
+        FULL(1, k + LANES);
+    }
+    if (k + LANES <= L) {
+        FULL(0, k);
+        k += LANES;
+    }
     if (k < L) {
         const size_t tail = (size_t)(L - k) * sizeof(double);
         vec pad_u = {0.0}, pad_d = {0.0}, pad_h = {0.0}, pad_s = {0.0};
@@ -140,10 +181,13 @@ advance(double *restrict w, const double *xu, const double *xd,
             memcpy(&pad_h, h + k, tail);
             memcpy(&pad_s, sg + k, tail);
         }
-        TAPS(k, pad_u, pad_d, pad_h, pad_s, LANE < L - k);
+        if (k / LANES % 2)
+            TAPS(1, k, pad_u, pad_d, pad_h, pad_s, LANE < L - k);
+        else
+            TAPS(0, k, pad_u, pad_d, pad_h, pad_s, LANE < L - k);
     }
-    return (sums){TREE(xw), TREE(xs), TREE(xx), TREE(ww), TREE(ws),
-                  TREE(dist), TREE(agree)};
+    return (sums){TOTAL(xw), TOTAL(xs), TOTAL(xx), TOTAL(ww), TOTAL(ws),
+                  TOTAL(dist), TOTAL(agree)};
 }
 
 /* the pass of sample n in run_row, with the record flag a constant and a
@@ -171,21 +215,21 @@ static double l1_delta(double e, double xx, double xs) {
     return fmax(fabs(e * xs) / xx, 0.0);
 }
 
-/* ||h|| of the L taps, their squares summed in LANES lanes and TREE as a
- * pass sums, so that no record depends on a BLAS build */
+/* ||h|| of the L taps, their squares summed in the accumulators, FMAs and
+ * TOTAL of a pass, so that no record depends on a BLAS build */
 static double norm(const double *h, int64_t L) {
-    vec hh = {0.0};
+    vec hh[2] = {{0.0}};
     int64_t k = 0;
     for (; k + LANES <= L; k += LANES) {
         vec v = LOAD(h + k);
-        hh += v * v;
+        hh[k / LANES % 2] = FMA(v, v, hh[k / LANES % 2]);
     }
     if (k < L) {
         vec pad = {0.0};
         memcpy(&pad, h + k, (size_t)(L - k) * sizeof(double));
-        hh += pad * pad;
+        hh[k / LANES % 2] = FMA(pad, pad, hh[k / LANES % 2]);
     }
-    return sqrt(TREE(hh));
+    return sqrt(TOTAL(hh));
 }
 
 /* One row: controller c on the sequence from zero weights, writing its

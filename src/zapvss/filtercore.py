@@ -39,8 +39,9 @@ CTL_DTYPE = np.dtype([("kind", np.int64), ("xi", np.int64)] + [
 
 SOURCE = Path(__file__).with_name("filtercore.c")
 CC = "cc"
-# no fast-math and no contraction: the kernel's fixed summation order then
-# fixes every result
+# no fast-math, and contraction stays off: the only fused multiply-adds are
+# the kernel's explicit ones, so its fixed summation order and roundings
+# fix every result
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 # lists the CPU features that -march=native targets (see _cpu_flags)
 CPUINFO = Path("/proc/cpuinfo")
@@ -245,7 +246,7 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     [x(n), ..., x(n-L+1)], a-priori error, controller kappa, the update
     w + mu*e*x - kappa*sign(w) from zero weights, then the metrics of the
     updated weights against the taps of the span, every ``every`` samples.
-    The kernel takes each span's ``||taps||`` in its own lanes and order.
+    The kernel sums each span's ``||taps||`` as it sums ||w - taps||.
     Returns the rows' records (A, ceil(N / every)) of SAMPLE_DTYPE and the
     sample (A,) of each row's diverging update, N for a row that never
     diverged.

@@ -112,10 +112,11 @@ class ScenarioConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.L <= 1:
-            raise ConfigError(f"L must be > 1, got {self.L}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
+        # both reach the kernel as int64
+        if not 1 < self.L < 2**63:
+            raise ConfigError(f"L must be > 1 and < 2**63, got {self.L}")
+        if not 1 <= self.N < 2**63:
+            raise ConfigError(f"N must be >= 1 and < 2**63, got {self.N}")
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ConfigError(f"mu must be > 0 and finite, got {self.mu}")
         if self.record_every < 1:

@@ -2,8 +2,10 @@
 
 The vector helpers (sign, regressor window, norms) restate by hand what
 the engine computes with reductions. ``clean_echo`` is the clean echo in
-the kernel's summation order, one numpy pass per tap. The ground-truth
-oracles need the true channel, which a running filter never sees.
+the kernel's summation order, one numpy pass per tap. ``fma_run`` is the
+kernel's tap pass in exact arithmetic rounded as the kernel rounds it: one
+``fma`` per product-sum, in its two accumulators. The ground-truth oracles
+need the true channel, which a running filter never sees.
 
 Two references check the compiled kernel ``zapvss.filtercore.run_sequence``:
 
@@ -29,6 +31,7 @@ updates have a reference that shares none of their code.
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable
 from unittest import mock
@@ -303,6 +306,59 @@ def clean_echo(x, h) -> np.ndarray:
     for k in np.flatnonzero(h[:x.size]):
         y[k:] += h[k] * x[:x.size - k]
     return y
+
+
+def fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, to the nearest double with ties to even, as
+    C's fma rounds it: the exact rational, then int division's correctly
+    rounded float. An exact zero reads +0.0, as fma gives it unless a * b
+    and c are both -0.0, which no sum of the kernel meets: its
+    accumulators start at +0.0."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def kernel_sum(a, b) -> float:
+    """The sum of a[k] * b[k] over the taps as the kernel's pass sums it:
+    tap k into lane k % 8 of accumulator (k // 8) % 2, one fma each, from
+    +0.0; the two accumulators added lane by lane, then the lanes in the
+    tree of ``TREE``. The kernel's zero-padded lanes add fma(0, 0, acc) =
+    acc, so they are left out."""
+    acc = [[0.0] * 8, [0.0] * 8]
+    for k, (p, q) in enumerate(zip(a, b)):
+        lanes = acc[k // 8 % 2]
+        lanes[k % 8] = fma(p, q, lanes[k % 8])
+    s = [p + q for p, q in zip(*acc)]
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
+
+def fma_run(x, d, h, mu: float, kappa: float, count: int):
+    """The a-priori errors and misalignments (dB) of the first ``count``
+    samples of one row of ``lms`` (kappa = 0) or ``fixed_zap`` (kappa its
+    kappa0) on the input ``x``, the desired signal ``d`` and one span of
+    taps ``h``, in Python floats with the kernel's roundings: the update
+    w + mu*e*x is one fma per tap, from which kappa*sign(w) is subtracted,
+    and x.w, ||w - h||^2 and ||h||^2 are ``kernel_sum``s. Returns two
+    lists of floats."""
+    x, d, h = ([float(v) for v in a] for a in (x, d, h))
+    L = len(h)
+
+    def regressor(n):
+        return [x[n - k] if n >= k else 0.0 for k in range(L)]
+
+    hnorm = math.sqrt(kernel_sum(h, h))
+    w = [0.0] * L
+    errors, misalignments = [], []
+    for n in range(count):
+        xu = regressor(n)
+        e = d[n] - kernel_sum(w, xu)
+        mue = mu * e
+        w = [fma(mue, xk, wk) - (math.copysign(kappa, wk) if wk else 0.0)
+             for xk, wk in zip(xu, w)]
+        r = [wk - hk for wk, hk in zip(w, h)]
+        errors.append(e)
+        misalignments.append(20.0 * math.log10(math.sqrt(kernel_sum(r, r))
+                                               / hnorm))
+    return errors, misalignments
 
 
 def norms(w) -> tuple[float, float]:

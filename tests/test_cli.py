@@ -658,6 +658,19 @@ class TestMain:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, text", [
+        ("N", f"L=16\nN={10**20}"), ("L", f"L={10**20}\nN=400")])
+    def test_scenario_int_key_beyond_int64_exit_code(self, tmp_path, capsys,
+                                                     key, text):
+        # numpy's input and channel draws failed on these (exit 4); an N
+        # that fits an int64 but not memory still fails at its allocation
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("L=16\nN=50", text))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_you_window_beyond_memory_runs(self, tmp_path):
         # the kernel keeps no more slots than samples
         cfg_path = tmp_path / "grid.cfg"

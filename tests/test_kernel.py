@@ -3,13 +3,15 @@
 The kernel (``zapvss.filtercore.run_sequence``) is checked against the numpy
 engine it replaced (``oracles.numpy_run_all``) and against the scalar
 ``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
-kind, filter lengths with and without a tail of the kernel's eight
-summation lanes, several ``record_every`` and runs that diverge, through
-an infinite error too. Against itself it is checked bit for bit: built
-without optimization for the compiler's default target, and recording
-every sample against every third.
-Built with the undefined-behaviour sanitizer, it runs such grids and the
-formatters' edge values without a report.
+kind, filter lengths whose zero-padded tail vector falls into either of the
+kernel's two accumulators or that have no tail, several ``record_every``
+and runs that diverge, through an infinite error too. Bit for bit it is
+checked against ``oracles.fma_run``, exact arithmetic rounded once per
+product-sum as the kernel rounds it, and against itself: built without
+optimization for the compiler's default target, and recording every sample
+against every third. The shipped build's assembly must fuse in vector
+registers. Built with the undefined-behaviour sanitizer, it runs such grids
+and the formatters' edge values without a report.
 """
 
 import ctypes
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import numpy_run_all, numpy_run_sequence, run_scenario
+from oracles import fma_run, numpy_run_all, numpy_run_sequence, run_scenario
 from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
                           assert_matches_scalar, grid, trace_key)
 from zapvss import filtercore, harness
@@ -65,7 +67,7 @@ def assert_matches_numpy(kernel, reference):
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7])
-@pytest.mark.parametrize("L", [2, 3, 8, 17])
+@pytest.mark.parametrize("L", [2, 3, 8, 12, 17, 25])
 def test_every_kind_matches_both_references(L, record_every):
     cfg = small_grid(L, record_every=record_every)
     kernel = run_all(cfg, max_workers=1)
@@ -150,7 +152,8 @@ def test_records_do_not_depend_on_the_flags(tmp_path, monkeypatch):
             and "avx2" in filtercore._cpu_flags().split()):
         optimized.append(built(("-O3", "-march=x86-64-v3", "-ffp-contract=off"),
                                tmp_path, monkeypatch))
-    for L in (3, 17, 64):
+    # L = 12 and 25 put the tail in the second accumulator
+    for L in (3, 12, 17, 25, 64):
         for record_every in (1, 3):
             cfg = small_grid(L, record_every=record_every)
             monkeypatch.setattr(filtercore, "_kernel", plain)
@@ -199,6 +202,29 @@ def test_sign_tests_on_zeros_and_subnormals(L):
     for name in ("kappa", "error", "smoothed_mse"):
         np.testing.assert_allclose(rec[name], want[name], rtol=REL_TOL,
                                    atol=ABS_TOL, err_msg=name)
+
+
+@pytest.mark.parametrize("L", [3, 12, 17, 25, 40])
+def test_the_pass_rounds_as_its_exact_reference(L):
+    # the errors and misalignments of lms and fixed_zap bit for bit against
+    # exact arithmetic rounded once per product-sum and summed in the two
+    # accumulators: L = 12 and 25 put the tail in the second one, 40 has
+    # none. A product rounded before its sum, or one accumulator, differs
+    rng = np.random.default_rng(L)
+    N, mu = 40, 0.02
+    h = rng.standard_normal(L) * (rng.random(L) < 0.6)
+    h[0] = 1.0
+    x = rng.standard_normal(N)
+    d = np.convolve(x, h)[:N] + 0.01 * rng.standard_normal(N)
+    for kind, kappa in (("lms", 0.0), ("fixed_zap", 1e-3)):
+        params = controller_params(kind, {"kappa0": kappa} if kappa else {},
+                                   mu)
+        rec, _ = filtercore.run_sequence(x, d, [(0, N, h)], mu,
+                                         [(kind, params)], 1)
+        errors, misalignments = fma_run(x, d, h, mu, kappa, N)
+        assert rec["error"][0].tobytes() == np.array(errors).tobytes(), kind
+        assert rec["misalignment_db"][0].tobytes() == np.array(
+            misalignments).tobytes(), kind
 
 
 @pytest.mark.parametrize("L", [17, 64])
@@ -358,6 +384,26 @@ def test_the_library_declares_each_function_as_the_source_defines_it():
         for argtype, c_type in zip(function.argtypes, types):
             assert argtype in ctypes_of(c_type), (name, c_type)
         assert function.restype in ctypes_of(result), name
+
+
+def test_the_shipped_build_fuses_in_vector_registers(tmp_path):
+    # each FMA of the pass is a lane loop of __builtin_fma: a compiler that
+    # does not turn it into vector fused multiply-adds calls libm's fma per
+    # lane, which gives the same bits 6-9 times slower. Under AVX-512 the
+    # loop must take one 512-bit register, not two 256-bit halves
+    features = filtercore._cpu_flags().split()
+    if platform.machine() not in ("x86_64", "AMD64") or "fma" not in features:
+        pytest.skip("the compiler's target has no x86 fused multiply-add")
+    asm = tmp_path / "filtercore.s"
+    flags = [f for f in filtercore.CFLAGS if f != "-shared"]
+    done = subprocess.run([shutil.which(filtercore.CC), *flags, "-S", "-o",
+                           str(asm), str(filtercore.SOURCE)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    text = asm.read_text()
+    register = "zmm" if "avx512f" in features else "ymm"
+    assert re.search(rf"\bvfmadd\w*pd\s.*%{register}", text)
+    assert not re.search(r"\b(call|jmp)\s+fma\b", text)
 
 
 def test_kernel_source_compiles_without_warnings():
