@@ -39,8 +39,8 @@ class Channel:
 def generate_sparse(L: int, active_count: int, seed: int) -> Channel:
     """Sparse response: ``active_count`` standard-normal taps at seed-chosen
     distinct positions, zeros elsewhere. Deterministic in its arguments."""
-    if L <= 1:
-        raise ValueError(f"L must be > 1, got {L}")
+    if not 1 < L < 2**63:
+        raise ValueError(f"L must be > 1 and < 2**63, got {L}")
     if not 1 <= active_count <= L:
         raise ValueError(f"active_count must be in [1, {L}], got {active_count}")
     rng = np.random.default_rng(seed)
@@ -57,8 +57,8 @@ def generate_sparse(L: int, active_count: int, seed: int) -> Channel:
 def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
     """Dispersive response: L i.i.d. standard-normal taps, optionally shaped
     by an exponential envelope exp(-decay*i/L). Deterministic."""
-    if L <= 1:
-        raise ValueError(f"L must be > 1, got {L}")
+    if not 1 < L < 2**63:
+        raise ValueError(f"L must be > 1 and < 2**63, got {L}")
     if not (decay >= 0.0 and math.isfinite(decay)):
         raise ValueError(f"decay must be >= 0, got {decay}")
     rng = np.random.default_rng(seed)

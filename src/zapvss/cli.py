@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import save_channel
-from .filtercore import build_info, format_points, format_rows
+from .filtercore import build_info, format_rows
 from .harness import (CHANNEL_FIELDS, RECOVERY_MARGIN_DB, AlgorithmAggregate,
                       AlgorithmConfig, ChannelSpec, ConfigError, RunTrace,
                       ScenarioConfig, aggregate, resolve_workers, run_all,
@@ -285,7 +285,12 @@ def _escape(text: str) -> str:
 def emit_svg(aggregates: list[AlgorithmAggregate], destination,
              title: str) -> None:
     """Convergence plot: one polyline per algorithm on a fixed 800x600
-    canvas with 10-tick axes and a legend. Deterministic output."""
+    canvas with 10-tick axes and a legend. Deterministic output.
+
+    Each polyline's points are its recorded samples n and mean dB in data
+    units, the dB scaled by sy / s, written as the CSVs write them; one
+    uniform transform of scale s maps them onto the plot area, so the
+    stroke width 1.5 / s draws 1.5 px on any SVG 1.1 renderer."""
     if not aggregates:
         raise ValueError("at least one curve is required")
     width, height = 800, 600
@@ -304,6 +309,9 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
         ymin, ymax = -1, 1
     if ymin == ymax:
         ymin, ymax = ymin - 1, ymax + 1
+    # pixels per sample, and per dB
+    s, sy = (x1 - x0) / xmax, (y1 - y0) / (ymax - ymin)
+    transform = f"matrix({s!r} 0 0 {-s!r} {x0} {y1 + ymin * sy!r})"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -337,12 +345,13 @@ def emit_svg(aggregates: list[AlgorithmAggregate], destination,
                  f'misalignment (dB)</text>')
     for i, (agg, keep) in enumerate(zip(aggregates, finite)):
         color = _SVG_PALETTE[i % len(_SVG_PALETTE)]
-        px = x0 + (agg.n[keep] / xmax) * (x1 - x0)
-        py = y1 - ((agg.mean_misalignment_db[keep] - ymin) / (ymax - ymin)
-                   * (y1 - y0))
-        pts = str(format_points(px, py), "ascii")
+        rows = format_rows("", agg.n[keep],
+                           [agg.mean_misalignment_db[keep] * (sy / s)])
+        # "n,y" lines, the last line break dropped
+        pts = str(rows[:-1], "ascii")
         parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.5" points="{pts}"/>')
+                     f'stroke-width="{1.5 / s!r}" transform="{transform}" '
+                     f'points="{pts}"/>')
         ly = y0 + 14 + 18 * i
         parts.append(f'<line x1="{x1 + 10}" y1="{ly}" x2="{x1 + 34}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>')

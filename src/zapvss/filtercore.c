@@ -1,6 +1,6 @@
 /* The per-sample recursion of the sign-attracted LMS filter and its six
  * step-size controllers, one call per input sequence, and the text of the
- * CSV rows and of the SVG points (see filtercore.py).
+ * CSV rows (see filtercore.py).
  *
  * Every sum over the taps runs in two accumulator vectors of LANES lanes:
  * the vector of taps k, ..., k + LANES - 1 adds into accumulator
@@ -747,54 +747,6 @@ int64_t zap_format_rows(const char *prefix, int64_t plen, int64_t rows,
             p += above_len[j];
         }
         *p++ = '\n';
-    }
-    return p - out;
-}
-
-/* ---- SVG points ----
- *
- * "{:.2f}".format(v) of a finite |v| < 2^53, in integers: |v| = m * 2^-shift
- * with shift >= 0, so 100|v| = m * 100 / 2^shift exactly, rounded half to
- * even on the remainder. The sign is kept, so -0.0 and values that round to
- * zero from below give "-0.00". At most 20 characters. */
-static char *put_fixed2(char *p, double v) {
-    uint64_t bits;
-    memcpy(&bits, &v, sizeof bits);
-    const uint64_t mantissa = bits & ((1ull << 52) - 1);
-    const uint32_t exponent = (uint32_t)((bits >> 52) & 0x7ff);
-    const uint64_t m = exponent ? mantissa | (1ull << 52) : mantissa;
-    const uint32_t shift = exponent ? 1075 - exponent : 1074;
-    const uint64_t t = m * 100;  /* below 2^60 */
-    uint64_t q = 0;  /* a shift of 64 or more leaves t below half */
-    if (shift == 0) {
-        q = t;
-    } else if (shift < 64) {
-        const uint64_t rest = t & ((1ull << shift) - 1), half = 1ull << (shift - 1);
-        q = t >> shift;
-        q += rest > half || (rest == half && (q & 1));
-    }
-    if (bits >> 63)
-        *p++ = '-';
-    p = put_uint(p, q / 100);
-    *p++ = '.';
-    memcpy(p, DIGIT_PAIRS + 2 * (q % 100), 2);
-    return p + 2;
-}
-
-/* "x[0],y[0] x[1],y[1] ..." with each coordinate written by put_fixed2, to
- * out, which holds at least 42 * count bytes. Returns the bytes written, or
- * -1 if a coordinate is not finite or not below 2^53 in magnitude. */
-int64_t zap_format_points(int64_t count, const double *x, const double *y,
-                          char *out) {
-    char *p = out;
-    for (int64_t i = 0; i < count; i++) {
-        if (!(fabs(x[i]) < 0x1p53 && fabs(y[i]) < 0x1p53))
-            return -1;
-        if (i > 0)
-            *p++ = ' ';
-        p = put_fixed2(p, x[i]);
-        *p++ = ',';
-        p = put_fixed2(p, y[i]);
     }
     return p - out;
 }

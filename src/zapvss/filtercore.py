@@ -1,8 +1,8 @@
 """The filter recursion: the sign-attracted LMS update of many runs (rows)
 on one input sequence, each advanced sample by sample with its controller
 and recorded metrics, in one compiled kernel (``filtercore.c``), and the
-text of the CSV rows it records (``format_rows``) and of the plot's points
-(``format_points``), written by the same library.
+text of the rows of numbers the program writes (``format_rows``: the CSV
+rows and the plot's points), written by the same library.
 
 The kernel is built with the system C compiler when this module is first
 imported and cached under a name that hashes its source, the flags, the
@@ -51,9 +51,6 @@ POW5_BITCOUNT = 125
 # and its comma ("-2.2250738585072014e-308")
 ROW_BYTES = 21
 VALUE_BYTES = 25
-# the longest text of one point with its comma and space: two values like
-# "-9007199254740991.99"
-POINT_BYTES = 42
 
 
 class KernelBuildError(RuntimeError):
@@ -157,8 +154,6 @@ def load(path: Path) -> ctypes.CDLL:
     lib.zap_format_rows.restype = i64
     lib.zap_format_rows.argtypes = [ctypes.c_char_p, i64, i64, p, i64, i64,
                                     p, p, p]
-    lib.zap_format_points.restype = i64
-    lib.zap_format_points.argtypes = [i64, p, p, p]
     return lib
 
 
@@ -324,24 +319,3 @@ def format_rows(prefix: str, n, columns) -> memoryview:
                                strides.ctypes.data, out.ctypes.data)
     return out[:used].data
 
-
-def format_points(px, py) -> memoryview:
-    """The points ``"x,y x,y ..."`` of an SVG polyline, each coordinate as
-    ``"{:.2f}".format`` writes it, byte for byte. The text is exact: for
-    |v| = M * 2^E, M the integer mantissa and E <= 0, the digits are
-    M * 100 >> -E rounded half to even on the remainder, and the sign is
-    kept (-0.0 gives "-0.00"). A coordinate that is not finite or not below
-    2^53 in magnitude raises ValueError. Like ``format_rows``'s, the result
-    is a view of the bytes written into an array this call allocated."""
-    lib = _library()
-    px = np.ascontiguousarray(px, dtype=np.float64)
-    py = np.ascontiguousarray(py, dtype=np.float64)
-    if px.ndim != 1 or py.shape != px.shape:
-        raise ValueError("format_points needs px and py of one shape (points,)")
-    out = np.empty(POINT_BYTES * px.size, dtype=np.uint8)
-    used = lib.zap_format_points(px.size, px.ctypes.data, py.ctypes.data,
-                                 out.ctypes.data)
-    if used < 0:
-        raise ValueError("format_points needs finite coordinates below 2^53 "
-                         "in magnitude")
-    return out[:used].data

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -546,8 +547,13 @@ class TestEmitSvg:
             emit_svg([], io.BytesIO(), title="t")
 
     def test_points_match_per_point_formatting(self):
+        # each point is (n, mean dB * sy / s) as repr writes it, drawn on the
+        # plot area by one uniform transform
         aggs = tiny_aggregates(n=40)
         aggs[1].mean_misalignment_db[3] = math.nan
+        # a curve with no included run: every seed diverged
+        aggs[2] = dataclasses.replace(aggs[2], n=np.array([], dtype=np.int64),
+                                      mean_misalignment_db=np.array([]))
         buf = io.BytesIO()
         emit_svg(aggs, buf, title="t")
         polys = ET.fromstring(buf.getvalue()).findall(
@@ -555,14 +561,25 @@ class TestEmitSvg:
         finite = [v for agg in aggs for v in agg.mean_misalignment_db.tolist()
                   if math.isfinite(v)]
         ymin, ymax = math.floor(min(finite)), math.ceil(max(finite))
-        # the plot area spans x 70..620 and y 50..540
+        # the plot area spans x 70..620 and y 50..540; n runs to 39
+        s, sy = 550 / 39, 490 / (ymax - ymin)
+        assert polys[2].attrib["points"] == ""
         for agg, poly in zip(aggs, polys):
-            want = " ".join(
-                f"{70 + (n / 39) * 550:.2f},"
-                f"{540 - (v - ymin) / (ymax - ymin) * 490:.2f}"
-                for n, v in zip(agg.n.tolist(), agg.mean_misalignment_db.tolist())
-                if math.isfinite(v))
-            assert poly.attrib["points"] == want
+            a, b, c, d, e, f = map(float, re.fullmatch(
+                r"matrix\((.*)\)", poly.attrib["transform"])[1].split())
+            assert (a, b, c, d) == (s, 0.0, 0.0, -s)
+            assert float(poly.attrib["stroke-width"]) * s == pytest.approx(
+                1.5, rel=0.0, abs=1e-12)
+            points = [p.split(",") for p in poly.attrib["points"].split()]
+            x = np.array([float(px) for px, _ in points])
+            y = np.array([float(py) for _, py in points])
+            keep = np.isfinite(agg.mean_misalignment_db)
+            n, v = agg.n[keep], agg.mean_misalignment_db[keep]
+            assert x.tolist() == n.tolist()
+            assert y.tolist() == (v * (sy / s)).tolist()
+            assert np.all(np.abs(a * x + e - (70 + n / 39 * 550)) <= 1e-9)
+            assert np.all(np.abs(
+                d * y + f - (540 - (v - ymin) / (ymax - ymin) * 490)) <= 1e-9)
 
 
 class TestAggregateCsv:
@@ -812,6 +829,16 @@ class TestMain:
         assert main(["gen-channel", "--L", "16", *flags, "--seed", "3",
                      "--out", str(dest)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("flags", [["--type", "sparse", "--active", "3"],
+                                       ["--type", "dispersive"]])
+    def test_gen_channel_length_beyond_int64(self, tmp_path, capsys, flags):
+        dest = tmp_path / "h.txt"
+        assert main(["gen-channel", "--L", str(10**20), *flags,
+                     "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "L must be > 1 and < 2**63" in err
         assert not dest.exists()
 
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):

@@ -1,10 +1,9 @@
-"""The compiled formatters against Python: the CSV rows
-(``filtercore.format_rows``) and the SVG points (``filtercore.format_points``).
+"""The compiled formatter against Python: the rows of the CSVs and of the
+SVG points (``filtercore.format_rows``).
 
 Tolerance zero: every value's text must equal ``repr(float(v))`` and every
 integer's ``str(int)``, character for character, whether Ryu wrote it or it
-was copied from the row above; every coordinate's text must equal
-``"{:.2f}".format(v)``.
+was copied from the row above.
 """
 
 import itertools
@@ -17,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zapvss.filtercore import (SAMPLE_DTYPE, format_points, format_rows,
-                               pow5_tables)
+from zapvss.filtercore import SAMPLE_DTYPE, format_rows, pow5_tables
 
 RANDOM_PATTERNS = 1 << 20
 CHUNK = 1 << 17
@@ -50,38 +48,6 @@ def edge_values() -> list[float]:
     edges += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
     for x in (1e-4, 1e16, 1e22, 1e23):
         edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-    return edges + [-x for x in edges]
-
-
-def point_mismatches(values) -> list[tuple[str, str, str]]:
-    """(hex, formatted, wanted) of every point "x,y" whose text differs from
-    "{:.2f}", with x running over ``values`` and y over them reversed."""
-    xs = np.asarray(values, dtype=np.float64)
-    ys = xs[::-1]
-    got = bytes(format_points(xs, ys)).decode().split(" ") if xs.size else []
-    want = list(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
-    assert len(got) == len(want)
-    return [(float(x).hex(), g, w) for x, g, w in zip(xs.tolist(), got, want)
-            if g != w]
-
-
-# the largest magnitude format_points takes is below 2^53
-LIMIT = 2.0**53
-
-
-def point_edge_values() -> list[float]:
-    # exact ties: every k/8 (x.125, x.375, ...) and the .xx5 decimals,
-    # which are near ties; signed zeros and values that round to -0.00;
-    # subnormals and the smallest normal; ties and neighbours near the top
-    edges = [k / 8 for k in range(-8000, 8001)]
-    edges += [(k + 0.5) / 100 for k in range(-20000, 20000)]
-    edges += [0.0, 0.001, 0.004999999999999999, 0.005, 0.005000000000000001,
-              0.995, 0.9950000000000001, 1.005, 2.675, 5e-324, SUBNORMAL,
-              sys.float_info.min]
-    edges += [math.ldexp(1.0, e) for e in range(-1074, 53)]
-    for top in (2.0**49 + 0.125, 2.0**50 - 0.125, 2.0**52, LIMIT):
-        edges += [math.nextafter(top, 0.0), math.nextafter(
-            math.nextafter(top, 0.0), 0.0)]
     return edges + [-x for x in edges]
 
 
@@ -230,46 +196,6 @@ def test_pow5_tables_are_exact():
             assert v == 5**i << -shift
 
 
-class TestPoints:
-    """``format_points`` against "{:.2f},{:.2f}".format, joined by spaces."""
-
-    def test_edges(self):
-        assert point_mismatches(point_edge_values()) == []
-        assert format_points([0.0, -0.0, -0.004], [-0.0, 0.125, 0.375]) == \
-            b"0.00,-0.00 -0.00,0.12 -0.00,0.38"
-
-    def test_random_values(self):
-        rng = np.random.default_rng(20261019)
-        assert point_mismatches(rng.uniform(-1e4, 1e4, CHUNK)) == []
-        # canvas coordinates, and every exponent a coordinate may have
-        assert point_mismatches(rng.uniform(0.0, 800.0, CHUNK)) == []
-        bits = rng.integers(0, 2**64, size=CHUNK, dtype=np.uint64,
-                            endpoint=False).view(np.float64)
-        assert point_mismatches(bits[np.abs(bits) < LIMIT]) == []
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(min_value=-LIMIT, max_value=LIMIT,
-                              exclude_min=True, exclude_max=True),
-                    min_size=1, max_size=40))
-    def test_hypothesis_floats(self, values):
-        assert point_mismatches(values) == []
-
-    def test_no_points(self):
-        assert format_points([], []) == b""
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, LIMIT,
-                                     -LIMIT, 1e300])
-    def test_outside_the_precondition_raises(self, bad):
-        for xs, ys in (([0.5, bad], [1.0, 2.0]), ([0.5, 1.0], [bad, 2.0])):
-            with pytest.raises(ValueError, match="format_points needs finite"):
-                format_points(xs, ys)
-
-    def test_shapes_checked(self):
-        for xs, ys in (([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]])):
-            with pytest.raises(ValueError, match="format_points needs px"):
-                format_points(xs, ys)
-
-
 def rows_of(size: int, seed: int):
     rng = np.random.default_rng(seed)
     return (f"s{seed},", np.arange(size) * 3,
@@ -286,22 +212,18 @@ class TestBuffer:
         # every result is read only after all of them have run
         sizes = (3000, 2, 3000, 0, 40, 3000, 1)
         rows = [rows_of(size, seed) for seed, size in enumerate(sizes)]
-        rng = np.random.default_rng(5)
-        points = [rng.uniform(-1e4, 1e4, (2, size)) for size in sizes]
 
-        def both(i):
-            return format_rows(*rows[i]), format_points(*points[i])
+        def one(i):
+            return format_rows(*rows[i])
 
         with ThreadPoolExecutor(1) as pool:
             other = pool.submit
-            got = [both(0), both(1), other(both, 2).result(),
-                   other(both, 3).result(), other(both, 4).result(), both(5),
-                   both(6)]
-        for (text, pts), job, (xs, ys) in zip(got, rows, points):
+            got = [one(0), one(1), other(one, 2).result(),
+                   other(one, 3).result(), other(one, 4).result(), one(5),
+                   one(6)]
+        for text, job in zip(got, rows):
             assert text == repr_rows(*job)
-            assert bytes(pts) == " ".join(map(
-                "{:.2f},{:.2f}".format, xs.tolist(), ys.tolist())).encode()
-        views = [np.frombuffer(view, np.uint8) for pair in got for view in pair]
+        views = [np.frombuffer(view, np.uint8) for view in got]
         assert not any(np.shares_memory(a, b)
                        for a, b in itertools.combinations(views, 2))
 

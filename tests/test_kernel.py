@@ -363,6 +363,15 @@ C_TYPES = {"void": (None,), "int": (ctypes.c_int,),
 C_POINTER = (ctypes.c_void_p, ctypes.c_char_p)
 
 
+def defined_functions() -> list[tuple[str, str, str]]:
+    """(result type, name, parameters) of each library function that
+    filtercore.c defines."""
+    defined = re.findall(r"^((?:const )?\w+ \**)(zap_\w+)\(([^)]*)\)\s*\{",
+                         filtercore.SOURCE.read_text(), re.M)
+    assert {"zap_run", "zap_echo"} <= {name for _, name, _ in defined}
+    return defined
+
+
 def test_the_library_declares_each_function_as_the_source_defines_it():
     # ctypes calls with what load() declares: a wrong count or type of
     # arguments, or a result read from a void function, is undefined
@@ -371,10 +380,7 @@ def test_the_library_declares_each_function_as_the_source_defines_it():
         return C_POINTER if "*" in c_type else C_TYPES[c_type.strip()]
 
     lib = filtercore._library()
-    defined = re.findall(r"^((?:const )?\w+ \**)(zap_\w+)\(([^)]*)\)\s*\{",
-                         filtercore.SOURCE.read_text(), re.M)
-    assert {"zap_run", "zap_echo"} <= {name for _, name, _ in defined}
-    for result, name, params in defined:
+    for result, name, params in defined_functions():
         # each parameter's type: its text without the name
         types = [] if params == "void" else [
             re.sub(r"\w+$", "", param.strip()) for param in params.split(",")]
@@ -384,6 +390,15 @@ def test_the_library_declares_each_function_as_the_source_defines_it():
         for argtype, c_type in zip(function.argtypes, types):
             assert argtype in ctypes_of(c_type), (name, c_type)
         assert function.restype in ctypes_of(result), name
+
+
+def test_the_package_calls_each_function_the_source_defines():
+    # a function that load() declares but no module calls is dead code in
+    # the library
+    calls = "".join(path.read_text()
+                    for path in filtercore.SOURCE.parent.glob("*.py"))
+    for _, name, _ in defined_functions():
+        assert re.search(rf"\.{name}\(", calls), name
 
 
 def test_the_shipped_build_fuses_in_vector_registers(tmp_path):
@@ -421,14 +436,12 @@ def test_kernel_source_compiles_without_warnings():
 
 # runs in a fresh interpreter on the library built at argv[1]: every kind
 # at two lengths and two record intervals, rows that diverge, rows whose
-# tail lanes take an infinite update, and the formatters' edge values,
-# those outside the points' precondition too
+# tail lanes take an infinite update, and the formatter's edge values
 SANITIZED_RUN = """
 import sys
 from zapvss import filtercore
 from zapvss.harness import run_all
-from test_format import (LIMIT, edge_values, mismatches, point_edge_values,
-                         point_mismatches)
+from test_format import edge_values, mismatches
 from test_kernel import DIVERGING_STOPS, diverging_grid, small_grid
 
 filtercore._kernel = filtercore.load(sys.argv[1])
@@ -441,13 +454,6 @@ assert None not in [t.diverged_at for t in diverging]
 padded = run_all(diverging_grid(23), max_workers=1)
 assert [t.diverged_at for t in padded] == [DIVERGING_STOPS[23]] * len(padded)
 assert mismatches(edge_values()) == []
-assert point_mismatches(point_edge_values()) == []
-for bad in (float("nan"), float("inf"), -float("inf"), LIMIT, -LIMIT):
-    try:
-        filtercore.format_points([0.5, bad], [bad, 0.5])
-    except ValueError:
-        continue
-    raise AssertionError(f"format_points took {bad!r}")
 """
 
 
