@@ -36,6 +36,16 @@ class Channel:
         return self.taps.size
 
 
+def _zeros(L: int) -> np.ndarray:
+    """L zero taps. A length past numpy's largest array, for which numpy
+    raises ValueError, raises MemoryError as any other length that does not
+    fit in memory does."""
+    try:
+        return np.zeros(L)
+    except ValueError:
+        raise MemoryError(f"{L} taps exceed the largest array") from None
+
+
 def generate_sparse(L: int, active_count: int, seed: int) -> Channel:
     """Sparse response: ``active_count`` standard-normal taps at seed-chosen
     distinct positions, zeros elsewhere. Deterministic in its arguments."""
@@ -43,13 +53,13 @@ def generate_sparse(L: int, active_count: int, seed: int) -> Channel:
         raise ValueError(f"L must be > 1 and < 2**63, got {L}")
     if not 1 <= active_count <= L:
         raise ValueError(f"active_count must be in [1, {L}], got {active_count}")
+    taps = _zeros(L)
     rng = np.random.default_rng(seed)
     positions = rng.choice(L, size=active_count, replace=False)
     amps = rng.standard_normal(active_count)
     while np.any(amps == 0.0):  # keep the nonzero count exact
         zeros = amps == 0.0
         amps[zeros] = rng.standard_normal(int(np.count_nonzero(zeros)))
-    taps = np.zeros(L)
     taps[positions] = amps
     return Channel(taps)
 
@@ -61,8 +71,9 @@ def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
         raise ValueError(f"L must be > 1 and < 2**63, got {L}")
     if not (decay >= 0.0 and math.isfinite(decay)):
         raise ValueError(f"decay must be >= 0, got {decay}")
-    rng = np.random.default_rng(seed)
-    taps = rng.standard_normal(L) * np.exp(-decay * np.arange(L) / L)
+    taps = _zeros(L)
+    np.random.default_rng(seed).standard_normal(out=taps)
+    taps *= np.exp(-decay * np.arange(L) / L)
     return Channel(taps)
 
 

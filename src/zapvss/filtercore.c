@@ -11,7 +11,10 @@
  * rounded on its own. Every tap is touched by one explicit vector step of
  * LANES doubles. With no fast-math and no contraction beyond those explicit
  * FMAs, a result therefore does not depend on the compiler's flags or on
- * the vector width of the target.
+ * the vector width of the target. Nor does it depend on AVX-512: there
+ * each product of signs in the step is one instruction (vfixupimmpd,
+ * vpternlogq or a masked add), which gives the bits of the generic
+ * compare and bit operations that every other target compiles.
  *
  * The clean echo (zap_echo) sums each output over the echo path's nonzero
  * taps in ascending order of the tap, from +0.0, each product and each sum
@@ -76,12 +79,47 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 
 #define LOAD(p) (*(const vec_at *)(p))
 #define STORE(p, v) (*(vec_at *)(p) = (v))
+/* The products of signs of the step (see TAPS), in every lane: VSGN(v),
+ * sign(v) as -1.0, +0.0 or 1.0, and +0.0 for NaN; SIGNED(p, v), p with the
+ * sign bit of v XORed into it where v is neither zero nor NaN, +0.0
+ * elsewhere; COUNT(acc, v), acc plus 1.0 where v > 0 and plus +0.0
+ * elsewhere. The generic forms are one compare and bit operations. Under
+ * AVX-512 each is one instruction after its compare, if any, and gives the
+ * same bits:
+ * - vfixupimmpd writes the constant that its table gives v's class:
+ *   0xA9A9A888 holds, from the lowest nibble, +0.0 (8) for QNaN, SNaN and
+ *   +-0, 1.0 (A) for 1.0, -1.0 (9) for -inf, 1.0 for +inf, -1.0 for the
+ *   other negative and 1.0 for the other positive values. A subnormal has
+ *   its sign's value, as in the compares; under DAZ both read it as zero;
+ * - vpternlogq with immediate 0x6A writes c ^ (a & b) in every bit, here
+ *   p ^ (v & SIGN), and zeroes the lanes outside its mask, v compared
+ *   ordered and not equal to zero: the lanes of the generic NONZERO(v);
+ * - the masked add keeps acc where v > 0 fails, as adding +0.0 does to a
+ *   count, which is never -0.0. */
+#ifdef __AVX512F__
+#include <immintrin.h>
+#define VSGN(v)                                                            \
+    ((vec)_mm512_fixupimm_pd((__m512d)(v), (__m512d)(v),                   \
+                             _mm512_set1_epi64(0xA9A9A888), 0))
+#define SIGNED(p, v)                                                       \
+    ((vec)_mm512_maskz_ternarylogic_epi64(                                 \
+        _mm512_cmp_pd_mask((__m512d)(v), _mm512_setzero_pd(), _CMP_NEQ_OQ), \
+        (__m512i)(v), (__m512i)SIGN, (__m512i)(p), 0x6A))
+#define COUNT(acc, v)                                                      \
+    ((vec)_mm512_mask_add_pd(                                              \
+        (__m512d)(acc),                                                    \
+        _mm512_cmp_pd_mask((__m512d)(v), _mm512_setzero_pd(), _CMP_GT_OQ), \
+        (__m512d)(acc), (__m512d)ONE))
+#else
 /* 1.0 in the lanes of mask m, +0.0 elsewhere */
 #define ONES(m) ((vec)((mask)ONE & (m)))
 /* the lanes where v is neither zero nor NaN: one ordered compare */
 #define NONZERO(v) (((v) > 0.0) | ((v) < 0.0))
-/* sign (-1, 0 or 1) and fabs (the sign bit cleared) in every lane */
 #define VSGN(v) ((vec)(((mask)ONE | ((mask)(v) & SIGN)) & NONZERO(v)))
+#define SIGNED(p, v) ((vec)(((mask)(p) ^ ((mask)(v) & SIGN)) & NONZERO(v)))
+#define COUNT(acc, v) ((acc) + ONES((v) > 0.0))
+#endif
+/* fabs (the sign bit cleared) in every lane */
 #define VABS(v) ((vec)((mask)(v) & ~SIGN))
 #define TREE(a) ((((a)[0] + (a)[1]) + ((a)[2] + (a)[3])) +                  \
                  (((a)[4] + (a)[5]) + ((a)[6] + (a)[7])))
@@ -103,26 +141,24 @@ const char *zap_compiler(void) { return __VERSION__; }
  * k, of regressor XU, then the reductions of the updated taps against the
  * regressor XD of sample n+1 (and the echo path H and its signs S at a
  * recorded sample), one tap in each lane, into accumulator A of each sum.
- * The update is zeroed outside the lanes of LIVE. Each sign test is one
- * compare, and the bit operations that stand for products of signs give
- * the products' bits:
- * - kappa * sign(w) is pull where w > 0, pull with its sign bit flipped,
- *   which is -pull, where w < 0, and +0.0 elsewhere (pull holds kappa in
- *   every lane; kappa is finite and not below zero, and were it -0.0, only
- *   the sign of a zero weight could differ, which changes no sum that
- *   starts at +0.0);
- * - VSGN(v) is 1.0 or -1.0, the sign bit of v on the bits of 1.0, where v
- *   is nonzero, and +0.0 elsewhere; x is still multiplied by it, so that an
- *   infinite x times a zero sign stays NaN;
+ * The update is zeroed outside the lanes of LIVE. The products of signs
+ * are SIGNED, VSGN and COUNT, each of which gives the product's bits:
+ * - kappa * sign(w) is SIGNED(pull, w): pull where w > 0, pull with its
+ *   sign bit flipped, which is -pull, where w < 0, and +0.0 elsewhere
+ *   (pull holds kappa in every lane; kappa is finite and not below zero,
+ *   and were it -0.0, only the sign of a zero weight could differ, which
+ *   changes no sum that starts at +0.0);
+ * - x * sign(v) multiplies x by VSGN(v), so that an infinite x times a zero
+ *   sign stays NaN;
  * - sign(v) * sign(h) > 0 holds exactly where v * S > 0, S = sign(h) being
  *   -1.0, +0.0 or 1.0: times +-1 is exact, and times +0.0 gives +-0.0 or
- *   NaN, neither of which is above 0. */
+ *   NaN, neither of which is above 0. COUNT adds 1.0 in those lanes. */
 #define TAPS(A, k, XU, XD, H, S, LIVE)                                     \
     do {                                                                   \
         vec w0 = LOAD(w + (k)), x1 = (XD);                                 \
         vec v = FMA(step, (XU), w0);                                       \
         if (attract)                                                       \
-            v -= (vec)(((mask)pull ^ ((mask)w0 & SIGN)) & NONZERO(w0));    \
+            v -= SIGNED(pull, w0);                                         \
         v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
         xw[A] = FMA(v, x1, xw[A]);                                         \
@@ -135,7 +171,7 @@ const char *zap_compiler(void) { return __VERSION__; }
         if (record) {                                                      \
             vec r = v - (H);                                               \
             dist[A] = FMA(r, r, dist[A]);                                  \
-            agree[A] += ONES(v * (S) > 0.0);                               \
+            agree[A] = COUNT(agree[A], v * (S));                           \
         }                                                                  \
     } while (0)
 

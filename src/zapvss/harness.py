@@ -69,8 +69,8 @@ class ChannelSpec:
 
     def realize(self, L: int) -> Channel:
         """The channel for filter length L. Generator arguments it cannot
-        use, an unreadable channel file or one of another length raise
-        ConfigError."""
+        use, an L whose taps do not fit in memory, an unreadable channel
+        file or one of another length raise ConfigError."""
         try:
             if self.kind == "sparse":
                 ch = generate_sparse(L, self.active_count, self.seed)
@@ -80,6 +80,9 @@ class ChannelSpec:
                 ch = load_channel(self.path)
         except ValueError as err:
             raise ConfigError(f"{self.kind} channel: {err}") from None
+        except MemoryError:
+            raise ConfigError(f"{self.kind} channel: L={L} taps do not fit "
+                              f"in memory") from None
         if ch.L != L:
             raise ConfigError(
                 f"channel file {self.path} has L={ch.L}, scenario expects L={L}")

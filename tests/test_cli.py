@@ -605,6 +605,22 @@ class TestAggregateCsv:
             emit_aggregate_csv(tiny_aggregates(n=5), io.BytesIO(), label)
 
 
+# zapvss's main in a fresh interpreter whose address space is limited to
+# 3 GiB: room for the interpreter, numpy and the kernel, none for 2**40 taps
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from zapvss.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def main_in_limited_child(argv):
+    env = {**os.environ, "PYTHONPATH": str(filtercore.SOURCE.parents[1])}
+    return subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestMain:
     def test_run_end_to_end(self, tmp_path, capsys):
         cfg_path = tmp_path / "grid.cfg"
@@ -840,6 +856,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "L must be > 1 and < 2**63" in err
         assert not dest.exists()
+
+    # 2**40 taps do not fit in memory, 2**62 not in numpy's largest array
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS limits the address space on Linux")
+    @pytest.mark.parametrize("L", [2**40, 2**62])
+    @pytest.mark.parametrize("flags", [["--type", "sparse", "--active", "3"],
+                                       ["--type", "dispersive"]])
+    def test_gen_channel_length_beyond_memory(self, tmp_path, flags, L):
+        dest = tmp_path / "h.txt"
+        done = main_in_limited_child(["gen-channel", "--L", str(L), *flags,
+                                      "--out", str(dest)])
+        assert done.returncode == 1, done.stderr
+        assert f"config error: {flags[1]} channel: L={L} taps do not fit " \
+            f"in memory" in done.stderr
+        assert not dest.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS limits the address space on Linux")
+    @pytest.mark.parametrize("L", [2**40, 2**62])
+    def test_run_length_beyond_memory(self, tmp_path, L):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("L=16", f"L={L}"))
+        done = main_in_limited_child(["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+        assert done.returncode == 1, done.stderr
+        assert f"config error: sparse channel: L={L} taps do not fit in " \
+            f"memory" in done.stderr
 
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):
         assert main(["gen-channel", "--L", "16", "--type", "sparse",

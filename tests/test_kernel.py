@@ -10,7 +10,9 @@ checked against ``oracles.fma_run``, exact arithmetic rounded once per
 product-sum as the kernel rounds it, and against itself: built without
 optimization for the compiler's default target, and recording every sample
 against every third. The shipped build's assembly must fuse in vector
-registers. Built with the undefined-behaviour sanitizer, it runs such grids
+registers and, under AVX-512, take each product of signs as one
+instruction, whose bits the default-target build's bit operations must
+match on zeros, subnormals and infinite updates. Built with the undefined-behaviour sanitizer, it runs such grids
 and the formatters' edge values without a report.
 """
 
@@ -35,7 +37,7 @@ from zapvss import filtercore, harness
 from zapvss.cli import main, parse_config
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import ChannelSpec, recovery_time, run_all
-from zapvss.signal import synthesize_desired
+from zapvss.signal import generate_input, synthesize_desired
 from zapvss.stepsize import controller_params
 
 
@@ -163,12 +165,11 @@ def test_records_do_not_depend_on_the_flags(tmp_path, monkeypatch):
                 assert trace_key(run_all(cfg, max_workers=1)) == want
 
 
-@pytest.mark.parametrize("L", [17, 64])
-def test_sign_tests_on_zeros_and_subnormals(L):
-    # the step's sign tests are one compare and bit operations: on exact
-    # zeros, subnormal inputs and weights, and a path whose taps have both
-    # signs, zeros and subnormals (and change at a span), every kind must
-    # count and stop as the products of signs do
+def zeros_and_subnormals(L):
+    """The arguments of run_sequence for every kind, recording every
+    sample, on an input of exact zeros, -0.0 and subnormals whose first
+    weights are subnormal, and a path whose taps have both signs, zeros and
+    subnormals, and change at a span."""
     rng = np.random.default_rng(5)
     N = 600
     tiny = np.array([5e-324, -5e-324, 2.5e-310, -1e-315])
@@ -190,9 +191,20 @@ def test_sign_tests_on_zeros_and_subnormals(L):
     mu = 0.01
     ctls = [(a.kind, controller_params(a.kind, a.params, mu))
             for a in ALL_KINDS]
-    rec, stop_at = filtercore.run_sequence(x, d, spans, mu, ctls, 1)
-    want, want_stop = numpy_run_sequence(x, d, spans, mu, ctls, 1)
-    assert stop_at.tolist() == want_stop.tolist() == [N] * len(ctls)
+    return x, d, spans, mu, ctls, 1
+
+
+@pytest.mark.parametrize("L", [17, 64])
+def test_sign_tests_on_zeros_and_subnormals(L):
+    # the step's products of signs are bit operations or, under AVX-512,
+    # one instruction each: on exact zeros, subnormal inputs and weights,
+    # and a path whose taps have both signs, zeros and subnormals (and
+    # change at a span), every kind must count and stop as the products do
+    args = zeros_and_subnormals(L)
+    N = args[0].size
+    rec, stop_at = filtercore.run_sequence(*args)
+    want, want_stop = numpy_run_sequence(*args)
+    assert stop_at.tolist() == want_stop.tolist() == [N] * len(ALL_KINDS)
     np.testing.assert_array_equal(rec["sign_agreement"],
                                   want["sign_agreement"])
     # the weights learn each span's signs
@@ -202,6 +214,32 @@ def test_sign_tests_on_zeros_and_subnormals(L):
     for name in ("kappa", "error", "smoothed_mse"):
         np.testing.assert_allclose(rec[name], want[name], rtol=REL_TOL,
                                    atol=ABS_TOL, err_msg=name)
+
+
+def test_the_avx512_sign_forms_give_the_generic_bits(tmp_path, monkeypatch):
+    # under AVX-512 the shipped build takes each product of signs of the
+    # step as vfixupimmpd, vpternlogq or a masked add; the -O0 build for
+    # the compiler's default target takes the generic bit operations. On
+    # zeros, -0.0 and subnormals, and on rows whose update turns infinite,
+    # every record and stop must be the same bytes
+    plain = built(("-O0", "-ffp-contract=off"), tmp_path, monkeypatch)
+    cfg = diverging_grid(23)
+    spans = harness.build_schedule(cfg)
+    input_seed, noise_seed = harness.derive_stream_seeds(cfg.seeds[0])
+    x = generate_input(cfg.N, input_seed)
+    diverging = (x, synthesize_desired(x, spans, cfg.snr_db, noise_seed).d,
+                 spans, cfg.mu, [(a.kind, a.params) for a in cfg.algorithms],
+                 cfg.record_every)
+    for args in (zeros_and_subnormals(17), zeros_and_subnormals(64),
+                 diverging):
+        results = []
+        for library in (plain, filtercore._library()):
+            monkeypatch.setattr(filtercore, "_kernel", library)
+            rec, stop_at = filtercore.run_sequence(*args)
+            results.append((rec.tobytes(), stop_at.tolist()))
+        assert results[0] == results[1]
+    # the diverging rows, last, stop where run_all's do
+    assert results[0][1] == [DIVERGING_STOPS[23]] * len(DIVERGING_KINDS)
 
 
 @pytest.mark.parametrize("L", [3, 12, 17, 25, 40])
@@ -401,24 +439,38 @@ def test_the_package_calls_each_function_the_source_defines():
         assert re.search(rf"\.{name}\(", calls), name
 
 
-def test_the_shipped_build_fuses_in_vector_registers(tmp_path):
-    # each FMA of the pass is a lane loop of __builtin_fma: a compiler that
-    # does not turn it into vector fused multiply-adds calls libm's fma per
-    # lane, which gives the same bits 6-9 times slower. Under AVX-512 the
-    # loop must take one 512-bit register, not two 256-bit halves
-    features = filtercore._cpu_flags().split()
-    if platform.machine() not in ("x86_64", "AMD64") or "fma" not in features:
-        pytest.skip("the compiler's target has no x86 fused multiply-add")
+def shipped_assembly(tmp_path, feature):
+    """The assembly of the shipped flags, where the CPU is x86 and lists
+    ``feature``; else the test is skipped."""
+    if (platform.machine() not in ("x86_64", "AMD64")
+            or feature not in filtercore._cpu_flags().split()):
+        pytest.skip(f"the compiler's target is not x86 with {feature}")
     asm = tmp_path / "filtercore.s"
     flags = [f for f in filtercore.CFLAGS if f != "-shared"]
     done = subprocess.run([shutil.which(filtercore.CC), *flags, "-S", "-o",
                            str(asm), str(filtercore.SOURCE)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    text = asm.read_text()
-    register = "zmm" if "avx512f" in features else "ymm"
+    return asm.read_text()
+
+
+def test_the_shipped_build_fuses_in_vector_registers(tmp_path):
+    # each FMA of the pass is a lane loop of __builtin_fma: a compiler that
+    # does not turn it into vector fused multiply-adds calls libm's fma per
+    # lane, which gives the same bits 6-9 times slower. Under AVX-512 the
+    # loop must take one 512-bit register, not two 256-bit halves
+    text = shipped_assembly(tmp_path, "fma")
+    register = "zmm" if "avx512f" in filtercore._cpu_flags().split() else "ymm"
     assert re.search(rf"\bvfmadd\w*pd\s.*%{register}", text)
     assert not re.search(r"\b(call|jmp)\s+fma\b", text)
+
+
+def test_the_shipped_build_takes_the_avx512_sign_forms(tmp_path):
+    # under AVX-512 the sign of x*sign(w) is one vfixupimmpd and the
+    # attractor kappa*sign(w) one vpternlogq under its compare's mask
+    text = shipped_assembly(tmp_path, "avx512f")
+    assert re.search(r"\bvfixupimmpd\s", text)
+    assert re.search(r"\bvpternlogq\s", text)
 
 
 def test_kernel_source_compiles_without_warnings():
