@@ -21,7 +21,17 @@ class Channel:
     taps: np.ndarray
 
     def __post_init__(self):
-        taps = np.array(self.taps, dtype=np.float64)
+        self._hold(np.array(self.taps, dtype=np.float64))
+
+    @classmethod
+    def _of(cls, taps: np.ndarray) -> Channel:
+        """The channel of ``taps``, a float64 array that no caller holds:
+        kept, not copied, so a channel takes its taps' memory once."""
+        ch = cls.__new__(cls)
+        ch._hold(taps)
+        return ch
+
+    def _hold(self, taps: np.ndarray) -> None:
         if taps.ndim != 1 or taps.size <= 1:
             raise ValueError("a channel needs at least 2 taps")
         if not np.all(np.isfinite(taps)):
@@ -61,7 +71,7 @@ def generate_sparse(L: int, active_count: int, seed: int) -> Channel:
         zeros = amps == 0.0
         amps[zeros] = rng.standard_normal(int(np.count_nonzero(zeros)))
     taps[positions] = amps
-    return Channel(taps)
+    return Channel._of(taps)
 
 
 def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
@@ -73,8 +83,14 @@ def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
         raise ValueError(f"decay must be >= 0, got {decay}")
     taps = _zeros(L)
     np.random.default_rng(seed).standard_normal(out=taps)
-    taps *= np.exp(-decay * np.arange(L) / L)
-    return Channel(taps)
+    # decay 0 multiplies by exactly 1.0; otherwise the envelope's operations
+    # in exp(-decay * arange(L) / L)'s order, in one buffer
+    if decay:
+        envelope = np.arange(L, dtype=np.float64)
+        envelope *= -decay
+        envelope /= L
+        taps *= np.exp(envelope, out=envelope)
+    return Channel._of(taps)
 
 
 def save_channel(ch: Channel, destination) -> None:
@@ -129,4 +145,4 @@ def load_channel(source) -> Channel:
                 f"{name}: line {i + 2}: tap must be finite, got {raw!r}"
             )
         taps[i] = v
-    return Channel(taps)
+    return Channel._of(taps)

@@ -392,11 +392,12 @@ def _cmd_run(args) -> int:
         print(f"warning: mu={cfg.mu!r} is at or above 2/(L+2) = {bound:.6g}, "
               f"the mean-square stability bound for unit-power input; the "
               f"runs may diverge", file=sys.stderr)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     timings = {}
     with timed(timings, "run_all_s"):
         traces = run_all(cfg, timings=timings)
+    # after the runs: a config that fails in them leaves no directory
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     with timed(timings, "aggregate_s"):
         aggs = aggregate(cfg, traces)
     with timed(timings, "emit_csv_s"):

@@ -268,40 +268,32 @@ static double norm(const double *h, int64_t L) {
     return sqrt(TOTAL(hh));
 }
 
+/* the doubles of the whole vectors that hold n */
+#define WHOLE(n) (((n) + LANES - 1) / LANES * LANES)
+/* you's sample n < N takes slot n % window: never more than N slots */
+#define SLOTS(c, N) ((c)->window < (N) ? (c)->window : (N))
+
 /* One row: controller c on the sequence from zero weights, writing its
- * records every `every` samples from rec on. Returns the sample of the
- * update that made a weight non-finite, N if none did, or -1 if memory ran
- * out. */
+ * records every `every` samples from rec on, in zap_run's scratch, whose
+ * parts it zeroes. Returns the sample of the update that made a weight
+ * non-finite, N if none did. */
 static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                        const double *d, int64_t nspans,
                        const int64_t *starts, const double *taps, double mu,
                        const zap_ctl *c, double mse_beta, int64_t every,
-                       zap_record *rec) {
-    /* whole vectors of weights, and of the span's signs of h, at a
-     * vector's alignment: no load of them spans two cache lines */
-    const size_t wbytes = (size_t)((L + LANES - 1) / LANES) * sizeof(vec);
-    double *w = aligned_alloc(sizeof(vec), wbytes),
-           *sg = aligned_alloc(sizeof(vec), wbytes);
-    if (w)
-        memset(w, 0, wbytes);
-    /* you's sample n < N takes slot n % window: never more than N slots */
-    const int64_t slots = c->window < N ? c->window : N;
-    double *history = c->kind == YOU ? calloc((size_t)slots, sizeof *history)
-                                     : NULL;
-    if (!w || !sg || (c->kind == YOU && !history)) {
-        free(w);
-        free(sg);
-        free(history);
-        return -1;
-    }
+                       zap_record *rec, double *scratch) {
+    /* whole vectors at a vector's alignment: no load spans two cache lines */
+    double *w = scratch, *sg = w + WHOLE(L), *history = sg + WHOLE(L);
+    memset(w, 0, (size_t)WHOLE(L) * sizeof *w);
+    if (c->kind == YOU)
+        memset(history, 0, (size_t)SLOTS(c, N) * sizeof *history);
     const double root = sqrt((double)L), xi_scale = (double)L / ((double)L - root),
                  norm_scale = root - 1.0;
     double kappa = c->kappa0, mse = 0.0, detector = 0.0, phi = 0.0;
     int64_t cooldown_left = 0, stop = N;
-    /* a pass that leaves the zero weights zero gives their sums with the
-     * regressor of sample 0; on zero weights every sum but x.x is +0.0 */
-    sums s = advance(w, xpad + N, xpad + N, taps, taps, 0.0, 0.0, L, 1, 1, 1,
-                     1, 0);
+    /* on zero weights x.w, x.sign(w), w.w and ||w||_1 are +0.0; x.x only
+     * divides |e * x.sign(w)| = 0, and l1_delta gives +0.0 for any x.x */
+    sums s = {.xw = 0.0};
     for (int64_t span = 0; span < nspans && stop == N; span++) {
         const double *h = taps + span * L;
         const double hnorm = norm(h, L);
@@ -382,9 +374,6 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
     }
     if (stop == N && !all_finite(w, L))
         stop = N - 1;
-    free(w);
-    free(sg);
-    free(history);
     return stop;
 }
 
@@ -395,22 +384,30 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
  * nonzero: the records divide by the span's norm and by its count of
  * nonzero taps. Row a writes its n_rec = ceil(N / every) records from
  * rec + a*n_rec on, their n after a stop too, and the sample of its
- * diverging update to stop_at[a] (N if none). Returns 0, or -1 if memory
- * ran out. The smoothed error power forgets at mse_beta. */
+ * diverging update to stop_at[a] (N if none). The rows share one block of
+ * scratch. Returns 0, or -1 if memory ran out. The smoothed error power
+ * forgets at mse_beta. */
 int zap_run(int64_t N, int64_t L, const double *xpad, const double *d,
             int64_t nspans, const int64_t *starts, const double *taps,
             double mu, int64_t A, const zap_ctl *ctls, double mse_beta,
             int64_t every, zap_record *rec, int64_t *stop_at) {
     const int64_t n_rec = (N + every - 1) / every;
-    int status = 0;
-    for (int64_t a = 0; a < A && status == 0; a++) {
+    int64_t slots = 0;
+    for (int64_t a = 0; a < A; a++)
+        if (ctls[a].kind == YOU && SLOTS(ctls + a, N) > slots)
+            slots = SLOTS(ctls + a, N);
+    double *scratch = aligned_alloc(
+        sizeof(vec), (size_t)(2 * WHOLE(L) + WHOLE(slots)) * sizeof *scratch);
+    if (!scratch)
+        return -1;
+    for (int64_t a = 0; a < A; a++) {
         for (int64_t i = 0; i * every < N; i++)
             rec[a * n_rec + i].n = i * every;
-        stop_at[a] = run_row(N, L, xpad, d, nspans, starts, taps, mu,
-                             ctls + a, mse_beta, every, rec + a * n_rec);
-        status = stop_at[a] < 0 ? -1 : 0;
+        stop_at[a] = run_row(N, L, xpad, d, nspans, starts, taps, mu, ctls + a,
+                             mse_beta, every, rec + a * n_rec, scratch);
     }
-    return status;
+    free(scratch);
+    return 0;
 }
 
 /* ---- the clean echo ---- */

@@ -246,15 +246,16 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     sample (A,) of each row's diverging update, N for a row that never
     diverged.
 
-    A row stops at the update that makes a weight non-finite. A non-finite
-    error only makes a row suspect: a finite w whose dot product overflowed
-    gives one too, and diverges one update later. A stopped row's records
-    after its stop are zero but for ``n``, which the kernel writes into
-    every record. Rows never interact, and every sum runs in a fixed order:
-    a row's records do not depend on which other rows share the call, nor
-    on the compiler's vectorization. The call releases the GIL, so calls on
-    several threads run in parallel. A kernel that ran out of memory raises
-    MemoryError.
+    A row stops at the update that makes a weight non-finite, so a
+    non-finite x(0) stops every row at 0. A non-finite error only makes a
+    row suspect: a finite w whose dot product overflowed gives one too, and
+    diverges one update later. A stopped row's records after its stop are
+    zero but for ``n``, which the kernel writes into every record. Rows
+    never interact, and every sum runs in a fixed order: a row's records do
+    not depend on which other rows share the call, nor on the compiler's
+    vectorization. The call releases the GIL, so calls on several threads
+    run in parallel. The rows share one block of scratch, allocated once
+    per call: if it does not fit in memory, MemoryError.
     """
     lib = _library()
     N, A = d.size, len(ctls)

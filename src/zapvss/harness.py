@@ -301,7 +301,8 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     of each algorithm. Adds the seconds of stream synthesis and of the
     kernel calls, each summed over the seeds' threads, to ``timings`` under
     "synthesis_s" and "engine_s". A seed that raises raises here once every
-    seed has run."""
+    seed has run; one whose input or desired signal does not fit in memory
+    raises ConfigError naming N."""
     timings = {} if timings is None else timings
     workers = resolve_workers(len(cfg.seeds), max_workers)
     spans = build_schedule(cfg)
@@ -311,8 +312,11 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     def run_seed(seed):
         start = time.perf_counter()
         input_seed, noise_seed = derive_stream_seeds(seed)
-        x = generate_input(cfg.N, input_seed)
-        d = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
+        try:
+            x = generate_input(cfg.N, input_seed)
+            d = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
+        except MemoryError:
+            raise ConfigError(f"N={cfg.N} samples do not fit in memory") from None
         synthesized = time.perf_counter()
         rec, stop_at = run_sequence(x, d, spans, cfg.mu, ctls, every)
         end = time.perf_counter()

@@ -22,10 +22,15 @@ class DesiredSignal:
 
 def generate_input(N: int, seed: int) -> np.ndarray:
     """N i.i.d. standard normal samples, deterministic in (N, seed). The
-    input has unit power: ``mu`` carries the only power scale."""
+    input has unit power: ``mu`` carries the only power scale. An N past
+    numpy's largest array, for which numpy raises ValueError, raises
+    MemoryError as any other N that does not fit in memory does."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return np.random.default_rng(seed).standard_normal(N)
+    try:
+        return np.random.default_rng(seed).standard_normal(N)
+    except ValueError:
+        raise MemoryError(f"{N} samples exceed the largest array") from None
 
 
 def synthesize_desired(x, spans, snr_db: float,

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ class TestGenerateDispersive:
         with pytest.raises(ValueError):
             generate_dispersive(8, 0, decay=-0.1)
 
+    @pytest.mark.parametrize("L, seed, decay", [
+        (2, 0, 0.0), (17, 3, 0.0), (513, 5, 1.5), (4099, 11, 0.25),
+        (33, 2, 700.0)])
+    def test_taps_round_as_the_envelope_expression(self, L, seed, decay):
+        # decay 0 skips the envelope of exact ones; another decay builds it
+        # in one buffer with the expression's operations in its order
+        want = np.random.default_rng(seed).standard_normal(L) * np.exp(
+            -decay * np.arange(L) / L)
+        assert generate_dispersive(L, seed, decay).taps.tobytes() == \
+            want.tobytes()
+
 
 class TestChannelInvariants:
     def test_taps_read_only(self):
@@ -95,6 +107,28 @@ class TestChannelInvariants:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             Channel(np.zeros(4))
+
+    def test_a_callers_array_is_copied(self):
+        taps = np.array([1.0, -0.5])
+        ch = Channel(taps)
+        taps[0] = 2.0
+        assert ch.taps[0] == 1.0 and taps.flags.writeable
+
+    @pytest.mark.parametrize("generate, bound", [
+        (lambda L: generate_sparse(L, 3, 1), 1.25),
+        (lambda L: generate_dispersive(L, 1), 1.25),
+        (lambda L: generate_dispersive(L, 1, decay=2.0), 2.25)])
+    def test_a_generated_channel_holds_one_copy_of_its_taps(self, generate,
+                                                             bound):
+        # the channel keeps the generator's array; a decay's envelope takes
+        # one more buffer, decay 0 none
+        tracemalloc.start()
+        try:
+            ch = generate(2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * ch.taps.nbytes
 
 
 class TestChannelFile:

@@ -883,6 +883,22 @@ class TestMain:
         assert done.returncode == 1, done.stderr
         assert f"config error: sparse channel: L={L} taps do not fit in " \
             f"memory" in done.stderr
+        assert not (tmp_path / "o").exists()
+
+    # 2 * 10**9 samples do not fit in memory, 2**62 not in numpy's largest
+    # array
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS limits the address space on Linux")
+    @pytest.mark.parametrize("N", [2 * 10**9, 2**62])
+    def test_run_samples_beyond_memory(self, tmp_path, N):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("N=50", f"N={N}"))
+        done = main_in_limited_child(["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+        assert done.returncode == 1, done.stderr
+        assert f"config error: N={N} samples do not fit in memory" in \
+            done.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):
         assert main(["gen-channel", "--L", "16", "--type", "sparse",
@@ -894,6 +910,7 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         [], ["run"], ["compare", "--config", "grid.cfg"],

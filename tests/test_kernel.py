@@ -5,7 +5,8 @@ engine it replaced (``oracles.numpy_run_all``) and against the scalar
 ``oracles.run_scenario``, at the tolerances of ``test_batched``, over every
 kind, filter lengths whose zero-padded tail vector falls into either of the
 kernel's two accumulators or that have no tail, several ``record_every``
-and runs that diverge, through an infinite error too. Bit for bit it is
+and runs that diverge, through an infinite error too, or from one infinite
+or NaN sample of the input or the desired signal. Bit for bit it is
 checked against ``oracles.fma_run``, exact arithmetic rounded once per
 product-sum as the kernel rounds it, and against itself: built without
 optimization for the compiler's default target, and recording every sample
@@ -29,11 +30,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fma_run, numpy_run_all, numpy_run_sequence, run_scenario
 from test_batched import (ABS_TOL, ALL_KINDS, MIS_TOL_DB, REL_TOL,
                           assert_matches_scalar, grid, trace_key)
 from zapvss import filtercore, harness
+from zapvss.channel import generate_sparse
 from zapvss.cli import main, parse_config
 from zapvss.filtercore import SAMPLE_DTYPE
 from zapvss.harness import ChannelSpec, recovery_time, run_all
@@ -125,6 +129,42 @@ def test_an_infinite_update_leaves_the_padding_lanes_zero(L, monkeypatch):
     assert_matches_numpy(kernel, numpy_run_all(cfg))
     for trace in kernel:
         assert_matches_scalar(cfg, trace)
+
+
+@given(st.integers(1, 80), st.integers(2, 20), st.integers(1, 3),
+       st.sampled_from([math.inf, -math.inf, math.nan]), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_non_finite_input_stops_where_the_numpy_reference_stops(
+        N, L, every, bad, in_x, at_zero, seed, data):
+    # one inf or NaN in x or d, at sample 0 in half of the draws: a row
+    # starts from the sums of zero weights, so no non-finite x(0) reaches
+    # them before the update of sample 0 takes it in
+    rng = np.random.default_rng(seed)
+    h = generate_sparse(L, data.draw(st.integers(1, min(L, 4))), seed).taps
+    x = rng.standard_normal(N)
+    d = np.convolve(x, h)[:N] + 0.01 * rng.standard_normal(N)
+    at = 0 if at_zero else data.draw(st.integers(0, N - 1))
+    (x if in_x else d)[at] = bad
+    mu = 0.01
+    args = (x, d, [(0, N, h)], mu,
+            [(a.kind, controller_params(a.kind, a.params, mu))
+             for a in ALL_KINDS], every)
+    rec, stop_at = filtercore.run_sequence(*args)
+    want, want_stop = numpy_run_sequence(*args)
+    assert stop_at.tolist() == want_stop.tolist()
+    if in_x and at == 0:
+        assert stop_at.tolist() == [0] * len(ALL_KINDS)
+    for got, ref, stop in zip(rec, want, stop_at):
+        got, ref = got[got["n"] < stop], ref[ref["n"] < stop]
+        np.testing.assert_allclose(got["misalignment_db"],
+                                   ref["misalignment_db"], rtol=0.0,
+                                   atol=MIS_TOL_DB)
+        for name in ("kappa", "error", "smoothed_mse"):
+            np.testing.assert_allclose(got[name], ref[name], rtol=REL_TOL,
+                                       atol=ABS_TOL, err_msg=name)
+        np.testing.assert_array_equal(got["sign_agreement"],
+                                      ref["sign_agreement"])
 
 
 def test_a_trace_does_not_depend_on_its_batch():
