@@ -203,11 +203,14 @@ def canonical_config_text(cfg: ScenarioConfig) -> str:
 
 def _write_chunks(destination, chunks) -> None:
     """Write the bytes-like ``chunks`` to ``destination``, a binary file
-    object or a path."""
+    object or a path. A file at the path is removed and a new one created,
+    not truncated: truncating a large file can stall the writes that follow
+    it, and a hard link to the old file keeps the old bytes."""
     if hasattr(destination, "write"):
         for chunk in chunks:
             destination.write(chunk)
     else:
+        Path(destination).unlink(missing_ok=True)
         with open(destination, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
@@ -437,8 +440,8 @@ def _cmd_run(args) -> int:
         "timings": timings,
         "build": _build_block(cfg),
     }
-    (outdir / f"{scenario}_meta.json").write_text(
-        json.dumps(meta, indent=2, allow_nan=False) + "\n")
+    _write_chunks(outdir / f"{scenario}_meta.json", [
+        (json.dumps(meta, indent=2, allow_nan=False) + "\n").encode()])
     diverged = False
     for a in aggs:
         rec = ("-" if a.mean_recovery_time is None

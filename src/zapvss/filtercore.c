@@ -14,7 +14,10 @@
  * the vector width of the target. Nor does it depend on AVX-512: there
  * each product of signs in the step is one instruction (vfixupimmpd,
  * vpternlogq or a masked add), which gives the bits of the generic
- * compare and bit operations that every other target compiles.
+ * compare and bit operations that every other target compiles, and a
+ * pass that records nothing takes the exact form of the step measured
+ * fastest for its kind: x(n+1)'s vectors rotated out of x(n)'s, the
+ * attractor as one FMA of sign(w), both or neither.
  *
  * The clean echo (zap_echo) sums each output over the echo path's nonzero
  * taps in ascending order of the tap, from +0.0, each product and each sum
@@ -110,6 +113,12 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
         (__m512d)(acc),                                                    \
         _mm512_cmp_pd_mask((__m512d)(v), _mm512_setzero_pd(), _CMP_GT_OQ), \
         (__m512d)(acc), (__m512d)ONE))
+/* a pass that records nothing takes its kind's rotate and fma_pull forms
+ * (see advance) */
+#define FAST 1
+/* lane 7 of before, then lanes 0-6 of v: one valignq */
+#define ROTATE(v, before)                                                  \
+    ((vec)_mm512_alignr_epi64((__m512i)(v), (__m512i)(before), 7))
 #else
 /* 1.0 in the lanes of mask m, +0.0 elsewhere */
 #define ONES(m) ((vec)((mask)ONE & (m)))
@@ -118,6 +127,11 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 #define VSGN(v) ((vec)(((mask)ONE | ((mask)(v) & SIGN)) & NONZERO(v)))
 #define SIGNED(p, v) ((vec)(((mask)(p) ^ ((mask)(v) & SIGN)) & NONZERO(v)))
 #define COUNT(acc, v) ((acc) + ONES((v) > 0.0))
+/* no pass takes the rotate and fma_pull forms, which were measured faster
+ * under AVX-512 only; ROTATE spells the same lanes portably */
+#define FAST 0
+#define ROTATE(v, before)                                                  \
+    __builtin_shufflevector(before, v, 7, 8, 9, 10, 11, 12, 13, 14)
 #endif
 /* fabs (the sign bit cleared) in every lane */
 #define VABS(v) ((vec)((mask)(v) & ~SIGN))
@@ -158,7 +172,7 @@ const char *zap_compiler(void) { return __VERSION__; }
         vec w0 = LOAD(w + (k)), x1 = (XD);                                 \
         vec v = FMA(step, (XU), w0);                                       \
         if (attract)                                                       \
-            v -= SIGNED(pull, w0);                                         \
+            v = fma_pull ? FMA(-pull, VSGN(w0), v) : v - SIGNED(pull, w0); \
         v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
         xw[A] = FMA(v, x1, xw[A]);                                         \
@@ -175,30 +189,50 @@ const char *zap_compiler(void) { return __VERSION__; }
         }                                                                  \
     } while (0)
 
-/* the whole vector of taps from k, into accumulator A */
+/* the whole vector of taps from k, into accumulator A; under rotate,
+ * x(n+1)'s vector from k is lane 7 of x(n)'s vector before it, held in
+ * last, then lanes 0-6 of x(n)'s vector from k: xd[k + j] = xu[k + j - 1] */
 #define FULL(A, k)                                                         \
-    TAPS(A, k, LOAD(xu + (k)), LOAD(xd + (k)), LOAD(h + (k)),              \
-         LOAD(sg + (k)), ALL)
+    do {                                                                   \
+        vec u = LOAD(xu + (k));                                            \
+        TAPS(A, k, u, rotate ? ROTATE(u, last) : (vec)LOAD(xd + (k)),     \
+             LOAD(h + (k)), LOAD(sg + (k)), ALL);                          \
+        last = u;                                                          \
+    } while (0)
 
 /* the two accumulators of a sum, added lane by lane, then over the lanes */
 #define TOTAL(a) TREE((a)[0] + (a)[1])
 
 /* The flags are constants at every call, so each call site compiles to a
- * loop without the reductions it does not want. The accumulator of the
- * vector from k is a constant at each step: the loop takes the vectors in
- * pairs. The weights are whole vectors, so the tail loads and stores them
- * in place. Its L - k taps of xu, xd, h and sg go into zeroed vectors: a
- * padding lane updates its +0.0 weight to +0.0 (the mask keeps a
- * non-finite mu*e from making it NaN) and adds +0.0 * +0.0 or +0.0 to
- * each sum, which changes no bits of an accumulator that starts at +0.0. */
+ * loop without the reductions it does not want. Two more pick exact
+ * rewrites of the step, which ADVANCE passes only to a pass that records
+ * nothing and only where FAST:
+ * - rotate takes x(n+1)'s vector from k, which FULL would load from xd,
+ *   out of x(n)'s vectors by one lane rotation (see FULL): the same
+ *   doubles, one unaligned load fewer;
+ * - fma_pull writes the attractor as FMA(-pull, VSGN(w0), t) for
+ *   t - SIGNED(pull, w0), t = w0 + mu*e*x. kappa * sign(w0) is exact, so
+ *   both round t - kappa * sign(w0) once, and -pull * (+0.0) = -0.0 keeps
+ *   t's zero sign as subtracting +0.0 does. NaN and infinite weights take
+ *   the same values through VSGN as through SIGNED; only a kappa of -0.0
+ *   could make a zero weight's sign differ, which changes no sum.
+ * The accumulator of the vector from k is a constant at each step: the
+ * loop takes the vectors in pairs. The weights are whole vectors, so the
+ * tail loads and stores them in place. Its L - k taps of xu, xd, h and sg
+ * go into zeroed vectors, in a rotating pass too: a padding lane updates
+ * its +0.0 weight to +0.0 (the mask keeps a non-finite mu*e from making it
+ * NaN) and adds +0.0 * +0.0 or +0.0 to each sum, which changes no bits of
+ * an accumulator that starts at +0.0. */
 static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, const double *sg, double mue, double kappa,
         int64_t L, int attract, int want_xsxx, int want_ww, int want_ws,
-        int record) {
+        int record, int rotate, int fma_pull) {
     const vec pull = kappa * ONE, step = mue * ONE;
     vec xw[2] = {{0.0}}, xs[2] = {{0.0}}, xx[2] = {{0.0}}, ww[2] = {{0.0}},
         ws[2] = {{0.0}}, dist[2] = {{0.0}}, agree[2] = {{0.0}};
+    /* lane 7 is xd[0], the tap before the first vector of xu */
+    vec last = xd[0] * ONE;
     int64_t k = 0;
     for (; k + 2 * LANES <= L; k += 2 * LANES) {
         FULL(0, k);
@@ -227,10 +261,14 @@ advance(double *restrict w, const double *xu, const double *xd,
 }
 
 /* the pass of sample n in run_row, with the record flag a constant and a
- * kind's attract, want_xsxx, want_ww and want_ws flags */
-#define ADVANCE(...)                                                       \
-    (record ? advance(w, xu, xd, h, sg, mue, kappa, L, __VA_ARGS__, 1)     \
-            : advance(w, xu, xd, h, sg, mue, kappa, L, __VA_ARGS__, 0))
+ * kind's attract, want_xsxx, want_ww and want_ws flags, then its rotate
+ * and fma_pull flags, which only a pass that records nothing takes, and
+ * only where FAST */
+#define ADVANCE(attract, xsxx, ww, ws, rotate, fma_pull)                   \
+    (record ? advance(w, xu, xd, h, sg, mue, kappa, L, attract, xsxx, ww,  \
+                      ws, 1, 0, 0)                                         \
+            : advance(w, xu, xd, h, sg, mue, kappa, L, attract, xsxx, ww,  \
+                      ws, 0, FAST && (rotate), FAST && (fma_pull)))
 
 static int all_finite(const double *w, int64_t L) {
     for (int64_t k = 0; k < L; k++)
@@ -317,7 +355,7 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
             /* the kind's kappa, then its pass */
             switch (c->kind) {
             case LMS:
-                s = ADVANCE(0, 0, 0, 0);
+                s = ADVANCE(0, 0, 0, 0, 1, 0);
                 break;
             case YOU: {
                 double *slot = history + n % c->window;
@@ -335,7 +373,7 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
             }
             /* fall through */
             case FIXED_ZAP:  /* and you's pass */
-                s = ADVANCE(1, 0, 0, 0);
+                s = ADVANCE(1, 0, 0, 0, 1, 1);
                 break;
             case LIU: {
                 double j = s.ws;
@@ -347,18 +385,18 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                 double delta = j - phi;
                 phi = (1.0 - c->lambda) * phi + c->lambda * j;
                 kappa = smooth(c, kappa, delta);
-                s = ADVANCE(1, 0, 1, 1);
+                s = ADVANCE(1, 0, 1, 1, 0, 1);
                 break;
             }
             case PROPOSED_L1:
                 kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs));
-                s = ADVANCE(1, 1, 0, 0);
+                s = ADVANCE(1, 1, 0, 0, 0, 1);
                 break;
             default: {  /* PROPOSED_NORM */
                 double r = sqrt(s.ww);
                 double m = (r >= c->w2_floor || r != r) ? r : c->w2_floor;
                 kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs) / (m * norm_scale));
-                s = ADVANCE(1, 1, 1, 0);
+                s = ADVANCE(1, 1, 1, 0, 0, 1);
             }
             }
             mse = (1.0 - mse_beta) * mse + (mse_beta * e) * e;

@@ -58,6 +58,10 @@ class KernelBuildError(RuntimeError):
     load."""
 
 
+class KernelMemoryError(MemoryError):
+    """The kernel's own scratch did not fit in memory."""
+
+
 def cache_dirs() -> list[Path]:
     """Where the library is cached, in order of preference: the package's
     ``__pycache__``, then a per-user cache directory."""
@@ -255,7 +259,8 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     not depend on which other rows share the call, nor on the compiler's
     vectorization. The call releases the GIL, so calls on several threads
     run in parallel. The rows share one block of scratch, allocated once
-    per call: if it does not fit in memory, MemoryError.
+    per call: if it does not fit in memory, KernelMemoryError; if the
+    arrays of the call do not, MemoryError.
     """
     lib = _library()
     N, A = d.size, len(ctls)
@@ -288,7 +293,7 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
                    starts.ctypes.data, taps.ctypes.data, mu, A,
                    packed.ctypes.data, MSE_BETA, every, rec.ctypes.data,
                    stop_at.ctypes.data):
-        raise MemoryError("the filter kernel ran out of memory")
+        raise KernelMemoryError("the filter kernel ran out of memory")
     return rec, stop_at
 
 

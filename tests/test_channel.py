@@ -115,13 +115,15 @@ class TestChannelInvariants:
         assert ch.taps[0] == 1.0 and taps.flags.writeable
 
     @pytest.mark.parametrize("generate, bound", [
-        (lambda L: generate_sparse(L, 3, 1), 1.25),
-        (lambda L: generate_dispersive(L, 1), 1.25),
-        (lambda L: generate_dispersive(L, 1, decay=2.0), 2.25)])
+        (lambda L: generate_sparse(L, 3, 1), 1.05),
+        (lambda L: generate_dispersive(L, 1), 1.05),
+        (lambda L: generate_dispersive(L, 1, decay=2.0), 2.05)])
     def test_a_generated_channel_holds_one_copy_of_its_taps(self, generate,
                                                              bound):
         # the channel keeps the generator's array; a decay's envelope takes
-        # one more buffer, decay 0 none
+        # one more buffer, decay 0 none. A first call imports numpy.random,
+        # about 1 MB that is not taps, so one runs before the count
+        generate(16)
         tracemalloc.start()
         try:
             ch = generate(2**20)

@@ -646,6 +646,29 @@ class TestMain:
         assert (out_a / "grid.svg").read_bytes() == \
             (out_b / "grid.svg").read_bytes()
 
+    def test_a_rerun_writes_new_files(self, tmp_path):
+        # a rerun into an existing --out replaces each output by a new
+        # file: a hard link to an old one keeps the old bytes, and the new
+        # outputs are a fresh run's
+        def outputs(out):
+            meta = json.loads((out / "grid_meta.json").read_text())
+            del meta["timings"]
+            return [meta] + [(out / name).read_bytes() for name in (
+                "grid_trace.csv", "grid_aggregate.csv", "grid.svg")]
+
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        old = (out / "grid_trace.csv").read_bytes()
+        os.link(out / "grid_trace.csv", tmp_path / "old.csv")
+        cfg_path.write_text(YOU)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (tmp_path / "old.csv").read_bytes() == old
+        assert main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
+        assert outputs(out) == outputs(fresh)
+        assert (out / "grid_trace.csv").read_bytes() != old
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(MINIMAL.replace("mu=0.01", "mu=-1"))
@@ -898,6 +921,21 @@ class TestMain:
         assert done.returncode == 1, done.stderr
         assert f"config error: N={N} samples do not fit in memory" in \
             done.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS limits the address space on Linux")
+    def test_run_records_beyond_memory(self, tmp_path):
+        # each seed's streams fit, but its 14 rows of 5 * 10**6 records take
+        # 3.1 GiB: no seed reaches the kernel, so the child stays small
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace("N=50", "N=5000000") + "".join(
+            f"\n[algorithm]\nname=lms{i}\nkind=lms\n" for i in range(13)))
+        done = main_in_limited_child(["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+        assert done.returncode == 1, done.stderr
+        assert "config error: N=5000000 samples do not fit in memory " \
+            "(record_every=1)" in done.stderr
         assert not (tmp_path / "o").exists()
 
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):

@@ -258,28 +258,41 @@ def test_sign_tests_on_zeros_and_subnormals(L):
 
 def test_the_avx512_sign_forms_give_the_generic_bits(tmp_path, monkeypatch):
     # under AVX-512 the shipped build takes each product of signs of the
-    # step as vfixupimmpd, vpternlogq or a masked add; the -O0 build for
-    # the compiler's default target takes the generic bit operations. On
-    # zeros, -0.0 and subnormals, and on rows whose update turns infinite,
-    # every record and stop must be the same bytes
+    # step as vfixupimmpd, vpternlogq or a masked add, and a pass that
+    # records nothing its kind's rotation of x(n)'s vectors into x(n+1)'s
+    # and attractor kappa*sign(w) as one FMA; the -O0 build for the
+    # compiler's default target takes the generic loads and bit operations.
+    # On zeros, -0.0 and subnormals, and on rows whose update turns
+    # infinite, recording every sample, every third and sample 0 only,
+    # every record and stop of every kind, and of a kappa of -0.0, must be
+    # the same bytes. L = 2 and 7 are a tail alone, 8 a lone vector, 9 and
+    # 17 a vector and a tail, 16 and 64 pairs, 24 a pair and a lone vector,
+    # 25 all three
     plain = built(("-O0", "-ffp-contract=off"), tmp_path, monkeypatch)
-    cfg = diverging_grid(23)
-    spans = harness.build_schedule(cfg)
-    input_seed, noise_seed = harness.derive_stream_seeds(cfg.seeds[0])
-    x = generate_input(cfg.N, input_seed)
-    diverging = (x, synthesize_desired(x, spans, cfg.snr_db, noise_seed).d,
-                 spans, cfg.mu, [(a.kind, a.params) for a in cfg.algorithms],
-                 cfg.record_every)
-    for args in (zeros_and_subnormals(17), zeros_and_subnormals(64),
-                 diverging):
-        results = []
-        for library in (plain, filtercore._library()):
-            monkeypatch.setattr(filtercore, "_kernel", library)
-            rec, stop_at = filtercore.run_sequence(*args)
-            results.append((rec.tobytes(), stop_at.tolist()))
-        assert results[0] == results[1]
-    # the diverging rows, last, stop where run_all's do
-    assert results[0][1] == [DIVERGING_STOPS[23]] * len(DIVERGING_KINDS)
+    negative_zero = ("fixed_zap", {"kappa0": -0.0})
+    for L in (2, 7, 8, 9, 16, 17, 24, 25, 64):
+        cfg = small_grid(L, mu=20.0, N=3000, seeds=[1])
+        spans = harness.build_schedule(cfg)
+        input_seed, noise_seed = harness.derive_stream_seeds(cfg.seeds[0])
+        x = generate_input(cfg.N, input_seed)
+        diverging = (x, synthesize_desired(x, spans, cfg.snr_db,
+                                           noise_seed).d, spans, cfg.mu,
+                     [(a.kind, a.params) for a in cfg.algorithms])
+        quiet = zeros_and_subnormals(L)[:-1]
+        stops = []
+        for x, d, spans, mu, ctls in (quiet, diverging):
+            for every in (1, 3, x.size):
+                results = []
+                for library in (plain, filtercore._library()):
+                    monkeypatch.setattr(filtercore, "_kernel", library)
+                    rec, stop_at = filtercore.run_sequence(
+                        x, d, spans, mu, [*ctls, negative_zero], every)
+                    results.append((rec.tobytes(), stop_at.tolist()))
+                assert results[0] == results[1], (L, every)
+                stops.append(results[0][1])
+        # the quiet rows run to their end, and the diverging lms row stops
+        assert stops[0] == [600] * (len(ALL_KINDS) + 1), L
+        assert stops[-1][0] < 3000, L
 
 
 @pytest.mark.parametrize("L", [3, 12, 17, 25, 40])
@@ -506,11 +519,14 @@ def test_the_shipped_build_fuses_in_vector_registers(tmp_path):
 
 
 def test_the_shipped_build_takes_the_avx512_sign_forms(tmp_path):
-    # under AVX-512 the sign of x*sign(w) is one vfixupimmpd and the
-    # attractor kappa*sign(w) one vpternlogq under its compare's mask
+    # under AVX-512 the sign of x*sign(w) is one vfixupimmpd, the
+    # attractor kappa*sign(w) of a recorded pass one vpternlogq under its
+    # compare's mask, and a rotating pass takes x(n+1)'s vector from x(n)'s
+    # by one valignq
     text = shipped_assembly(tmp_path, "avx512f")
     assert re.search(r"\bvfixupimmpd\s", text)
     assert re.search(r"\bvpternlogq\s", text)
+    assert re.search(r"\bvalignq\s", text)
 
 
 def test_kernel_source_compiles_without_warnings():
