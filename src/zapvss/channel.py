@@ -97,13 +97,16 @@ def generate_dispersive(L: int, seed: int, decay: float = 0.0) -> Channel:
 
 def save_channel(ch: Channel, destination) -> None:
     """Write ``L=<int>`` then one decimal tap per line (17 significant digits,
-    so the round trip through load_channel is exact)."""
+    so the round trip through load_channel is exact) to ``destination``, a
+    text file object or a path. A file at the path is removed and a new one
+    created, not truncated, so a hard link to the old file keeps its bytes."""
     lines = [f"L={ch.L}"]
     lines.extend(f"{v:.17g}" for v in ch.taps)
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:
+        Path(destination).unlink(missing_ok=True)
         Path(destination).write_text(text)
 
 

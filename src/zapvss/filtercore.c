@@ -15,9 +15,8 @@
  * each product of signs in the step is one instruction (vfixupimmpd,
  * vpternlogq or a masked add), which gives the bits of the generic
  * compare and bit operations that every other target compiles, and a
- * pass that records nothing takes the exact form of the step measured
- * fastest for its kind: x(n+1)'s vectors rotated out of x(n)'s, the
- * attractor as one FMA of sign(w), both or neither.
+ * pass that records nothing takes exact rewrites of the step (see
+ * advance).
  *
  * The clean echo (zap_echo) sums each output over the echo path's nonzero
  * taps in ascending order of the tap, from +0.0, each product and each sum
@@ -113,9 +112,7 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
         (__m512d)(acc),                                                    \
         _mm512_cmp_pd_mask((__m512d)(v), _mm512_setzero_pd(), _CMP_GT_OQ), \
         (__m512d)(acc), (__m512d)ONE))
-/* a pass that records nothing takes its kind's rotate and fma_pull forms
- * (see advance) */
-#define FAST 1
+#define FAST 1  /* see advance */
 /* lane 7 of before, then lanes 0-6 of v: one valignq */
 #define ROTATE(v, before)                                                  \
     ((vec)_mm512_alignr_epi64((__m512i)(v), (__m512i)(before), 7))
@@ -127,8 +124,7 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 #define VSGN(v) ((vec)(((mask)ONE | ((mask)(v) & SIGN)) & NONZERO(v)))
 #define SIGNED(p, v) ((vec)(((mask)(p) ^ ((mask)(v) & SIGN)) & NONZERO(v)))
 #define COUNT(acc, v) ((acc) + ONES((v) > 0.0))
-/* no pass takes the rotate and fma_pull forms, which were measured faster
- * under AVX-512 only; ROTATE spells the same lanes portably */
+/* ROTATE spells the same lanes portably */
 #define FAST 0
 #define ROTATE(v, before)                                                  \
     __builtin_shufflevector(before, v, 7, 8, 9, 10, 11, 12, 13, 14)
@@ -189,9 +185,8 @@ const char *zap_compiler(void) { return __VERSION__; }
         }                                                                  \
     } while (0)
 
-/* the whole vector of taps from k, into accumulator A; under rotate,
- * x(n+1)'s vector from k is lane 7 of x(n)'s vector before it, held in
- * last, then lanes 0-6 of x(n)'s vector from k: xd[k + j] = xu[k + j - 1] */
+/* the whole vector of taps from k, into accumulator A; last holds x(n)'s
+ * vector before it */
 #define FULL(A, k)                                                         \
     do {                                                                   \
         vec u = LOAD(xu + (k));                                            \
@@ -204,18 +199,20 @@ const char *zap_compiler(void) { return __VERSION__; }
 #define TOTAL(a) TREE((a)[0] + (a)[1])
 
 /* The flags are constants at every call, so each call site compiles to a
- * loop without the reductions it does not want. Two more pick exact
- * rewrites of the step, which ADVANCE passes only to a pass that records
- * nothing and only where FAST:
- * - rotate takes x(n+1)'s vector from k, which FULL would load from xd,
- *   out of x(n)'s vectors by one lane rotation (see FULL): the same
- *   doubles, one unaligned load fewer;
- * - fma_pull writes the attractor as FMA(-pull, VSGN(w0), t) for
- *   t - SIGNED(pull, w0), t = w0 + mu*e*x. kappa * sign(w0) is exact, so
- *   both round t - kappa * sign(w0) once, and -pull * (+0.0) = -0.0 keeps
- *   t's zero sign as subtracting +0.0 does. NaN and infinite weights take
- *   the same values through VSGN as through SIGNED; only a kappa of -0.0
- *   could make a zero weight's sign differ, which changes no sum.
+ * loop without the reductions it does not want. Two more, which ADVANCE
+ * derives from them for a pass that records nothing where FAST (AVX-512,
+ * on which they were measured faster), pick exact rewrites of the step:
+ * - rotate wherever the pass sums x.w alone, which leaves it bound by its
+ *   loads: FULL takes x(n+1)'s vector from k, xd[k + j] = xu[k + j - 1],
+ *   out of x(n)'s vectors by one lane rotation instead of one more
+ *   unaligned load;
+ * - fma_pull wherever the pass attracts, as it saves vector operations:
+ *   the attractor is FMA(-pull, VSGN(w0), t) for t - SIGNED(pull, w0),
+ *   t = w0 + mu*e*x. kappa * sign(w0) is exact, so both round
+ *   t - kappa * sign(w0) once, and -pull * (+0.0) = -0.0 keeps t's zero
+ *   sign as subtracting +0.0 does. NaN and infinite weights take the same
+ *   values through VSGN as through SIGNED; only a kappa of -0.0 could make
+ *   a zero weight's sign differ, which changes no sum.
  * The accumulator of the vector from k is a constant at each step: the
  * loop takes the vectors in pairs. The weights are whole vectors, so the
  * tail loads and stores them in place. Its L - k taps of xu, xd, h and sg
@@ -261,14 +258,14 @@ advance(double *restrict w, const double *xu, const double *xd,
 }
 
 /* the pass of sample n in run_row, with the record flag a constant and a
- * kind's attract, want_xsxx, want_ww and want_ws flags, then its rotate
- * and fma_pull flags, which only a pass that records nothing takes, and
- * only where FAST */
-#define ADVANCE(attract, xsxx, ww, ws, rotate, fma_pull)                   \
+ * kind's attract, want_xsxx, want_ww and want_ws flags, from which its
+ * rotate and fma_pull flags follow (see advance) */
+#define ADVANCE(attract, xsxx, ww, ws)                                     \
     (record ? advance(w, xu, xd, h, sg, mue, kappa, L, attract, xsxx, ww,  \
                       ws, 1, 0, 0)                                         \
             : advance(w, xu, xd, h, sg, mue, kappa, L, attract, xsxx, ww,  \
-                      ws, 0, FAST && (rotate), FAST && (fma_pull)))
+                      ws, 0, FAST && !((xsxx) || (ww) || (ws)),           \
+                      FAST && (attract)))
 
 static int all_finite(const double *w, int64_t L) {
     for (int64_t k = 0; k < L; k++)
@@ -355,7 +352,7 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
             /* the kind's kappa, then its pass */
             switch (c->kind) {
             case LMS:
-                s = ADVANCE(0, 0, 0, 0, 1, 0);
+                s = ADVANCE(0, 0, 0, 0);
                 break;
             case YOU: {
                 double *slot = history + n % c->window;
@@ -373,7 +370,7 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
             }
             /* fall through */
             case FIXED_ZAP:  /* and you's pass */
-                s = ADVANCE(1, 0, 0, 0, 1, 1);
+                s = ADVANCE(1, 0, 0, 0);
                 break;
             case LIU: {
                 double j = s.ws;
@@ -385,18 +382,18 @@ static int64_t run_row(int64_t N, int64_t L, const double *xpad,
                 double delta = j - phi;
                 phi = (1.0 - c->lambda) * phi + c->lambda * j;
                 kappa = smooth(c, kappa, delta);
-                s = ADVANCE(1, 0, 1, 1, 0, 1);
+                s = ADVANCE(1, 0, 1, 1);
                 break;
             }
             case PROPOSED_L1:
                 kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs));
-                s = ADVANCE(1, 1, 0, 0, 0, 1);
+                s = ADVANCE(1, 1, 0, 0);
                 break;
             default: {  /* PROPOSED_NORM */
                 double r = sqrt(s.ww);
                 double m = (r >= c->w2_floor || r != r) ? r : c->w2_floor;
                 kappa = smooth(c, kappa, l1_delta(e, s.xx, s.xs) / (m * norm_scale));
-                s = ADVANCE(1, 1, 1, 0, 0, 1);
+                s = ADVANCE(1, 1, 1, 0);
             }
             }
             mse = (1.0 - mse_beta) * mse + (mse_beta * e) * e;

@@ -58,10 +58,6 @@ class KernelBuildError(RuntimeError):
     load."""
 
 
-class KernelMemoryError(MemoryError):
-    """The kernel's own scratch did not fit in memory."""
-
-
 def cache_dirs() -> list[Path]:
     """Where the library is cached, in order of preference: the package's
     ``__pycache__``, then a per-user cache directory."""
@@ -259,8 +255,8 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
     not depend on which other rows share the call, nor on the compiler's
     vectorization. The call releases the GIL, so calls on several threads
     run in parallel. The rows share one block of scratch, allocated once
-    per call: if it does not fit in memory, KernelMemoryError; if the
-    arrays of the call do not, MemoryError.
+    per call. If it or the arrays of the call do not fit in memory, raises
+    MemoryError.
     """
     lib = _library()
     N, A = d.size, len(ctls)
@@ -293,7 +289,7 @@ def run_sequence(x, d, spans, mu: float, ctls, every: int):
                    starts.ctypes.data, taps.ctypes.data, mu, A,
                    packed.ctypes.data, MSE_BETA, every, rec.ctypes.data,
                    stop_at.ctypes.data):
-        raise KernelMemoryError("the filter kernel ran out of memory")
+        raise MemoryError("the filter kernel ran out of memory")
     return rec, stop_at
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import Channel, generate_dispersive, generate_sparse, load_channel
-from .filtercore import KernelMemoryError, run_sequence
+from .filtercore import run_sequence
 from .signal import generate_input, synthesize_desired
 from .stepsize import controller_params
 
@@ -69,8 +69,9 @@ class ChannelSpec:
 
     def realize(self, L: int) -> Channel:
         """The channel for filter length L. Generator arguments it cannot
-        use, an L whose taps do not fit in memory, an unreadable channel
-        file or one of another length raise ConfigError."""
+        use, an L whose taps do not fit in memory, and a channel file that
+        does not decode or parse or has another length raise ConfigError; a
+        channel file that cannot be opened raises OSError."""
         try:
             if self.kind == "sparse":
                 ch = generate_sparse(L, self.active_count, self.seed)
@@ -301,8 +302,8 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     of each algorithm. Adds the seconds of stream synthesis and of the
     kernel calls, each summed over the seeds' threads, to ``timings`` under
     "synthesis_s" and "engine_s". A seed that raises raises here once every
-    seed has run; one whose streams or records do not fit in memory raises
-    ConfigError naming N and record_every."""
+    seed has run; one whose streams, records or kernel scratch do not fit in
+    memory raises ConfigError naming N and record_every."""
     timings = {} if timings is None else timings
     workers = resolve_workers(len(cfg.seeds), max_workers)
     spans = build_schedule(cfg)
@@ -317,8 +318,6 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
             d = synthesize_desired(x, spans, cfg.snr_db, noise_seed).d
             synthesized = time.perf_counter()
             rec, stop_at = run_sequence(x, d, spans, cfg.mu, ctls, every)
-        except KernelMemoryError:
-            raise
         except MemoryError:
             raise ConfigError(f"N={cfg.N} samples do not fit in memory "
                               f"(record_every={every})") from None

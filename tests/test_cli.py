@@ -846,6 +846,20 @@ class TestMain:
         assert int(np.count_nonzero(ch.taps)) == 4
         assert np.array_equal(ch.taps, generate_sparse(32, 4, 9).taps)
 
+    def test_gen_channel_writes_a_new_file(self, tmp_path):
+        # the old file is replaced, not truncated: a link to it keeps it
+        dest, link = tmp_path / "h.txt", tmp_path / "link.txt"
+        argv = ["gen-channel", "--L", "8", "--type", "sparse", "--active",
+                "2", "--out", str(dest)]
+        assert main([*argv, "--seed", "1"]) == 0
+        old = dest.read_bytes()
+        os.link(dest, link)
+        assert main([*argv, "--seed", "2"]) == 0
+        assert link.read_bytes() == old
+        assert np.array_equal(load_channel(dest).taps,
+                              generate_sparse(8, 2, 2).taps)
+        assert dest.read_bytes() != old
+
     def test_gen_channel_dispersive(self, tmp_path):
         dest = tmp_path / "h.txt"
         assert main(["gen-channel", "--L", "16", "--type", "dispersive",
@@ -938,6 +952,25 @@ class TestMain:
             "(record_every=1)" in done.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_kernel_scratch_beyond_memory(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the kernel's scratch is the config's too: exit 1, no directory
+        class FailingKernel:
+            zap_echo = filtercore._library().zap_echo
+
+            @staticmethod
+            def zap_run(*args):
+                return -1
+
+        monkeypatch.setattr(filtercore, "_kernel", FailingKernel())
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: N=50 samples do not fit in memory " \
+            "(record_every=1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):
         assert main(["gen-channel", "--L", "16", "--type", "sparse",
                      "--active", "17", "--out", str(tmp_path / "h.txt")]) == 1
@@ -982,6 +1015,36 @@ class TestMain:
         err = capsys.readouterr().err
         assert "internal error: ValueError: boom" in err
         assert "config error" not in err
+
+    @pytest.mark.parametrize("missing", ["config", "channel"])
+    def test_an_unopenable_input_is_io_error(self, tmp_path, capsys,
+                                             missing):
+        # a path that cannot be opened is an I/O error, not a config error
+        path = tmp_path / "missing"
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace(
+            "kind=sparse\nactive_count=4\nseed=21", f"file={path}"))
+        config = path if missing == "config" else cfg_path
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: [Errno 2] ")
+        assert str(path) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_channel_file_is_config_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "h.bin"
+        path.write_bytes(b"L=16\n\xff\n")
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(MINIMAL.replace(
+            "kind=sparse\nactive_count=4\nseed=21", f"file={path}"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: file channel: " in err
+        assert "codec can't decode" in err
+        assert not (tmp_path / "o").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "grid.cfg"

@@ -547,7 +547,7 @@ class TestParallelism:
         monkeypatch.setattr(harness, "derive_stream_seeds", recording)
         monkeypatch.setattr(filtercore, "_kernel", FailingKernel())
         threads = threading.active_count()
-        with pytest.raises(MemoryError, match="out of memory"):
+        with pytest.raises(ConfigError, match="do not fit in memory"):
             run_all(small_config(seeds=[1, 2, 3, 4], N=50), max_workers=2)
         assert sorted(ran) == [1, 2, 3, 4]  # every call ran
         assert threading.active_count() == threads
