@@ -12,11 +12,11 @@
  * LANES doubles. With no fast-math and no contraction beyond those explicit
  * FMAs, a result therefore does not depend on the compiler's flags or on
  * the vector width of the target. Nor does it depend on AVX-512: there
- * each product of signs in the step is one instruction (vfixupimmpd,
- * vpternlogq or a masked add), which gives the bits of the generic
- * compare and bit operations that every other target compiles, and a
- * pass that records nothing takes exact rewrites of the step (see
- * advance).
+ * each product of signs in the step is one instruction (vfixupimmpd or a
+ * masked add), which gives the bits of the generic compare and bit
+ * operations that every other target compiles, and a pass that records
+ * nothing and sums x.w alone takes x(n+1)'s vectors by an exact rotation
+ * (see advance).
  *
  * The clean echo (zap_echo) sums each output over the echo path's nonzero
  * taps in ascending order of the tap, from +0.0, each product and each sum
@@ -82,20 +82,15 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 #define LOAD(p) (*(const vec_at *)(p))
 #define STORE(p, v) (*(vec_at *)(p) = (v))
 /* The products of signs of the step (see TAPS), in every lane: VSGN(v),
- * sign(v) as -1.0, +0.0 or 1.0, and +0.0 for NaN; SIGNED(p, v), p with the
- * sign bit of v XORed into it where v is neither zero nor NaN, +0.0
- * elsewhere; COUNT(acc, v), acc plus 1.0 where v > 0 and plus +0.0
- * elsewhere. The generic forms are one compare and bit operations. Under
- * AVX-512 each is one instruction after its compare, if any, and gives the
- * same bits:
+ * sign(v) as -1.0, +0.0 or 1.0, and +0.0 for NaN; COUNT(acc, v), acc plus
+ * 1.0 where v > 0 and plus +0.0 elsewhere. The generic forms are one
+ * compare and bit operations. Under AVX-512 each is one instruction after
+ * its compare, if any, and gives the same bits:
  * - vfixupimmpd writes the constant that its table gives v's class:
  *   0xA9A9A888 holds, from the lowest nibble, +0.0 (8) for QNaN, SNaN and
  *   +-0, 1.0 (A) for 1.0, -1.0 (9) for -inf, 1.0 for +inf, -1.0 for the
  *   other negative and 1.0 for the other positive values. A subnormal has
  *   its sign's value, as in the compares; under DAZ both read it as zero;
- * - vpternlogq with immediate 0x6A writes c ^ (a & b) in every bit, here
- *   p ^ (v & SIGN), and zeroes the lanes outside its mask, v compared
- *   ordered and not equal to zero: the lanes of the generic NONZERO(v);
  * - the masked add keeps acc where v > 0 fails, as adding +0.0 does to a
  *   count, which is never -0.0. */
 #ifdef __AVX512F__
@@ -103,10 +98,6 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 #define VSGN(v)                                                            \
     ((vec)_mm512_fixupimm_pd((__m512d)(v), (__m512d)(v),                   \
                              _mm512_set1_epi64(0xA9A9A888), 0))
-#define SIGNED(p, v)                                                       \
-    ((vec)_mm512_maskz_ternarylogic_epi64(                                 \
-        _mm512_cmp_pd_mask((__m512d)(v), _mm512_setzero_pd(), _CMP_NEQ_OQ), \
-        (__m512i)(v), (__m512i)SIGN, (__m512i)(p), 0x6A))
 #define COUNT(acc, v)                                                      \
     ((vec)_mm512_mask_add_pd(                                              \
         (__m512d)(acc),                                                    \
@@ -122,7 +113,6 @@ static const mask ALL = {-1, -1, -1, -1, -1, -1, -1, -1},
 /* the lanes where v is neither zero nor NaN: one ordered compare */
 #define NONZERO(v) (((v) > 0.0) | ((v) < 0.0))
 #define VSGN(v) ((vec)(((mask)ONE | ((mask)(v) & SIGN)) & NONZERO(v)))
-#define SIGNED(p, v) ((vec)(((mask)(p) ^ ((mask)(v) & SIGN)) & NONZERO(v)))
 #define COUNT(acc, v) ((acc) + ONES((v) > 0.0))
 /* ROTATE spells the same lanes portably */
 #define FAST 0
@@ -152,12 +142,12 @@ const char *zap_compiler(void) { return __VERSION__; }
  * regressor XD of sample n+1 (and the echo path H and its signs S at a
  * recorded sample), one tap in each lane, into accumulator A of each sum.
  * The update is zeroed outside the lanes of LIVE. The products of signs
- * are SIGNED, VSGN and COUNT, each of which gives the product's bits:
- * - kappa * sign(w) is SIGNED(pull, w): pull where w > 0, pull with its
- *   sign bit flipped, which is -pull, where w < 0, and +0.0 elsewhere
- *   (pull holds kappa in every lane; kappa is finite and not below zero,
- *   and were it -0.0, only the sign of a zero weight could differ, which
- *   changes no sum that starts at +0.0);
+ * are VSGN and COUNT, each of which gives the product's bits:
+ * - t - kappa * sign(w0), t = w0 + mu*e*x, is FMA(-pull, VSGN(w0), t)
+ *   (pull holds kappa, finite and not below zero, in every lane): the
+ *   product is exact, so the difference is rounded once; -pull * (+0.0)
+ *   = -0.0 keeps t's bits where w0 is zero, or NaN, whose t is NaN. Only a
+ *   kappa of -0.0 could change a zero weight's sign, which changes no sum;
  * - x * sign(v) multiplies x by VSGN(v), so that an infinite x times a zero
  *   sign stays NaN;
  * - sign(v) * sign(h) > 0 holds exactly where v * S > 0, S = sign(h) being
@@ -168,7 +158,7 @@ const char *zap_compiler(void) { return __VERSION__; }
         vec w0 = LOAD(w + (k)), x1 = (XD);                                 \
         vec v = FMA(step, (XU), w0);                                       \
         if (attract)                                                       \
-            v = fma_pull ? FMA(-pull, VSGN(w0), v) : v - SIGNED(pull, w0); \
+            v = FMA(-pull, VSGN(w0), v);                                   \
         v = (vec)((mask)v & (LIVE));                                       \
         STORE(w + (k), v);                                                 \
         xw[A] = FMA(v, x1, xw[A]);                                         \
@@ -199,20 +189,12 @@ const char *zap_compiler(void) { return __VERSION__; }
 #define TOTAL(a) TREE((a)[0] + (a)[1])
 
 /* The flags are constants at every call, so each call site compiles to a
- * loop without the reductions it does not want. Two more, which ADVANCE
- * derives from them for a pass that records nothing where FAST (AVX-512,
- * on which they were measured faster), pick exact rewrites of the step:
- * - rotate wherever the pass sums x.w alone, which leaves it bound by its
- *   loads: FULL takes x(n+1)'s vector from k, xd[k + j] = xu[k + j - 1],
- *   out of x(n)'s vectors by one lane rotation instead of one more
- *   unaligned load;
- * - fma_pull wherever the pass attracts, as it saves vector operations:
- *   the attractor is FMA(-pull, VSGN(w0), t) for t - SIGNED(pull, w0),
- *   t = w0 + mu*e*x. kappa * sign(w0) is exact, so both round
- *   t - kappa * sign(w0) once, and -pull * (+0.0) = -0.0 keeps t's zero
- *   sign as subtracting +0.0 does. NaN and infinite weights take the same
- *   values through VSGN as through SIGNED; only a kappa of -0.0 could make
- *   a zero weight's sign differ, which changes no sum.
+ * loop without the reductions it does not want. One more, rotate, which
+ * ADVANCE derives from them for a pass that records nothing where FAST
+ * (AVX-512, on which it was measured faster), holds wherever the pass sums
+ * x.w alone, which leaves it bound by its loads: FULL then takes x(n+1)'s
+ * vector from k, xd[k + j] = xu[k + j - 1], out of x(n)'s vectors by one
+ * exact lane rotation instead of one more unaligned load.
  * The accumulator of the vector from k is a constant at each step: the
  * loop takes the vectors in pairs. The weights are whole vectors, so the
  * tail loads and stores them in place. Its L - k taps of xu, xd, h and sg
@@ -224,7 +206,7 @@ static inline __attribute__((always_inline)) sums
 advance(double *restrict w, const double *xu, const double *xd,
         const double *h, const double *sg, double mue, double kappa,
         int64_t L, int attract, int want_xsxx, int want_ww, int want_ws,
-        int record, int rotate, int fma_pull) {
+        int record, int rotate) {
     const vec pull = kappa * ONE, step = mue * ONE;
     vec xw[2] = {{0.0}}, xs[2] = {{0.0}}, xx[2] = {{0.0}}, ww[2] = {{0.0}},
         ws[2] = {{0.0}}, dist[2] = {{0.0}}, agree[2] = {{0.0}};
@@ -259,13 +241,12 @@ advance(double *restrict w, const double *xu, const double *xd,
 
 /* the pass of sample n in run_row, with the record flag a constant and a
  * kind's attract, want_xsxx, want_ww and want_ws flags, from which its
- * rotate and fma_pull flags follow (see advance) */
+ * rotate flag follows (see advance) */
 #define ADVANCE(attract, xsxx, ww, ws)                                     \
     (record ? advance(w, xu, xd, h, sg, mue, kappa, L, attract, xsxx, ww,  \
-                      ws, 1, 0, 0)                                         \
+                      ws, 1, 0)                                            \
             : advance(w, xu, xd, h, sg, mue, kappa, L, attract, xsxx, ww,  \
-                      ws, 0, FAST && !((xsxx) || (ww) || (ws)),           \
-                      FAST && (attract)))
+                      ws, 0, FAST && !((xsxx) || (ww) || (ws))))
 
 static int all_finite(const double *w, int64_t L) {
     for (int64_t k = 0; k < L; k++)

@@ -30,6 +30,14 @@ class ConfigError(ValueError):
     """A scenario config, a channel spec or an environment setting is invalid."""
 
 
+def _check_int(name: str, value) -> None:
+    """ConfigError unless value is an integer that operator.index takes (an
+    int or a numpy integer), not a bool: the config text writes it as an
+    integer, and the kernel takes an int64."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 # the ChannelSpec fields each kind uses, with their types (all required but
 # decay); its config text carries no other
 CHANNEL_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
@@ -58,6 +66,8 @@ class ChannelSpec:
             value = getattr(self, f.name)
             if f.name in used and value is None:
                 raise ConfigError(f"a {self.kind} channel requires {f.name}")
+            if used.get(f.name) is int:
+                _check_int(f"{self.kind} channel {f.name}", value)
             if f.name not in used and value != f.default:
                 raise ConfigError(f"a {self.kind} channel takes no {f.name}, "
                                   f"got {value!r}")
@@ -116,6 +126,11 @@ class ScenarioConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("L", "N", "record_every", "change_at"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name))
+        for seed in self.seeds:
+            _check_int("seed", seed)
         # both reach the kernel as int64
         if not 1 < self.L < 2**63:
             raise ConfigError(f"L must be > 1 and < 2**63, got {self.L}")
@@ -303,7 +318,7 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
     kernel calls, each summed over the seeds' threads, to ``timings`` under
     "synthesis_s" and "engine_s". A seed that raises raises here once every
     seed has run; one whose streams, records or kernel scratch do not fit in
-    memory raises ConfigError naming N and record_every."""
+    memory raises ConfigError naming N, L and record_every."""
     timings = {} if timings is None else timings
     workers = resolve_workers(len(cfg.seeds), max_workers)
     spans = build_schedule(cfg)
@@ -320,7 +335,7 @@ def run_all(cfg: ScenarioConfig, max_workers: int | None = None,
             rec, stop_at = run_sequence(x, d, spans, cfg.mu, ctls, every)
         except MemoryError:
             raise ConfigError(f"N={cfg.N} samples do not fit in memory "
-                              f"(record_every={every})") from None
+                              f"(L={cfg.L}, record_every={every})") from None
         end = time.perf_counter()
         return rec, stop_at, synthesized - start, end - synthesized
 

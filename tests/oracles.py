@@ -331,16 +331,18 @@ def kernel_sum(a, b) -> float:
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 
 
-def fma_run(x, d, h, mu: float, kappa: float, count: int):
+def fma_run(x, d, h, mu: float, kappa, count: int):
     """The a-priori errors and misalignments (dB) of the first ``count``
-    samples of one row of ``lms`` (kappa = 0) or ``fixed_zap`` (kappa its
-    kappa0) on the input ``x``, the desired signal ``d`` and one span of
-    taps ``h``, in Python floats with the kernel's roundings: the update
-    w + mu*e*x is one fma per tap, from which kappa*sign(w) is subtracted,
-    and x.w, ||w - h||^2 and ||h||^2 are ``kernel_sum``s. Returns two
-    lists of floats."""
+    samples of one row on the input ``x``, the desired signal ``d`` and one
+    span of taps ``h``, in Python floats with the kernel's roundings: the
+    update w + mu*e*x is one fma per tap, from which kappa*sign(w) is
+    subtracted, and x.w, ||w - h||^2 and ||h||^2 are ``kernel_sum``s.
+    ``kappa`` is a float, 0 for ``lms`` and kappa0 for ``fixed_zap``, or
+    the kappa of each sample's update, such as a kernel row's recorded
+    ``kappa``; no controller runs here. Returns two lists of floats."""
     x, d, h = ([float(v) for v in a] for a in (x, d, h))
     L = len(h)
+    kappas = np.broadcast_to(kappa, count).tolist()
 
     def regressor(n):
         return [x[n - k] if n >= k else 0.0 for k in range(L)]
@@ -352,7 +354,7 @@ def fma_run(x, d, h, mu: float, kappa: float, count: int):
         xu = regressor(n)
         e = d[n] - kernel_sum(w, xu)
         mue = mu * e
-        w = [fma(mue, xk, wk) - (math.copysign(kappa, wk) if wk else 0.0)
+        w = [fma(mue, xk, wk) - (math.copysign(kappas[n], wk) if wk else 0.0)
              for xk, wk in zip(xu, w)]
         r = [wk - hk for wk, hk in zip(w, h)]
         errors.append(e)

@@ -949,7 +949,7 @@ class TestMain:
                                       "--out", str(tmp_path / "o")])
         assert done.returncode == 1, done.stderr
         assert "config error: N=5000000 samples do not fit in memory " \
-            "(record_every=1)" in done.stderr
+            "(L=16, record_every=1)" in done.stderr
         assert not (tmp_path / "o").exists()
 
     def test_kernel_scratch_beyond_memory(self, tmp_path, capsys,
@@ -968,7 +968,7 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "config error: N=50 samples do not fit in memory " \
-            "(record_every=1)" in capsys.readouterr().err
+            "(L=16, record_every=1)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_generator_argument_is_config_error(self, tmp_path, capsys):

@@ -100,6 +100,42 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             build()
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: small_config(L=16.0), "L"),
+        (lambda: small_config(L=True), "L"),
+        (lambda: small_config(L="16"), "L"),
+        (lambda: small_config(N=50.0), "N"),
+        (lambda: small_config(record_every=2.0), "record_every"),
+        (lambda: small_config(change_at=100.0, channel_after=ChannelSpec(
+            kind="sparse", active_count=4, seed=3)), "change_at"),
+        (lambda: small_config(seeds=[1, 2.0]), "seed"),
+        (lambda: small_config(seeds=[True]), "seed"),
+        (lambda: ChannelSpec("sparse", active_count=4.0, seed=1),
+         "sparse channel active_count"),
+        (lambda: ChannelSpec("sparse", active_count=4, seed=1.5),
+         "sparse channel seed"),
+        (lambda: ChannelSpec("dispersive", seed=1.0), "dispersive channel seed")],
+        ids=["L-float", "L-bool", "L-str", "N-float", "record_every-float",
+             "change_at-float", "seed-float", "seed-bool",
+             "active_count-float", "channel_seed-float",
+             "dispersive_seed-float"])
+    def test_integer_fields_take_integers(self, build, name):
+        # a field the config text writes as an integer: a float or a bool
+        # written back would not parse, and the run would fail as a fault
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer"):
+            build()
+
+    def test_numpy_integers_round_trip_and_run(self):
+        from zapvss.cli import canonical_config_text, parse_config_text
+        cfg = small_config(
+            L=np.int64(16), N=np.int64(200), record_every=np.int64(2),
+            change_at=np.int64(100), seeds=[np.int64(1)],
+            channel_after=ChannelSpec("sparse", active_count=np.int64(4),
+                                      seed=np.int64(3)))
+        assert parse_config_text(canonical_config_text(cfg)) == cfg
+        [trace] = run_all(cfg, max_workers=1)
+        assert trace.samples.size == 100
+
     def test_bad_controller_params_fail_fast(self):
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             small_config(algorithms=[AlgorithmConfig(

@@ -258,10 +258,12 @@ def test_sign_tests_on_zeros_and_subnormals(L):
 
 def test_the_avx512_sign_forms_give_the_generic_bits(tmp_path, monkeypatch):
     # under AVX-512 the shipped build takes each product of signs of the
-    # step as vfixupimmpd, vpternlogq or a masked add, and a pass that
-    # records nothing its kind's rotation of x(n)'s vectors into x(n+1)'s
-    # and attractor kappa*sign(w) as one FMA; the -O0 build for the
-    # compiler's default target takes the generic loads and bit operations.
+    # step as vfixupimmpd or a masked add, and a pass that records nothing
+    # and sums x.w alone rotates x(n)'s vectors into x(n+1)'s; the -O0
+    # build for the compiler's default target takes the generic loads and
+    # bit operations. Both write the attractor as one FMA of -kappa and
+    # sign(w), and a kappa of -0.0 is the one input where that could move
+    # a zero weight's sign.
     # On zeros, -0.0 and subnormals, and on rows whose update turns
     # infinite, recording every sample, every third and sample 0 only,
     # every record and stop of every kind, and of a kappa of -0.0, must be
@@ -297,21 +299,30 @@ def test_the_avx512_sign_forms_give_the_generic_bits(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("L", [3, 12, 17, 25, 40])
 def test_the_pass_rounds_as_its_exact_reference(L):
-    # the errors and misalignments of lms and fixed_zap bit for bit against
-    # exact arithmetic rounded once per product-sum and summed in the two
-    # accumulators: L = 12 and 25 put the tail in the second one, 40 has
-    # none. A product rounded before its sum, or one accumulator, differs
+    # the errors and misalignments of every kind's tap pass bit for bit
+    # against exact arithmetic rounded once per product-sum and summed in
+    # the two accumulators: L = 12 and 25 put the tail in the second one, 40
+    # has none. A product rounded before its sum, one accumulator, or an
+    # attractor rounded apart from its subtraction differs. lms and
+    # fixed_zap take their constant kappa, the controlled kinds the kappa
+    # their row records: this checks the pass given its kappa, not the
+    # controllers
     rng = np.random.default_rng(L)
     N, mu = 40, 0.02
     h = rng.standard_normal(L) * (rng.random(L) < 0.6)
     h[0] = 1.0
     x = rng.standard_normal(N)
     d = np.convolve(x, h)[:N] + 0.01 * rng.standard_normal(N)
-    for kind, kappa in (("lms", 0.0), ("fixed_zap", 1e-3)):
-        params = controller_params(kind, {"kappa0": kappa} if kappa else {},
-                                   mu)
-        rec, _ = filtercore.run_sequence(x, d, [(0, N, h)], mu,
-                                         [(kind, params)], 1)
+    for kind, params, kappa in (("lms", {}, 0.0),
+                                ("fixed_zap", {"kappa0": 1e-3}, 1e-3),
+                                *((a.kind, a.params, None)
+                                  for a in ALL_KINDS[2:])):
+        rec, _ = filtercore.run_sequence(
+            x, d, [(0, N, h)], mu, [(kind, controller_params(kind, params,
+                                                             mu))], 1)
+        if kappa is None:
+            kappa = rec["kappa"][0]
+            assert np.count_nonzero(kappa) > N // 3, kind
         errors, misalignments = fma_run(x, d, h, mu, kappa, N)
         assert rec["error"][0].tobytes() == np.array(errors).tobytes(), kind
         assert rec["misalignment_db"][0].tobytes() == np.array(
@@ -519,13 +530,12 @@ def test_the_shipped_build_fuses_in_vector_registers(tmp_path):
 
 
 def test_the_shipped_build_takes_the_avx512_sign_forms(tmp_path):
-    # under AVX-512 the sign of x*sign(w) is one vfixupimmpd, the
-    # attractor kappa*sign(w) of a recorded pass one vpternlogq under its
-    # compare's mask, and a rotating pass takes x(n+1)'s vector from x(n)'s
-    # by one valignq
+    # under AVX-512 sign(w) is one vfixupimmpd, a recorded pass counts the
+    # taps whose signs agree by one add under its compare's mask, and a
+    # rotating pass takes x(n+1)'s vector from x(n)'s by one valignq
     text = shipped_assembly(tmp_path, "avx512f")
     assert re.search(r"\bvfixupimmpd\s", text)
-    assert re.search(r"\bvpternlogq\s", text)
+    assert re.search(r"\bvaddpd\s[^\n]*\{%k", text)
     assert re.search(r"\bvalignq\s", text)
 
 
